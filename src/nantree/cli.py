@@ -22,6 +22,7 @@ from .censor import SCENARIOS
 from .data import (
     CATEGORICAL,
     CLASSIFICATION,
+    DEFAULT_MISSING_TOKENS,
     REAL,
     Dataset,
     FeatureColumn,
@@ -30,6 +31,7 @@ from .data import (
     ResponseColumn,
     Schema,
     load_csv,
+    parse_numeric,
     read_schema_file,
 )
 from .split import Strategy
@@ -87,8 +89,6 @@ def _load_for_tree(path: str, tree) -> Dataset:
     The response column is not needed and is ignored if present;
     category names the tree never saw in training map to missing.
     """
-    from .data import DEFAULT_MISSING_TOKENS, _parse_numeric
-
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -120,7 +120,7 @@ def _load_for_tree(path: str, tree) -> Dataset:
             columns.append(FeatureColumn(name, kind, values, cats))
         else:
             values = np.array(
-                [np.nan if c in DEFAULT_MISSING_TOKENS else _parse_numeric(c, r + 2, name)
+                [np.nan if c in DEFAULT_MISSING_TOKENS else parse_numeric(c, r + 2, name)
                  for r, c in enumerate(cells)],
                 dtype=np.float64,
             )

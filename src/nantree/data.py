@@ -147,12 +147,6 @@ class Dataset:
     def n_features(self) -> int:
         return len(self.columns)
 
-    def feature_index(self, name: str) -> int:
-        for j, col in enumerate(self.columns):
-            if col.name == name:
-                return j
-        raise SchemaError(f"no feature named {name!r}")
-
     def subset(self, rows: np.ndarray) -> "Dataset":
         """Row subset; category and label dictionaries are preserved."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -160,15 +154,6 @@ class Dataset:
             tuple(col.take(rows) for col in self.columns),
             self.response.take(rows),
         )
-
-    def replace_column(self, index: int, column: FeatureColumn) -> "Dataset":
-        cols = list(self.columns)
-        cols[index] = column
-        return Dataset(tuple(cols), self.response)
-
-    def row_cells(self, i: int) -> tuple:
-        """Per-feature cell values for one row (float with NaN / int code with -1)."""
-        return tuple(col.values[i] for col in self.columns)
 
 
 @dataclass(frozen=True)
@@ -231,7 +216,9 @@ def read_schema_file(path: str) -> Schema:
     return Schema(target=target, task=task, kinds=dict(kinds))
 
 
-def _parse_numeric(token: str, row: int, name: str) -> float:
+def parse_numeric(token: str, row: int, name: str) -> float:
+    """A finite float from a CSV cell; ``row`` (1-based, header included)
+    and ``name`` locate the cell in the error message."""
     try:
         value = float(token)
     except ValueError as exc:
@@ -283,7 +270,7 @@ def load_csv(path: str, schema: Schema, missing_tokens: frozenset[str] = DEFAULT
             values = np.empty(n, dtype=np.float64)
             for i, record in enumerate(rows):
                 token = record[pos]
-                values[i] = np.nan if token in missing_tokens else _parse_numeric(token, i + 2, name)
+                values[i] = np.nan if token in missing_tokens else parse_numeric(token, i + 2, name)
             columns.append(FeatureColumn(name, NUMERIC, values))
         else:
             raw = [record[pos] for record in rows]
@@ -297,7 +284,7 @@ def load_csv(path: str, schema: Schema, missing_tokens: frozenset[str] = DEFAULT
         if token in missing_tokens:
             raise ValidationError(f"{path}: row {i + 2}: missing response value")
     if schema.task == REGRESSION:
-        values = np.array([_parse_numeric(tok, i + 2, schema.target) for i, tok in enumerate(raw_target)])
+        values = np.array([parse_numeric(tok, i + 2, schema.target) for i, tok in enumerate(raw_target)])
         response = ResponseColumn(REAL, values)
     else:
         labels = sorted(set(raw_target))

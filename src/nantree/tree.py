@@ -95,6 +95,19 @@ class Tree:
     response_labels: tuple[str, ...] = ()
 
 
+def _row_index(rows, n_rows: int) -> np.ndarray:
+    """All ``n_rows`` positions by default; otherwise ``rows`` checked to be
+    1-d integer positions in ``[0, n_rows)``."""
+    if rows is None:
+        return np.arange(n_rows, dtype=np.int64)
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise ValidationError("rows must be a 1-d sequence of integer row indices")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValidationError(f"row indices must lie in [0, {n_rows})")
+    return rows.astype(np.int64, copy=False)
+
+
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
     """Grow a tree on ``rows`` of ``ds`` (all rows by default).
 
@@ -107,10 +120,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         raise ValidationError("cross-entropy loss needs a class response")
     if not kind.is_classification and ds.response.kind != REAL:
         raise ValidationError("sse loss needs a real response")
-    if rows is None:
-        rows = np.arange(ds.n_rows, dtype=np.int64)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
+    rows = _row_index(rows, ds.n_rows)
     if rows.size == 0:
         raise ValidationError("cannot train on an empty row set")
 
@@ -204,6 +214,8 @@ def _normalize_probs(v: np.ndarray) -> np.ndarray:
 def predict_row(tree: Tree, cells):
     """Predict one row given per-feature cells (float with NaN for missing
     numerics, int code with -1 for missing categoricals)."""
+    if len(cells) != len(tree.feature_names):
+        raise ValidationError(f"row has {len(cells)} cells, tree expects {len(tree.feature_names)}")
 
     def walk(node):
         if isinstance(node, Leaf):
@@ -250,12 +262,68 @@ def _code_remap(tree: Tree, ds: Dataset) -> list[np.ndarray | None]:
     return remaps
 
 
+def _sides(p: Partition, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the cells in ``v`` that go left and right at ``p``; a cell
+    in neither is missing at this node, as in :func:`_route_cell`."""
+    if p.is_numeric:
+        left = v <= p.threshold
+        return left, ~(left | np.isnan(v))
+    # codes past the last slot clip onto it and -1 wraps onto it: both read 0
+    top = max(p.left_categories | p.right_categories) + 1
+    side = np.zeros(top + 1, dtype=np.int8)
+    side[list(p.left_categories)] = 1
+    side[list(p.right_categories)] = 2
+    s = side[np.minimum(v, top)]
+    return s == 1, s == 2
+
+
+def _fill(node, cols: list[np.ndarray], rows: np.ndarray, out: np.ndarray, at: np.ndarray) -> None:
+    """Write the predictions for rows ``rows`` of the feature columns
+    ``cols`` into ``out[at]``, mirroring :func:`predict_row` operation for
+    operation."""
+    if isinstance(node, Leaf):
+        out[at] = node.value
+        return
+    spec = node.spec
+    left, right = _sides(spec.partition, cols[spec.partition.feature][rows])
+    missing = ~(left | right)
+    if spec.route is MissingRoute.LEFT:
+        left |= missing
+    elif spec.route is MissingRoute.RIGHT:
+        right |= missing
+    elif spec.route is MissingRoute.MIDDLE:
+        if missing.any():
+            _fill(node.middle, cols, rows[missing], out, at[missing])
+    elif missing.any():
+        # fractional: both subtrees predict the missing rows, then mix
+        m_rows = rows[missing]
+        m_at = np.arange(len(m_rows))
+        lv = np.empty((len(m_rows),) + out.shape[1:])
+        rv = np.empty_like(lv)
+        _fill(node.left, cols, m_rows, lv, m_at)
+        _fill(node.right, cols, m_rows, rv, m_at)
+        mixed = spec.w_left * lv + spec.w_right * rv
+        if mixed.ndim == 2:
+            mixed /= mixed.sum(axis=1, keepdims=True)
+        out[at[missing]] = mixed
+    if left.any():
+        _fill(node.left, cols, rows[left], out, at[left])
+    if right.any():
+        _fill(node.right, cols, rows[right], out, at[right])
+
+
 def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarray:
-    """Predict many rows; returns shape (n,) for regression or (n, K)
-    class probabilities for classification."""
+    """Predict ``rows`` of ``ds`` (all rows by default); returns shape (n,)
+    for regression or one probability vector per row, shape (n, K), for
+    classification.
+
+    The whole row set is routed through the tree at once, node by node,
+    and each row's prediction equals :func:`predict_row` on its cells
+    bitwise.
+    """
     if ds.n_features != len(tree.feature_names):
         raise ValidationError("dataset and tree have different feature counts")
-    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = _row_index(rows, ds.n_rows)
     remaps = _code_remap(tree, ds)
     cols = []
     for j, col in enumerate(ds.columns):
@@ -268,15 +336,14 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
         out = np.empty((len(rows), tree.loss.n_classes))
     else:
         out = np.empty(len(rows))
-    for i, r in enumerate(rows):
-        out[i] = predict_row(tree, [c[r] for c in cols])
+    _fill(tree.root, cols, rows, out, np.arange(len(rows)))
     return out
 
 
 def evaluate(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> tuple[float, float | None]:
     """Total test loss of the tree on rows of ``ds``; for classification
     also the misclassification rate (argmax, lowest class on ties)."""
-    rows = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = _row_index(rows, ds.n_rows)
     preds = predict(tree, ds, rows)
     y = ds.response.values[rows]
     if tree.loss.is_classification:

@@ -376,3 +376,93 @@ def test_deserialize_rejects_unknown_category():
     doc["root"]["left_categories"] = ["chartreuse"]
     with pytest.raises(TreeFormatError, match="chartreuse"):
         deserialize(json.dumps(doc))
+
+
+def _mixed_tables(n_classes, seed=0):
+    """Train and test tables over two numeric and two categorical features,
+    30% MCAR everywhere; the test dictionary of ``g1`` adds a name, ``e``,
+    that training never saw."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    x = rng.normal(size=(2 * n, 2))
+    g = rng.integers(0, 4, size=(2 * n, 2))
+    signal = x[:, 0] - 2.0 * x[:, 1] + g[:, 0] + 0.5 * g[:, 1] + rng.normal(scale=0.3, size=2 * n)
+    if n_classes:
+        labels = tuple(f"l{k}" for k in range(n_classes))
+        edges = np.quantile(signal, np.linspace(0, 1, n_classes + 1)[1:-1])
+        response = (CLASS, np.searchsorted(edges, signal), labels)
+    else:
+        response = (REAL, signal, ())
+    test_codes = g[n:, 0].copy()
+    test_codes[rng.random(n) < 0.2] = 4
+
+    def table(rows, g1, g1_cats):
+        cols = [numeric(f"x{j}", np.where(rng.random(n) < 0.3, np.nan, x[rows, j])) for j in range(2)]
+        g2 = g[rows, 1]
+        for name, codes, cats in (("g1", g1, g1_cats), ("g2", g2, ("a", "b", "c", "d"))):
+            codes = np.where(rng.random(n) < 0.3, -1, codes)
+            cols.append(FeatureColumn(name, CATEGORICAL, codes, cats))
+        kind, y, labels = response
+        return Dataset(tuple(cols), ResponseColumn(kind, y[rows], labels))
+
+    train_ds = table(slice(0, n), g[:n, 0], ("a", "b", "c", "d"))
+    test_ds = table(slice(n, 2 * n), test_codes, ("a", "b", "c", "d", "e"))
+    return train_ds, test_ds
+
+
+def _tree_cells(tree, ds, r):
+    """Row ``r`` of ``ds`` as predict_row cells, codes in the tree's dictionary."""
+    cells = []
+    for j, col in enumerate(ds.columns):
+        v = col.values[r]
+        if col.kind == CATEGORICAL:
+            code_of = {c: i for i, c in enumerate(tree.categories[j])}
+            v = code_of.get(col.categories[v], -1) if v >= 0 else -1
+        cells.append(v)
+    return cells
+
+
+def _has_nested_fractional(node, inside=False):
+    if isinstance(node, Leaf):
+        return False
+    fractional = node.spec.route is MissingRoute.FRACTIONAL
+    if fractional and inside:
+        return True
+    return any(_has_nested_fractional(child, inside or fractional) for child in (node.left, node.right))
+
+
+@pytest.mark.parametrize("n_classes", [0, 3])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_predict_equals_predict_row_bitwise(strategy, n_classes):
+    train_ds, test_ds = _mixed_tables(n_classes)
+    tree = train(train_ds, TrainConfig(strategy, max_depth=5, min_samples=3))
+    if strategy is Strategy.FC:
+        assert _has_nested_fractional(tree.root)
+    assert (test_ds.columns[2].values == 4).any()  # rows with the unseen name
+    permuted = np.random.default_rng(1).permutation(test_ds.n_rows)[: test_ds.n_rows // 2]
+    for rows in (None, permuted, np.array([], dtype=np.int64)):
+        got = predict(tree, test_ds, rows)
+        rows = np.arange(test_ds.n_rows) if rows is None else rows
+        assert got.shape == (len(rows),) + ((n_classes,) if n_classes else ())
+        for i, r in enumerate(rows):
+            want = np.asarray(predict_row(tree, _tree_cells(tree, test_ds, r)), dtype=float)
+            assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [[10**6], [4], [-1], [0.5], [[0, 1]], [True, False, True, False]])
+def test_bad_row_indices_rejected(rows):
+    cfg = TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1)
+    tree = train(STEP, cfg)
+    with pytest.raises(ValidationError, match="row"):
+        train(STEP, cfg, rows=rows)
+    with pytest.raises(ValidationError, match="row"):
+        predict(tree, STEP, rows)
+    with pytest.raises(ValidationError, match="row"):
+        evaluate(tree, STEP, rows)
+
+
+def test_predict_row_rejects_wrong_cell_count():
+    tree = train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+    for cells in ([], [1.0, 2.0]):
+        with pytest.raises(ValidationError, match="cells"):
+            predict_row(tree, cells)
