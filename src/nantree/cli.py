@@ -10,30 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .bench import ExperimentConfig, default_q_grid, emit_csv, run_experiment
 from .bias import BiasScenario, emit_bias_csv, run_bias
 from .censor import SCENARIOS
-from .data import (
-    CATEGORICAL,
-    CLASSIFICATION,
-    DEFAULT_MISSING_TOKENS,
-    REAL,
-    Dataset,
-    FeatureColumn,
-    NantreeError,
-    ParseError,
-    ResponseColumn,
-    Schema,
-    load_csv,
-    parse_numeric,
-    read_schema_file,
-)
+from .data import NantreeError, Schema, load_csv, load_features, read_schema_file
 from .split import Strategy
 from .tree import TrainConfig, deserialize, predict, render, serialize, train
 
@@ -62,12 +47,22 @@ def _parse_q_grid(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise NantreeError(f"bad q grid {text!r}, expected start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_q_number(p, text) for p in parts)
         if step <= 0 or stop < start:
             raise NantreeError(f"bad q grid {text!r}")
         n = int(round((stop - start) / step))
         return tuple(round(start + i * step, 10) for i in range(n + 1))
-    return tuple(round(float(p), 10) for p in text.split(","))
+    return tuple(round(_q_number(p, text), 10) for p in text.split(","))
+
+
+def _q_number(token: str, text: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise NantreeError(f"bad q grid {text!r}: {token.strip()!r} is not a finite number")
 
 
 def _schema_from_args(args) -> Schema:
@@ -81,52 +76,6 @@ def _schema_from_args(args) -> Schema:
     if not args.target:
         raise NantreeError("either --schema or --target is required")
     return Schema(target=args.target, task=args.task or "regression")
-
-
-def _load_for_tree(path: str, tree) -> Dataset:
-    """Read prediction input shaped by the tree's own feature spec.
-
-    The response column is not needed and is ignored if present;
-    category names the tree never saw in training map to missing.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        rows = [r for r in reader if r]
-    index = {}
-    for i, name in enumerate(header):
-        if name in index:
-            raise ParseError(f"{path}: duplicate column {name!r}")
-        index[name] = i
-    columns = []
-    for j, (name, kind) in enumerate(zip(tree.feature_names, tree.feature_kinds)):
-        if name not in index:
-            raise ParseError(f"{path}: tree needs column {name!r}, not present")
-        col = index[name]
-        cells = []
-        for r, row in enumerate(rows):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {r + 2} has {len(row)} cells, header has {len(header)}")
-            cells.append(row[col])
-        if kind == CATEGORICAL:
-            cats = tree.categories.get(j, ())
-            code_of = {c: i for i, c in enumerate(cats)}
-            values = np.array(
-                [-1 if c in DEFAULT_MISSING_TOKENS else code_of.get(c, -1) for c in cells],
-                dtype=np.int64,
-            )
-            columns.append(FeatureColumn(name, kind, values, cats))
-        else:
-            values = np.array(
-                [np.nan if c in DEFAULT_MISSING_TOKENS else parse_numeric(c, r + 2, name)
-                 for r, c in enumerate(cells)],
-                dtype=np.float64,
-            )
-            columns.append(FeatureColumn(name, kind, values))
-    dummy = ResponseColumn(REAL, np.zeros(len(rows)))
-    return Dataset(tuple(columns), dummy)
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -183,13 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     schema = _schema_from_args(args)
+    strategies = _parse_strategies(args.strategies)
+    q_grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
     ds = load_csv(args.data, schema)
     name = os.path.splitext(os.path.basename(args.data))[0]
     cfg = ExperimentConfig(
         datasets=((name, ds),),
-        strategies=_parse_strategies(args.strategies),
+        strategies=strategies,
         scenario=args.scenario,
-        q_grid=_parse_q_grid(args.q_grid) if args.q_grid else default_q_grid(),
+        q_grid=q_grid,
         folds=args.folds,
         depth_grid_max=args.max_depth,
         min_samples=args.min_samples,
@@ -217,19 +168,21 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = deserialize(fh.read())
-    ds = _load_for_tree(args.data, tree)
+    ds = load_features(args.data, tree.feature_names, tree.feature_kinds, tree.categories)
     preds = predict(tree, ds)
+    if tree.loss.is_classification:
+        # a document may omit the labels; class indices stand in for them
+        labels = tree.response_labels or tuple(map(str, range(tree.loss.n_classes)))
+        header = ["prediction"] + [f"p_{label}" for label in labels]
+        columns = [list(map(labels.__getitem__, preds.argmax(axis=1).tolist()))]
+        columns += [list(map(repr, probs)) for probs in preds.T.tolist()]
+    else:
+        header = ["prediction"]
+        columns = [list(map(repr, preds.tolist()))]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if tree.loss.is_classification:
-            labels = tree.response_labels
-            writer.writerow(["prediction"] + [f"p_{l}" for l in labels])
-            for row in preds:
-                writer.writerow([labels[int(row.argmax())]] + [repr(float(p)) for p in row])
-        else:
-            writer.writerow(["prediction"])
-            for v in preds:
-                writer.writerow([repr(float(v))])
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 

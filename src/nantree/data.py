@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import filterfalse, repeat
 
 import numpy as np
 
@@ -216,7 +218,7 @@ def read_schema_file(path: str) -> Schema:
     return Schema(target=target, task=task, kinds=dict(kinds))
 
 
-def parse_numeric(token: str, row: int, name: str) -> float:
+def _parse_numeric(token: str, row: int, name: str) -> float:
     """A finite float from a CSV cell; ``row`` (1-based, header included)
     and ``name`` locate the cell in the error message."""
     try:
@@ -228,22 +230,77 @@ def parse_numeric(token: str, row: int, name: str) -> float:
     return value
 
 
+def _read_table(path: str) -> tuple[list[str], list[tuple[str, ...]], Sequence[int]]:
+    """Header, cell columns and file row numbers of an RFC-4180 CSV file.
+
+    Row numbers count file records with the header as row 1; they are
+    what error messages report. In a one-column file a blank line is one
+    empty cell; in wider files blank lines are skipped.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = list(reader)
+    if not header:
+        raise ValidationError(f"{path}: empty file" if header is None else f"{path}: blank header row")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise SchemaError(f"{path}: duplicate column {name!r} in header")
+        seen.add(name)
+    width = len(header)
+    row_numbers: Sequence[int] = range(2, len(rows) + 2)
+    if width == 1:
+        rows = [row or [""] for row in rows]
+    elif not all(rows):
+        row_numbers = [number for number, row in zip(row_numbers, rows) if row]
+        rows = [row for row in rows if row]
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    if set(map(len, rows)) != {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ParseError(f"{path}: row {row_numbers[i]} has {len(rows[i])} cells, expected {width}")
+    return header, list(zip(*rows)), row_numbers
+
+
+def _numeric_column(cells: tuple[str, ...], name: str, row_numbers: Sequence[int],
+                    missing_tokens: frozenset[str]) -> np.ndarray:
+    """float64 values of a cell column, NaN where the cell is a missing token."""
+    is_missing = missing_tokens.__contains__
+    present = ~np.fromiter(map(is_missing, cells), dtype=bool, count=len(cells))
+    try:
+        parsed = np.fromiter(map(float, filterfalse(is_missing, cells)), dtype=np.float64,
+                             count=int(present.sum()))
+    except ValueError:
+        parsed = None
+    if parsed is None or not np.isfinite(parsed).all():
+        # rescan cell by cell so the message names the first bad cell
+        for token, row in zip(cells, row_numbers):
+            if not is_missing(token):
+                _parse_numeric(token, row, name)
+    values = np.full(len(cells), np.nan)
+    values[present] = parsed
+    return values
+
+
+def _category_codes(cells: tuple[str, ...], categories: Sequence[str],
+                    missing_tokens: frozenset[str]) -> np.ndarray:
+    """int64 codes into ``categories``; missing tokens and unknown names are -1."""
+    code_of = {name: code for code, name in enumerate(categories)}
+    code_of.update(dict.fromkeys(missing_tokens, -1))
+    return np.fromiter(map(code_of.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
+
+
 def load_csv(path: str, schema: Schema, missing_tokens: frozenset[str] = DEFAULT_MISSING_TOKENS) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a typed Dataset.
 
     Cells equal to one of ``missing_tokens`` become Missing. A missing
-    response cell is an error: responses must always be observed.
+    response cell is an error: responses must always be observed. In a
+    one-column file a blank line is one empty cell; in wider files blank
+    lines are skipped. Error messages count rows as file records, the
+    header being row 1.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        rows = [r for r in reader]
-
-    if len(set(header)) != len(header):
-        raise SchemaError(f"{path}: duplicate column names in header")
+    header, cells, row_numbers = _read_table(path)
     if schema.target not in header:
         raise SchemaError(f"{path}: target column {schema.target!r} not in header")
     for name in schema.kinds:
@@ -251,72 +308,83 @@ def load_csv(path: str, schema: Schema, missing_tokens: frozenset[str] = DEFAULT
             raise SchemaError(f"{path}: schema lists unknown column {name!r}")
     if schema.kinds.get(schema.target) is not None:
         raise SchemaError(f"{path}: target {schema.target!r} must not appear in feature kinds")
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-
-    target_pos = header.index(schema.target)
-    feature_names = [name for name in header if name != schema.target]
-    feature_pos = [header.index(name) for name in feature_names]
-
-    n = len(rows)
-    for i, record in enumerate(rows, start=2):
-        if len(record) != len(header):
-            raise ParseError(f"{path}: row {i} has {len(record)} cells, expected {len(header)}")
 
     columns = []
-    for name, pos in zip(feature_names, feature_pos):
-        kind = schema.kinds.get(name, NUMERIC)
-        if kind == NUMERIC:
-            values = np.empty(n, dtype=np.float64)
-            for i, record in enumerate(rows):
-                token = record[pos]
-                values[i] = np.nan if token in missing_tokens else parse_numeric(token, i + 2, name)
-            columns.append(FeatureColumn(name, NUMERIC, values))
+    for name, column in zip(header, cells):
+        if name == schema.target:
+            continue
+        if schema.kinds.get(name, NUMERIC) == NUMERIC:
+            columns.append(FeatureColumn(name, NUMERIC, _numeric_column(column, name, row_numbers, missing_tokens)))
         else:
-            raw = [record[pos] for record in rows]
-            names = sorted({tok for tok in raw if tok not in missing_tokens})
-            code_of = {tok: c for c, tok in enumerate(names)}
-            codes = np.array([code_of.get(tok, -1) if tok not in missing_tokens else -1 for tok in raw], dtype=np.int64)
+            names = sorted(set(column).difference(missing_tokens))
+            codes = _category_codes(column, names, missing_tokens)
             columns.append(FeatureColumn(name, CATEGORICAL, codes, tuple(names)))
 
-    raw_target = [record[target_pos] for record in rows]
-    for i, token in enumerate(raw_target):
-        if token in missing_tokens:
-            raise ValidationError(f"{path}: row {i + 2}: missing response value")
+    raw_target = cells[header.index(schema.target)]
+    if any(map(missing_tokens.__contains__, raw_target)):
+        i = next(i for i, token in enumerate(raw_target) if token in missing_tokens)
+        raise ValidationError(f"{path}: row {row_numbers[i]}: missing response value")
     if schema.task == REGRESSION:
-        values = np.array([parse_numeric(tok, i + 2, schema.target) for i, tok in enumerate(raw_target)])
-        response = ResponseColumn(REAL, values)
+        response = ResponseColumn(REAL, _numeric_column(raw_target, schema.target, row_numbers, frozenset()))
     else:
         labels = sorted(set(raw_target))
-        code_of = {lab: c for c, lab in enumerate(labels)}
-        response = ResponseColumn(CLASS, np.array([code_of[tok] for tok in raw_target], dtype=np.int64), tuple(labels))
+        response = ResponseColumn(CLASS, _category_codes(raw_target, labels, frozenset()), tuple(labels))
 
     return Dataset(tuple(columns), response)
 
 
-def _format_float(value: float) -> str:
-    # repr of a Python float is the shortest string that round-trips exactly
-    return repr(float(value))
+def load_features(path: str, names: Sequence[str], kinds: Sequence[str],
+                  categories: Mapping[int, Sequence[str]]) -> Dataset:
+    """Read the feature columns ``names`` from a CSV file, e.g. to predict with a tree.
+
+    ``kinds[j]`` types column ``names[j]``, and ``categories[j]`` lists the
+    category names of a categorical one in code order. Columns are matched
+    by name; other columns, the response included, are ignored. Cells in
+    ``DEFAULT_MISSING_TOKENS`` and category names not in the list are
+    missing. The returned Dataset's response is a placeholder of zeros.
+    """
+    header, cells, row_numbers = _read_table(path)
+    position = {name: i for i, name in enumerate(header)}
+    columns = []
+    for j, (name, kind) in enumerate(zip(names, kinds)):
+        if name not in position:
+            raise SchemaError(f"{path}: feature column {name!r} not in header")
+        column = cells[position[name]]
+        if kind == CATEGORICAL:
+            cats = tuple(categories.get(j, ()))
+            codes = _category_codes(column, cats, DEFAULT_MISSING_TOKENS)
+            columns.append(FeatureColumn(name, CATEGORICAL, codes, cats))
+        else:
+            values = _numeric_column(column, name, row_numbers, DEFAULT_MISSING_TOKENS)
+            columns.append(FeatureColumn(name, kind, values))
+    return Dataset(tuple(columns), ResponseColumn(REAL, np.zeros(len(row_numbers))))
 
 
 def save_csv(ds: Dataset, path: str) -> None:
     """Write a Dataset back to CSV; loading it with the same schema is lossless."""
+    columns = []
+    for col in ds.columns:
+        if col.kind == NUMERIC:
+            columns.append(_float_cells(col.values))
+        else:
+            # code -1 indexes the trailing "", the missing cell
+            columns.append(list(map((col.categories + ("",)).__getitem__, col.values.tolist())))
+    if ds.response.kind == REAL:
+        columns.append(_float_cells(ds.response.values))
+    else:
+        columns.append(list(map(ds.response.labels.__getitem__, ds.response.values.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in ds.columns] + [_target_name(ds)])
-        for i in range(ds.n_rows):
-            record = []
-            for col in ds.columns:
-                v = col.values[i]
-                if col.kind == NUMERIC:
-                    record.append("" if np.isnan(v) else _format_float(v))
-                else:
-                    record.append("" if v < 0 else col.categories[v])
-            if ds.response.kind == REAL:
-                record.append(_format_float(ds.response.values[i]))
-            else:
-                record.append(ds.response.labels[ds.response.values[i]])
-            writer.writerow(record)
+        writer.writerows(zip(*columns))
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    # repr of a Python float is the shortest string that round-trips exactly
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def _target_name(ds: Dataset) -> str:

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import CATEGORICAL, Dataset, FeatureColumn
+from .data import CATEGORICAL, Dataset, FeatureColumn, ValidationError
 from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf
 
 #: Exhaustive category bipartitions are enumerated up to this many observed
@@ -83,9 +83,9 @@ class SplitConfig:
 
     def __post_init__(self) -> None:
         if self.min_child < 1:
-            raise ValueError("min_child must be at least 1")
+            raise ValidationError("min_child must be at least 1")
         if self.min_child_weight <= 0:
-            raise ValueError("min_child_weight must be positive")
+            raise ValidationError("min_child_weight must be positive")
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.max_depth < 0:
-            raise ValueError("max_depth must be non-negative")
+            raise ValidationError("max_depth must be non-negative")
         if self.min_samples < 1:
-            raise ValueError("min_samples must be at least 1")
+            raise ValidationError("min_samples must be at least 1")
 
     @property
     def split_config(self) -> SplitConfig:

@@ -42,6 +42,9 @@ def test_parse_q_grid_forms():
         _parse_q_grid("0:0.9")
     with pytest.raises(NantreeError):
         _parse_q_grid("0.9:0:0.1")
+    for text in ("abc", "0:x:0.1", "0,inf", "0:nan:0.1"):
+        with pytest.raises(NantreeError, match="not a finite number"):
+            _parse_q_grid(text)
 
 
 def test_run_subcommand(tmp_path, capsys):
@@ -190,6 +193,44 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--target", "y"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--q-grid", "abc"],
+    ["run", "--q-grid", "0:x:0.1"],
+    ["run", "--q-grid", "0:nan:0.1"],
+    ["run", "--min-samples", "0"],
+    ["train", "--depth", "-1"],
+    ["train", "--min-samples", "0"],
+])
+def test_bad_values_are_clean_errors(tmp_path, capsys, argv):
+    data = tmp_path / "step.csv"
+    write_step_csv(data)
+    common = ["--data", str(data), "--target", "y"]
+    if argv[0] == "run":
+        common += ["--folds", "3", "--max-depth", "2", "--out", str(tmp_path / "out.csv")]
+    rc = main(argv[:1] + common + argv[1:])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_predict_keeps_blank_lines_of_one_column_files(tmp_path, capsys):
+    data = tmp_path / "step.csv"
+    write_step_csv(data)
+    tree_path = tmp_path / "tree.json"
+    assert main(["train", "--data", str(data), "--target", "y", "--strategy", "trinary",
+                 "--depth", "1", "--min-samples", "2", "--dump-tree", str(tree_path)]) == 0
+    outputs = []
+    for name, text in (("blank", "x\n0.2\n\n0.9\n"), ("na", "x\n0.2\nNA\n0.9\n")):
+        newdata, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_preds.csv"
+        newdata.write_text(text)
+        assert main(["predict", "--tree", str(tree_path), "--data", str(newdata), "--out", str(out)]) == 0
+        assert "wrote 3 predictions" in capsys.readouterr().out
+        outputs.append(out.read_bytes())
+    # the blank line is one missing x, scored like an explicit NA
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_arguments_exit_2(capsys):

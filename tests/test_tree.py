@@ -12,6 +12,7 @@ from nantree import (
     LossKind,
     MissingRoute,
     ResponseColumn,
+    SplitConfig,
     Strategy,
     TrainConfig,
     TreeFormatError,
@@ -49,6 +50,17 @@ def test_step_function_root_split(strategy):
     assert root.spec.partition.threshold == 2.5
     got = predict(tree, STEP)
     assert got.tolist() == [0.0, 0.0, 10.0, 10.0]
+
+
+def test_config_validation():
+    with pytest.raises(ValidationError, match="max_depth"):
+        TrainConfig(Strategy.MIA, max_depth=-1)
+    with pytest.raises(ValidationError, match="min_samples"):
+        TrainConfig(Strategy.MIA, min_samples=0)
+    with pytest.raises(ValidationError, match="min_child"):
+        SplitConfig(min_child=0)
+    with pytest.raises(ValidationError, match="min_child_weight"):
+        SplitConfig(min_child_weight=0.0)
 
 
 def test_max_depth_zero_gives_single_leaf():
