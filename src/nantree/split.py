@@ -75,6 +75,22 @@ class Partition:
     def is_numeric(self) -> bool:
         return self.threshold is not None
 
+    def sides(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the cells of this feature in ``v`` (floats with NaN for
+        missing, or category codes with -1 for missing) that go left and
+        right. A cell in neither is missing here: NaN, -1, or a category in
+        neither set, such as one this node never observed."""
+        if self.is_numeric:
+            left = v <= self.threshold
+            return left, ~(left | np.isnan(v))
+        # codes past the last slot clip onto it and -1 wraps onto it: both read 0
+        top = max(self.left_categories | self.right_categories) + 1
+        side = np.zeros(top + 1, dtype=np.int8)
+        side[list(self.left_categories)] = 1
+        side[list(self.right_categories)] = 2
+        s = side[np.minimum(v, top)]
+        return s == 1, s == 2
+
 
 @dataclass(frozen=True)
 class SplitConfig:
@@ -348,20 +364,83 @@ def enumerate_candidates(
 
 
 # ---------------------------------------------------------------------------
-# single-partition scorers
+# single-partition row routing and scorers
 
-def _partition_masks(column: FeatureColumn, rows: np.ndarray, partition: Partition):
-    v = column.values[rows]
-    if partition.is_numeric:
-        present = ~np.isnan(v)
-        left = present & (v <= partition.threshold)
-        right = present & (v > partition.threshold)
-    else:
-        left = np.isin(v, np.fromiter(partition.left_categories, dtype=np.int64, count=len(partition.left_categories)))
-        right = np.isin(v, np.fromiter(partition.right_categories, dtype=np.int64, count=len(partition.right_categories)))
-    # cells in neither block (missing, or a category unseen at this node)
-    # count as missing
-    return left, right, ~(left | right)
+@dataclass(frozen=True)
+class ChildRows:
+    """The rows a split sends to its children, without their losses.
+
+    ``left_rows``/``right_rows`` are the row index sets the children train
+    on, with weights ``left_weights``/``right_weights``; fractional
+    children also take the missing rows, their weights scaled by
+    ``frac_left`` and ``1 - frac_left``. ``middle_rows`` holds the missing
+    rows of a middle-routed split and is empty for the other routes.
+    """
+
+    left_rows: np.ndarray
+    right_rows: np.ndarray
+    middle_rows: np.ndarray
+    left_weights: np.ndarray
+    right_weights: np.ndarray
+    frac_left: float | None = None
+
+
+def split_rows(
+    ds: Dataset,
+    rows: np.ndarray,
+    partition: Partition,
+    route: MissingRoute,
+    min_child: int = 1,
+    min_child_weight: float = 1.0,
+    weights: np.ndarray | None = None,
+) -> ChildRows | None:
+    """Send ``rows`` to the children of ``partition``, missing rows by ``route``.
+
+    Returns None when the split is infeasible: for the left, right and
+    middle routes, a child with fewer than ``min_child`` rows (routed
+    missing rows count toward their side; middle rows toward neither); for
+    the fractional route, a side with no observed rows or a child whose
+    total weight is below ``min_child_weight``. The fractions come from
+    unweighted observed row counts.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=np.float64)
+    left, right = partition.sides(ds.columns[partition.feature].values[rows])
+    missing = ~(left | right)
+    if route is MissingRoute.FRACTIONAL:
+        n_lo = int(left.sum())
+        n_ro = int(right.sum())
+        if n_lo == 0 or n_ro == 0:
+            return None
+        frac_left = n_lo / (n_lo + n_ro)
+        frac_right = 1.0 - frac_left
+        miss_rows, miss_w = rows[missing], w[missing]
+        left_w = np.concatenate([w[left], miss_w * frac_left])
+        right_w = np.concatenate([w[right], miss_w * frac_right])
+        if left_w.sum() < min_child_weight or right_w.sum() < min_child_weight:
+            return None
+        return ChildRows(
+            left_rows=np.concatenate([rows[left], miss_rows]),
+            right_rows=np.concatenate([rows[right], miss_rows]),
+            middle_rows=rows[:0],
+            left_weights=left_w,
+            right_weights=right_w,
+            frac_left=frac_left,
+        )
+    if route is MissingRoute.LEFT:
+        left = left | missing
+    elif route is MissingRoute.RIGHT:
+        right = right | missing
+    min_child = max(min_child, 1)
+    if left.sum() < min_child or right.sum() < min_child:
+        return None
+    return ChildRows(
+        left_rows=rows[left],
+        right_rows=rows[right],
+        middle_rows=rows[missing] if route is MissingRoute.MIDDLE else rows[:0],
+        left_weights=w[left],
+        right_weights=w[right],
+    )
 
 
 def score_binary(
@@ -380,27 +459,21 @@ def score_binary(
     """
     if route not in (MissingRoute.LEFT, MissingRoute.RIGHT):
         raise ValueError("score_binary routes missing rows left or right")
-    rows = np.asarray(rows, dtype=np.int64)
-    col = ds.columns[partition.feature]
-    left_m, right_m, miss_m = _partition_masks(col, rows, partition)
-    if route is MissingRoute.LEFT:
-        left_m = left_m | miss_m
-    else:
-        right_m = right_m | miss_m
-    min_child = max(min_child, 1)
-    if left_m.sum() < min_child or right_m.sum() < min_child:
+    children = split_rows(ds, rows, partition, route, min_child=min_child, weights=weights)
+    if children is None:
         return None
-    y = ds.response.values[rows]
-    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=np.float64)
-    ll = eval_loss(y[left_m], fit_leaf(y[left_m], kind, w[left_m]), kind, w[left_m])
-    lr = eval_loss(y[right_m], fit_leaf(y[right_m], kind, w[right_m]), kind, w[right_m])
+    y_left = ds.response.values[children.left_rows]
+    y_right = ds.response.values[children.right_rows]
+    w_left, w_right = children.left_weights, children.right_weights
+    ll = eval_loss(y_left, fit_leaf(y_left, kind, w_left), kind, w_left)
+    lr = eval_loss(y_right, fit_leaf(y_right, kind, w_right), kind, w_right)
     return ScoredSplit(
         partition=partition,
         route=route,
         total_loss=ll + lr,
-        left_rows=rows[left_m],
-        right_rows=rows[right_m],
-        middle_rows=rows[:0],
+        left_rows=children.left_rows,
+        right_rows=children.right_rows,
+        middle_rows=children.middle_rows,
         loss_left=ll,
         loss_right=lr,
     )
@@ -420,25 +493,23 @@ def score_trinary(
     the whole node, computed here when not supplied); it is not refit.
     Feasibility constrains only the observed children.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    col = ds.columns[partition.feature]
-    left_m, right_m, miss_m = _partition_masks(col, rows, partition)
-    min_child = max(min_child, 1)
-    if left_m.sum() < min_child or right_m.sum() < min_child:
+    children = split_rows(ds, rows, partition, MissingRoute.MIDDLE, min_child=min_child)
+    if children is None:
         return None
-    y = ds.response.values[rows]
+    y = ds.response.values
     if mother_value is None:
-        mother_value = fit_leaf(y, kind)
-    ll = eval_loss(y[left_m], fit_leaf(y[left_m], kind), kind)
-    lr = eval_loss(y[right_m], fit_leaf(y[right_m], kind), kind)
-    lm = eval_loss(y[miss_m], mother_value, kind)
+        mother_value = fit_leaf(y[np.asarray(rows, dtype=np.int64)], kind)
+    y_left, y_right = y[children.left_rows], y[children.right_rows]
+    ll = eval_loss(y_left, fit_leaf(y_left, kind), kind)
+    lr = eval_loss(y_right, fit_leaf(y_right, kind), kind)
+    lm = eval_loss(y[children.middle_rows], mother_value, kind)
     return ScoredSplit(
         partition=partition,
         route=MissingRoute.MIDDLE,
         total_loss=ll + lr + lm,
-        left_rows=rows[left_m],
-        right_rows=rows[right_m],
-        middle_rows=rows[miss_m],
+        left_rows=children.left_rows,
+        right_rows=children.right_rows,
+        middle_rows=children.middle_rows,
         loss_left=ll,
         loss_right=lr,
         loss_middle=lm,
@@ -460,40 +531,27 @@ def score_fractional(
     None when a child's total weight falls below ``min_child_weight`` or
     when the feature is missing (or one-sided) on all rows.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    col = ds.columns[partition.feature]
-    left_m, right_m, miss_m = _partition_masks(col, rows, partition)
-    n_lo = int(left_m.sum())
-    n_ro = int(right_m.sum())
-    if n_lo == 0 or n_ro == 0:
+    children = split_rows(ds, rows, partition, MissingRoute.FRACTIONAL,
+                          min_child_weight=min_child_weight, weights=weights)
+    if children is None:
         return None
-    frac_left = n_lo / (n_lo + n_ro)
-    frac_right = 1.0 - frac_left
-    y = ds.response.values[rows]
-    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=np.float64)
-
-    left_rows = np.concatenate([rows[left_m], rows[miss_m]])
-    left_w = np.concatenate([w[left_m], w[miss_m] * frac_left])
-    right_rows = np.concatenate([rows[right_m], rows[miss_m]])
-    right_w = np.concatenate([w[right_m], w[miss_m] * frac_right])
-    if left_w.sum() < min_child_weight or right_w.sum() < min_child_weight:
-        return None
-    y_left = np.concatenate([y[left_m], y[miss_m]])
-    y_right = np.concatenate([y[right_m], y[miss_m]])
-    ll = eval_loss(y_left, fit_leaf(y_left, kind, left_w), kind, left_w)
-    lr = eval_loss(y_right, fit_leaf(y_right, kind, right_w), kind, right_w)
+    y_left = ds.response.values[children.left_rows]
+    y_right = ds.response.values[children.right_rows]
+    w_left, w_right = children.left_weights, children.right_weights
+    ll = eval_loss(y_left, fit_leaf(y_left, kind, w_left), kind, w_left)
+    lr = eval_loss(y_right, fit_leaf(y_right, kind, w_right), kind, w_right)
     return ScoredSplit(
         partition=partition,
         route=MissingRoute.FRACTIONAL,
         total_loss=ll + lr,
-        left_rows=left_rows,
-        right_rows=right_rows,
-        middle_rows=rows[:0],
+        left_rows=children.left_rows,
+        right_rows=children.right_rows,
+        middle_rows=children.middle_rows,
         loss_left=ll,
         loss_right=lr,
-        left_weights=left_w,
-        right_weights=right_w,
-        frac_left=frac_left,
+        left_weights=w_left,
+        right_weights=w_right,
+        frac_left=children.frac_left,
     )
 
 
@@ -519,7 +577,6 @@ class _Entry:
     loss: float
     cand: int
     route: MissingRoute
-    frac_left: float | None = None
 
 
 @dataclass
@@ -572,8 +629,7 @@ def _scan_feature(ds, feature, rows, y, w, kind, cfg, styles, node_value) -> _Fe
                 entries[style] = None
                 continue
             if style == _FC:
-                entries[style] = _Entry(float(base[i]), i, MissingRoute.FRACTIONAL,
-                                        frac_left=float(n_l[i] / table.n_present))
+                entries[style] = _Entry(float(base[i]), i, MissingRoute.FRACTIONAL)
             elif style == _TRINARY:
                 entries[style] = _Entry(float(base[i]), i, MissingRoute.MIDDLE)
             else:
@@ -647,8 +703,7 @@ def _scan_feature(ds, feature, rows, y, w, kind, cfg, styles, node_value) -> _Fe
             fr = _fitted_sse(W_rf, A1_r + beta * table.A1_miss, A2_r + beta * table.A2_miss)
         loss = fl + fr
         i = _argbest(loss, (W_lf >= mw) & (W_rf >= mw))
-        entries[_FC] = None if i is None else _Entry(
-            float(loss[i]), i, MissingRoute.FRACTIONAL, frac_left=float(alpha[i]))
+        entries[_FC] = None if i is None else _Entry(float(loss[i]), i, MissingRoute.FRACTIONAL)
 
     return _FeatureScan(table.partitions, entries)
 
@@ -670,38 +725,26 @@ def _best_over(scans: dict[int, _FeatureScan], style: str):
         entry = scans[feature].entries.get(style)
         if entry is None:
             continue
-        if best is None or entry.loss < best[2].loss:
-            best = (feature, style, entry)
+        if best is None or entry.loss < best[1].loss:
+            best = (feature, entry)
     return best
 
 
-def _select_best(scans: dict[int, _FeatureScan], strategy: Strategy):
-    """Pick the winning (feature, style, entry); ties prefer the lowest
-    feature index, then the earliest candidate, and for trinary_mia the
-    trinary objective."""
+def _select_best(scans: dict[int, _FeatureScan], strategy: Strategy) -> tuple[Partition, MissingRoute] | None:
+    """Pick the winning partition and its missing route; ties prefer the
+    lowest feature index, then the earliest candidate, and for trinary_mia
+    the trinary objective."""
     if strategy is Strategy.TRINARY_MIA:
-        best_m = _best_over(scans, _MIA)
+        best = best_m = _best_over(scans, _MIA)
         best_t = _best_over(scans, _TRINARY)
-        if best_t is None:
-            return best_m
-        if best_m is None or best_t[2].loss <= best_m[2].loss:
-            return best_t
-        return best_m
-    return _best_over(scans, _STYLES[strategy][0])
-
-
-def _materialize(ds, rows, scans, choice, kind, cfg, weights, node_value) -> ScoredSplit:
-    feature, style, entry = choice
-    partition = scans[feature].partitions[entry.cand]
-    if style == _TRINARY:
-        scored = score_trinary(ds, rows, partition, kind, mother_value=node_value, min_child=cfg.min_child)
-    elif style == _FC:
-        scored = score_fractional(ds, rows, partition, kind, min_child_weight=cfg.min_child_weight, weights=weights)
+        if best_t is not None and (best_m is None or best_t[1].loss <= best_m[1].loss):
+            best = best_t
     else:
-        scored = score_binary(ds, rows, partition, entry.route, kind, min_child=cfg.min_child, weights=weights)
-    if scored is None:
-        raise AssertionError("scan selected an infeasible split")
-    return scored
+        best = _best_over(scans, _STYLES[strategy][0])
+    if best is None:
+        return None
+    feature, entry = best
+    return scans[feature].partitions[entry.cand], entry.route
 
 
 def best_split(
@@ -734,4 +777,13 @@ def best_split(
     choice = _select_best(scans, strategy)
     if choice is None:
         return None
-    return _materialize(ds, rows, scans, choice, kind, config, w, node_value)
+    partition, route = choice
+    if route is MissingRoute.MIDDLE:
+        scored = score_trinary(ds, rows, partition, kind, mother_value=node_value, min_child=config.min_child)
+    elif route is MissingRoute.FRACTIONAL:
+        scored = score_fractional(ds, rows, partition, kind, min_child_weight=config.min_child_weight, weights=w)
+    else:
+        scored = score_binary(ds, rows, partition, route, kind, min_child=config.min_child, weights=w)
+    if scored is None:
+        raise AssertionError("scan selected an infeasible split")
+    return scored

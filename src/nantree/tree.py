@@ -15,7 +15,9 @@ approximation.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -24,14 +26,11 @@ from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf, loss_for
 from .split import (
     MissingRoute,
     Partition,
-    ScoredSplit,
     SplitConfig,
     Strategy,
-    _materialize,
     _scan_features,
     _select_best,
-    _FC,
-    _TRINARY,
+    split_rows,
 )
 
 TREE_FORMAT = "nantree/1"
@@ -152,28 +151,28 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         choice = _select_best(scans, cfg.strategy)
         if choice is None:
             return leaf()
-        feature, style, _ = choice
-        scored: ScoredSplit = _materialize(ds, node_rows, scans, choice, kind, scfg, w, value)
+        partition, route = choice
+        # the scan already priced the winner: only its children's rows are needed
+        children = split_rows(ds, node_rows, partition, route, scfg.min_child, scfg.min_child_weight, w)
+        if children is None:
+            raise AssertionError("scan selected an infeasible split")
 
-        if style == _TRINARY:
-            left = grow(scored.left_rows, None, depth + 1, available, None)
-            right = grow(scored.right_rows, None, depth + 1, available, None)
-            sub_avail = available - {feature}
+        if route is MissingRoute.MIDDLE:
+            left = grow(children.left_rows, None, depth + 1, available, None)
+            right = grow(children.right_rows, None, depth + 1, available, None)
+            sub_avail = available - {partition.feature}
             sub_scans = {f: scans[f] for f in sub_avail if f in scans}
             middle = grow(node_rows, None, depth, sub_avail, sub_scans)
-            spec = SplitSpec(scored.partition, MissingRoute.MIDDLE)
-            return Branch(spec, left, right, middle, n_stat)
-        if style == _FC:
-            left = grow(scored.left_rows, scored.left_weights, depth + 1, available, None)
-            right = grow(scored.right_rows, scored.right_weights, depth + 1, available, None)
-            spec = SplitSpec(scored.partition, MissingRoute.FRACTIONAL,
-                             w_left=scored.frac_left, w_right=1.0 - scored.frac_left)
+            return Branch(SplitSpec(partition, route), left, right, middle, n_stat)
+        if route is MissingRoute.FRACTIONAL:
+            left = grow(children.left_rows, children.left_weights, depth + 1, available, None)
+            right = grow(children.right_rows, children.right_weights, depth + 1, available, None)
+            spec = SplitSpec(partition, route, w_left=children.frac_left, w_right=1.0 - children.frac_left)
             return Branch(spec, left, right, None, n_stat)
         # majority/mia trees carry unit weights throughout
-        left = grow(scored.left_rows, None, depth + 1, available, None)
-        right = grow(scored.right_rows, None, depth + 1, available, None)
-        spec = SplitSpec(scored.partition, scored.route)
-        return Branch(spec, left, right, None, n_stat)
+        left = grow(children.left_rows, None, depth + 1, available, None)
+        right = grow(children.right_rows, None, depth + 1, available, None)
+        return Branch(SplitSpec(partition, route), left, right, None, n_stat)
 
     root = grow(rows, np.ones(len(rows)) if is_fc else None, 0, all_features, None)
     return Tree(
@@ -262,21 +261,6 @@ def _code_remap(tree: Tree, ds: Dataset) -> list[np.ndarray | None]:
     return remaps
 
 
-def _sides(p: Partition, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the cells in ``v`` that go left and right at ``p``; a cell
-    in neither is missing at this node, as in :func:`_route_cell`."""
-    if p.is_numeric:
-        left = v <= p.threshold
-        return left, ~(left | np.isnan(v))
-    # codes past the last slot clip onto it and -1 wraps onto it: both read 0
-    top = max(p.left_categories | p.right_categories) + 1
-    side = np.zeros(top + 1, dtype=np.int8)
-    side[list(p.left_categories)] = 1
-    side[list(p.right_categories)] = 2
-    s = side[np.minimum(v, top)]
-    return s == 1, s == 2
-
-
 def _fill(node, cols: list[np.ndarray], rows: np.ndarray, out: np.ndarray, at: np.ndarray) -> None:
     """Write the predictions for rows ``rows`` of the feature columns
     ``cols`` into ``out[at]``, mirroring :func:`predict_row` operation for
@@ -285,7 +269,7 @@ def _fill(node, cols: list[np.ndarray], rows: np.ndarray, out: np.ndarray, at: n
         out[at] = node.value
         return
     spec = node.spec
-    left, right = _sides(spec.partition, cols[spec.partition.feature][rows])
+    left, right = spec.partition.sides(cols[spec.partition.feature][rows])
     missing = ~(left | right)
     if spec.route is MissingRoute.LEFT:
         left |= missing
@@ -388,21 +372,23 @@ def render(tree: Tree) -> str:
     """One line per node: depth tag, split condition or leaf value, sample
     count; middle branches are labeled 'missing'."""
     lines: list[str] = []
-
-    def walk(node, depth, indent, label):
+    # pending (node, depth, indent, label), popped in pre-order; a nested
+    # self-calling walker would hit the recursion limit on long middle
+    # chains and form a cycle that keeps the tree alive until a full collection
+    stack = [(tree.root, 0, 0, "")]
+    while stack:
+        node, depth, indent, label = stack.pop()
         pad = "  " * indent
         tag = f"{label}: " if label else ""
         if isinstance(node, Leaf):
             lines.append(f"d{depth} {pad}{tag}leaf δ={_fmt_value(node.value)} (n={_fmt_n(node.n_samples)})")
-            return
+            continue
         cond = _condition(tree, node.spec)
         lines.append(f"d{depth} {pad}{tag}split {cond} (n={_fmt_n(node.n_samples)}, {_route_note(node.spec)})")
-        walk(node.left, depth + 1, indent + 1, "left")
-        walk(node.right, depth + 1, indent + 1, "right")
         if node.middle is not None:
-            walk(node.middle, depth, indent + 1, "missing")
-
-    walk(tree.root, 0, 0, "")
+            stack.append((node.middle, depth, indent + 1, "missing"))
+        stack.append((node.right, depth + 1, indent + 1, "right"))
+        stack.append((node.left, depth + 1, indent + 1, "left"))
     return "\n".join(lines)
 
 
@@ -413,61 +399,88 @@ class TreeFormatError(ValidationError):
     """The tree document is malformed or fails validation."""
 
 
-def _value_to_json(value):
-    if isinstance(value, np.ndarray):
-        return [float(p) for p in value]
-    return float(value)
+def _json_float(x) -> str:
+    """``x`` as :mod:`json` writes a float: its repr, with ``NaN``,
+    ``Infinity`` and ``-Infinity`` for the non-finite values."""
+    x = float(x)
+    if x - x == 0.0:
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _node_to_json(tree: Tree, node) -> dict:
-    if isinstance(node, Leaf):
-        return {
-            "kind": "leaf",
-            "value": _value_to_json(node.value),
-            "n": float(node.n_samples),
-            "loss": float(node.train_loss),
-        }
-    spec = node.spec
-    p = spec.partition
-    doc: dict = {
-        "kind": "trinary" if node.middle is not None else "binary",
-        "feature": tree.feature_names[p.feature],
-        "missing": spec.route.value,
-        "n": float(node.n_samples),
-    }
-    if p.is_numeric:
-        doc["threshold"] = float(p.threshold)
-    else:
-        cats = tree.categories[p.feature]
-        doc["left_categories"] = [cats[c] for c in sorted(p.left_categories)]
-        doc["right_categories"] = [cats[c] for c in sorted(p.right_categories)]
-    if spec.route is MissingRoute.FRACTIONAL:
-        doc["w_left"] = spec.w_left
-        doc["w_right"] = spec.w_right
-    doc["left"] = _node_to_json(tree, node.left)
-    doc["right"] = _node_to_json(tree, node.right)
-    if node.middle is not None:
-        doc["middle"] = _node_to_json(tree, node.middle)
-    return doc
+def _write_nodes(tree: Tree, out: list[str]) -> None:
+    """Append to ``out`` the text of the root node exactly as
+    ``json.dumps(doc, indent=2)`` lays it out under the document's
+    ``"root"`` key, written in one pass from an explicit stack of pending
+    nodes and closing texts."""
+    names = [_json_str(name) for name in tree.feature_names]
+    cats = {j: [_json_str(c) for c in cs] for j, cs in tree.categories.items()}
+    routes = {route: _json_str(route.value) for route in MissingRoute}
+    pads = ["\n"]  # pads[k]: a line break and the indent of nesting level k
+    stack: list = [(tree.root, 1)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level = item
+        while len(pads) < level + 3:
+            pads.append(pads[-1] + "  ")
+        key, close, inner = pads[level + 1], pads[level], pads[level + 2]
+        n = _json_float(node.n_samples)
+        if isinstance(node, Leaf):
+            if isinstance(node.value, np.ndarray):
+                probs = ("," + inner).join(map(_json_float, node.value.tolist()))
+                value = f"[{inner}{probs}{key}]"
+            else:
+                value = _json_float(node.value)
+            loss = _json_float(node.train_loss)
+            out.append(f'{{{key}"kind": "leaf",{key}"value": {value},{key}"n": {n},{key}"loss": {loss}{close}}}')
+            continue
+        spec = node.spec
+        p = spec.partition
+        kind = "binary" if node.middle is None else "trinary"
+        out.append(f'{{{key}"kind": "{kind}",{key}"feature": {names[p.feature]},'
+                   f'{key}"missing": {routes[spec.route]},{key}"n": {n},')
+        if p.is_numeric:
+            out.append(f'{key}"threshold": {_json_float(p.threshold)},')
+        else:
+            sep = "," + inner
+            left = sep.join(cats[p.feature][c] for c in sorted(p.left_categories))
+            right = sep.join(cats[p.feature][c] for c in sorted(p.right_categories))
+            out.append(f'{key}"left_categories": [{inner}{left}{key}],'
+                       f'{key}"right_categories": [{inner}{right}{key}],')
+        if spec.route is MissingRoute.FRACTIONAL:
+            out.append(f'{key}"w_left": {_json_float(spec.w_left)},{key}"w_right": {_json_float(spec.w_right)},')
+        out.append(f'{key}"left": ')
+        stack.append(close + "}")
+        if node.middle is not None:
+            stack += [(node.middle, level + 1), f',{key}"middle": ']
+        stack += [(node.right, level + 1), f',{key}"right": ', (node.left, level + 1)]
 
 
 def serialize(tree: Tree) -> str:
-    """Lossless JSON text for a trained tree."""
+    """Lossless JSON text for a trained tree, laid out as
+    ``json.dumps(doc, indent=2)`` would write it."""
     features = []
     for j, (name, kind) in enumerate(zip(tree.feature_names, tree.feature_kinds)):
         entry: dict = {"name": name, "kind": kind}
         if kind == CATEGORICAL:
             entry["categories"] = list(tree.categories.get(j, ()))
         features.append(entry)
-    doc = {
+    head = {
         "format": TREE_FORMAT,
         "strategy": tree.strategy.value,
         "loss": {"kind": tree.loss.name, "n_classes": tree.loss.n_classes},
         "features": features,
         "response": {"kind": tree.response_kind, "labels": list(tree.response_labels)},
-        "root": _node_to_json(tree, tree.root),
     }
-    return json.dumps(doc, indent=2)
+    # the header's closing "\n}" is reopened to append the root as its last
+    # key; one join builds the text, so no second document-sized copy exists
+    out = [json.dumps(head, indent=2)[:-2], ',\n  "root": ']
+    _write_nodes(tree, out)
+    out.append("\n}")
+    return "".join(out)
 
 
 def _require(doc: dict, key: str, context: str):
@@ -476,45 +489,77 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _object(raw, what: str) -> dict:
+    if type(raw) is not dict:
+        raise TreeFormatError(f"{what} must be a JSON object, not {reprlib.repr(raw)}")
+    return raw
+
+
+def _number(raw, what: str) -> float:
+    # a JSON number; a string or a bool is not one, though float() takes both
+    if type(raw) is float or type(raw) is int:
+        return float(raw)
+    raise TreeFormatError(f"{what} must be a number, not {reprlib.repr(raw)}")
+
+
+def _strings(raw, what: str) -> tuple[str, ...]:
+    if type(raw) is not list or not all(type(item) is str for item in raw):
+        raise TreeFormatError(f"{what} must be an array of strings, not {reprlib.repr(raw)}")
+    return tuple(raw)
+
+
 def _value_from_json(raw, kind: LossKind):
     if kind.is_classification:
-        if not isinstance(raw, list) or len(raw) != kind.n_classes:
+        if type(raw) is not list or len(raw) != kind.n_classes:
             raise TreeFormatError(f"leaf value must be a list of {kind.n_classes} probabilities")
-        probs = np.array([float(p) for p in raw])
+        probs = np.array([_number(p, "leaf probability") for p in raw])
         if (probs < 0).any():
             raise TreeFormatError("leaf probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise TreeFormatError(f"leaf probabilities sum to {probs.sum()!r}, not 1")
         return probs
-    if isinstance(raw, list):
-        raise TreeFormatError("regression leaf value must be a number")
-    return float(raw)
+    return _number(raw, "regression leaf value")
 
 
-def _node_from_json(doc: dict, kind: LossKind, name_to_feature: dict, categories: dict):
-    node_kind = _require(doc, "kind", "node")
+def _category_set(doc: dict, key: str, code_of: dict, fname: str) -> frozenset[int]:
+    raw = _require(doc, key, "split node")
+    if type(raw) is not list:
+        raise TreeFormatError(f"{key} on feature {fname!r} must be an array, not {reprlib.repr(raw)}")
+    codes = set()
+    for name in raw:
+        code = code_of.get(name) if type(name) is str else None
+        if code is None:
+            raise TreeFormatError(f"unknown category {reprlib.repr(name)} on feature {fname!r}")
+        codes.add(code)
+    return frozenset(codes)
+
+
+def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
+    """``code_of`` maps each categorical feature to its name-to-code dict."""
+    node_kind = _require(_object(doc, "node"), "kind", "node")
     if node_kind == "leaf":
         value = _value_from_json(_require(doc, "value", "leaf"), kind)
-        return Leaf(value=value, n_samples=float(doc.get("n", 0)), train_loss=float(doc.get("loss", 0.0)))
+        return Leaf(value=value, n_samples=_number(doc.get("n", 0), "leaf n"),
+                    train_loss=_number(doc.get("loss", 0.0), "leaf loss"))
     if node_kind not in ("binary", "trinary"):
         raise TreeFormatError(f"unknown node kind {node_kind!r}")
     fname = _require(doc, "feature", "split node")
-    if fname not in name_to_feature:
-        raise TreeFormatError(f"split on unknown feature {fname!r}")
-    feature = name_to_feature[fname]
+    feature = name_to_feature.get(fname) if type(fname) is str else None
+    if feature is None:
+        raise TreeFormatError(f"split on unknown feature {reprlib.repr(fname)}")
     if "threshold" in doc:
-        partition = Partition(feature, threshold=float(doc["threshold"]))
+        if feature in code_of:
+            raise TreeFormatError(f"feature {fname!r} is categorical but the node has a threshold")
+        partition = Partition(feature, threshold=_number(doc["threshold"], "threshold"))
     else:
-        cats = categories.get(feature)
-        if cats is None:
+        if feature not in code_of:
             raise TreeFormatError(f"feature {fname!r} is numeric but the node has no threshold")
-        code_of = {c: i for i, c in enumerate(cats)}
+        left = _category_set(doc, "left_categories", code_of[feature], fname)
+        right = _category_set(doc, "right_categories", code_of[feature], fname)
         try:
-            left = frozenset(code_of[c] for c in _require(doc, "left_categories", "split node"))
-            right = frozenset(code_of[c] for c in _require(doc, "right_categories", "split node"))
-        except KeyError as exc:
-            raise TreeFormatError(f"unknown category {exc.args[0]!r} on feature {fname!r}") from None
-        partition = Partition(feature, left_categories=left, right_categories=right)
+            partition = Partition(feature, left_categories=left, right_categories=right)
+        except ValueError as exc:
+            raise TreeFormatError(f"split on feature {fname!r}: {exc}") from None
     route_raw = _require(doc, "missing", "split node")
     try:
         route = MissingRoute(route_raw)
@@ -522,8 +567,8 @@ def _node_from_json(doc: dict, kind: LossKind, name_to_feature: dict, categories
         raise TreeFormatError(f"unknown missing route {route_raw!r}") from None
     w_left = w_right = None
     if route is MissingRoute.FRACTIONAL:
-        w_left = float(_require(doc, "w_left", "fractional node"))
-        w_right = float(_require(doc, "w_right", "fractional node"))
+        w_left = _number(_require(doc, "w_left", "fractional node"), "w_left")
+        w_right = _number(_require(doc, "w_right", "fractional node"), "w_right")
         if abs(w_left + w_right - 1.0) > 1e-12:
             raise TreeFormatError(f"fractional weights sum to {w_left + w_right!r}, not 1")
         if w_left < 0 or w_right < 0:
@@ -532,13 +577,13 @@ def _node_from_json(doc: dict, kind: LossKind, name_to_feature: dict, categories
         raise TreeFormatError("middle route and trinary node kind must occur together")
     if (node_kind == "trinary") != ("middle" in doc):
         raise TreeFormatError("trinary nodes need a middle child; binary nodes must not have one")
-    left_child = _node_from_json(_require(doc, "left", "split node"), kind, name_to_feature, categories)
-    right_child = _node_from_json(_require(doc, "right", "split node"), kind, name_to_feature, categories)
+    left_child = _node_from_json(_require(doc, "left", "split node"), kind, name_to_feature, code_of)
+    right_child = _node_from_json(_require(doc, "right", "split node"), kind, name_to_feature, code_of)
     middle_child = None
     if node_kind == "trinary":
-        middle_child = _node_from_json(doc["middle"], kind, name_to_feature, categories)
+        middle_child = _node_from_json(doc["middle"], kind, name_to_feature, code_of)
     spec = SplitSpec(partition, route, w_left=w_left, w_right=w_right)
-    return Branch(spec, left_child, right_child, middle_child, float(doc.get("n", 0)))
+    return Branch(spec, left_child, right_child, middle_child, _number(doc.get("n", 0), "split node n"))
 
 
 def deserialize(text: str) -> Tree:
@@ -547,8 +592,7 @@ def deserialize(text: str) -> Tree:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TreeFormatError("tree document must be a JSON object")
+    _object(doc, "tree document")
     fmt = _require(doc, "format", "document")
     if fmt != TREE_FORMAT:
         raise TreeFormatError(f"unsupported format {fmt!r}")
@@ -556,32 +600,42 @@ def deserialize(text: str) -> Tree:
         strategy = Strategy(_require(doc, "strategy", "document"))
     except ValueError:
         raise TreeFormatError(f"unknown strategy {doc.get('strategy')!r}") from None
-    loss_doc = _require(doc, "loss", "document")
+    loss_doc = _object(_require(doc, "loss", "document"), "loss")
+    n_classes = loss_doc.get("n_classes", 0)
+    if type(n_classes) is not int:
+        raise TreeFormatError(f"loss n_classes must be an integer, not {reprlib.repr(n_classes)}")
     try:
-        kind = LossKind(loss_doc.get("kind", ""), int(loss_doc.get("n_classes", 0)))
+        kind = LossKind(loss_doc.get("kind", ""), n_classes)
     except ValueError as exc:
         raise TreeFormatError(str(exc)) from exc
 
+    features = _require(doc, "features", "document")
+    if type(features) is not list:
+        raise TreeFormatError(f"features must be an array, not {reprlib.repr(features)}")
     names, kinds, categories = [], [], {}
-    for j, f in enumerate(_require(doc, "features", "document")):
-        names.append(_require(f, "name", "feature"))
+    for j, f in enumerate(features):
+        name = _require(_object(f, "feature"), "name", "feature")
+        if type(name) is not str:
+            raise TreeFormatError(f"feature name must be a string, not {reprlib.repr(name)}")
+        names.append(name)
         fk = _require(f, "kind", "feature")
         if fk not in (NUMERIC, CATEGORICAL):
             raise TreeFormatError(f"unknown feature kind {fk!r}")
         kinds.append(fk)
         if fk == CATEGORICAL:
-            categories[j] = tuple(f.get("categories", []))
+            categories[j] = _strings(f.get("categories", []), f"categories of feature {name!r}")
     if len(set(names)) != len(names):
         raise TreeFormatError("duplicate feature names")
     name_to_feature = {n: j for j, n in enumerate(names)}
+    code_of = {j: {c: i for i, c in enumerate(cats)} for j, cats in categories.items()}
 
-    response = doc.get("response", {})
+    response = _object(doc.get("response", {}), "response")
     response_kind = response.get("kind", CLASS if kind.is_classification else REAL)
-    labels = tuple(response.get("labels", ()))
+    labels = _strings(response.get("labels", []), "response labels")
     if kind.is_classification and len(labels) not in (0, kind.n_classes):
         raise TreeFormatError("label list does not match the class count")
 
-    root = _node_from_json(_require(doc, "root", "document"), kind, name_to_feature, categories)
+    root = _node_from_json(_require(doc, "root", "document"), kind, name_to_feature, code_of)
     return Tree(
         root=root,
         strategy=strategy,

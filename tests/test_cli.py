@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +218,23 @@ def test_bad_values_are_clean_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_predict_with_malformed_tree_is_a_clean_error(tmp_path, capsys):
+    data = tmp_path / "step.csv"
+    write_step_csv(data)
+    tree_path = tmp_path / "tree.json"
+    assert main(["train", "--data", str(data), "--target", "y", "--depth", "1",
+                 "--dump-tree", str(tree_path)]) == 0
+    doc = json.loads(tree_path.read_text())
+    doc["loss"] = []
+    tree_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["predict", "--tree", str(tree_path), "--data", str(data), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_predict_keeps_blank_lines_of_one_column_files(tmp_path, capsys):
     data = tmp_path / "step.csv"
     write_step_csv(data)
@@ -254,10 +273,12 @@ def test_bias_subcommand(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     # one subprocess smoke check of python -m nantree
     out = tmp_path / "bias.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "nantree", "bias",
          "--n", "50", "--reps", "30", "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -11,12 +11,14 @@ from nantree import (
     Strategy,
     best_split,
     enumerate_candidates,
+    loss_for,
     score_binary,
     score_fractional,
     score_trinary,
 )
+from nantree import tree as tree_module
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
-from nantree.split import MissingRoute
+from nantree.split import MissingRoute, split_rows
 
 from conftest import random_problem
 from oracle import best_loss
@@ -295,3 +297,110 @@ def test_small_oracle_equivalence_all_strategies():
                 assert got.total_loss == pytest.approx(expected, abs=1e-9), name
                 checked += 1
     assert checked > 50
+
+
+def _mcar_table(n_classes, seed):
+    """Two numeric and two categorical features, 25% MCAR each. ``g2``'s
+    dictionary has a name, ``rare``, carried by three rows only, so most
+    nodes never see it."""
+    rng = np.random.default_rng(seed)
+    n = 240
+    x = rng.normal(size=(n, 2))
+    g1 = rng.integers(0, 4, size=n)
+    g2 = rng.integers(0, 3, size=n)
+    g2[rng.choice(n, size=3, replace=False)] = 3
+    signal = x[:, 0] - x[:, 1] + g1 + 0.5 * g2 + rng.normal(scale=0.3, size=n)
+    miss = rng.random((n, 4)) < 0.25
+    cols = [numeric(f"x{j}", np.where(miss[:, j], np.nan, x[:, j])) for j in range(2)]
+    cols.append(FeatureColumn("g1", CATEGORICAL, np.where(miss[:, 2], -1, g1), ("a", "b", "c", "d")))
+    cols.append(FeatureColumn("g2", CATEGORICAL, np.where(miss[:, 3], -1, g2), ("a", "b", "c", "rare")))
+    if n_classes:
+        edges = np.quantile(signal, np.linspace(0, 1, n_classes + 1)[1:-1])
+        labels = tuple(f"l{k}" for k in range(n_classes))
+        return Dataset(tuple(cols), ResponseColumn(CLASS, np.searchsorted(edges, signal), labels))
+    return Dataset(tuple(cols), ResponseColumn(REAL, signal))
+
+
+def _score_like(ds, rows, partition, route, min_child, min_child_weight, weights):
+    kind = loss_for(ds)
+    if route is MissingRoute.MIDDLE:
+        return score_trinary(ds, rows, partition, kind, min_child=min_child)
+    if route is MissingRoute.FRACTIONAL:
+        return score_fractional(ds, rows, partition, kind, min_child_weight=min_child_weight, weights=weights)
+    return score_binary(ds, rows, partition, route, kind, min_child=min_child, weights=weights)
+
+
+def _assert_same_children(children, scored):
+    assert (children is None) == (scored is None)
+    if children is None:
+        return
+    for name in ("left_rows", "right_rows", "middle_rows"):
+        got, want = getattr(children, name), getattr(scored, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if scored.route is MissingRoute.FRACTIONAL:
+        assert children.left_weights.tobytes() == scored.left_weights.tobytes()
+        assert children.right_weights.tobytes() == scored.right_weights.tobytes()
+        assert children.frac_left == scored.frac_left
+
+
+def _routed_one_by_one(ds, rows, partition, route, weights):
+    """Reference child rows and fc weights, routing one cell at a time."""
+    values = ds.columns[partition.feature].values
+    w = np.ones(len(rows)) if weights is None else weights
+    side = []
+    for r in rows:
+        v = values[r]
+        if partition.is_numeric:
+            side.append("missing" if np.isnan(v) else "left" if v <= partition.threshold else "right")
+        else:
+            side.append("left" if v in partition.left_categories
+                        else "right" if v in partition.right_categories else "missing")
+
+    def pick(*names):
+        return [i for i, s in enumerate(side) if s in names]
+
+    left, right, missing = pick("left"), pick("right"), pick("missing")
+    if route is MissingRoute.FRACTIONAL:
+        frac = len(left) / (len(left) + len(right))
+        return (rows[left + missing], rows[right + missing], rows[:0],
+                np.concatenate([w[left], w[missing] * frac]), np.concatenate([w[right], w[missing] * (1.0 - frac)]))
+    if route is MissingRoute.LEFT:
+        left = pick("left", "missing")
+    elif route is MissingRoute.RIGHT:
+        right = pick("right", "missing")
+    return rows[left], rows[right], rows[missing] if route is MissingRoute.MIDDLE else rows[:0], w[left], w[right]
+
+
+@pytest.mark.parametrize("n_classes", [0, 3])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_growth_split_rows_match_scorers(strategy, n_classes, monkeypatch):
+    """Growth splits each winner by rows only; the public scorer on the same
+    winner gives the same row arrays, fc weights and fraction."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return split_rows(*args)
+
+    monkeypatch.setattr(tree_module, "split_rows", spy)
+    ds = _mcar_table(n_classes, seed=11)
+    tree_module.train(ds, tree_module.TrainConfig(strategy, max_depth=4, min_samples=3))
+    # some categorical split was chosen at a node that never saw one of
+    # the feature's categories
+    unseen = [
+        set(ds.columns[p.feature].values.tolist()) - {-1} - p.left_categories - p.right_categories
+        for p in (args[2] for args in calls) if not p.is_numeric
+    ]
+    assert any(unseen)
+    for _, rows, partition, route, min_child, min_child_weight, weights in calls:
+        # the node's rows, then the whole table, where categories the node
+        # never saw route as missing
+        for rows, weights in ((rows, weights), (np.arange(ds.n_rows), None)):
+            args = (ds, rows, partition, route, min_child, min_child_weight, weights)
+            children = split_rows(*args)
+            _assert_same_children(children, _score_like(*args))
+            if children is not None:
+                got = (children.left_rows, children.right_rows, children.middle_rows,
+                       children.left_weights, children.right_weights)
+                want = _routed_one_by_one(ds, rows, partition, route, weights)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from nantree import (
     Leaf,
     LossKind,
     MissingRoute,
+    Partition,
     ResponseColumn,
     SplitConfig,
     Strategy,
     TrainConfig,
+    Tree,
     TreeFormatError,
     ValidationError,
     deserialize,
@@ -27,6 +31,7 @@ from nantree import (
 )
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.loss import LOG_CLAMP
+from nantree.tree import SplitSpec
 
 from conftest import random_problem
 
@@ -316,6 +321,43 @@ def test_serialize_round_trip_random_trees():
         assert back.response_labels == tree.response_labels
 
 
+def test_text_functions_leave_no_cycle_holding_the_tree():
+    # a reference cycle would keep a 35k-node tree alive until the next
+    # full collection, so peak memory would depend on when that runs
+    rng = np.random.default_rng(5)
+    ds = random_problem(rng, max_rows=40)[0]
+    tree = train(ds, TrainConfig(Strategy.TRINARY, max_depth=3, min_samples=1))
+    gc.collect()
+    gc.disable()
+    try:
+        back = deserialize(serialize(tree))
+        ref = weakref.ref(back)
+        render(back)
+        serialize(back)
+        predict(back, ds)
+        del back
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_deep_middle_chain_serializes_and_renders():
+    # deeper than the interpreter's recursion limit: both writers are iterative
+    depth = 2000
+    node = Leaf(value=0.0, n_samples=1.0, train_loss=0.0)
+    for k in range(depth):
+        leaf = Leaf(value=float(k), n_samples=1.0, train_loss=0.0)
+        spec = SplitSpec(Partition(0, threshold=float(k)), MissingRoute.MIDDLE)
+        node = Branch(spec, leaf, leaf, node, 3.0)
+    tree = Tree(node, Strategy.TRINARY, LossKind("sse"), ("x",), (NUMERIC,), {}, REAL)
+    lines = render(tree).split("\n")
+    assert len(lines) == 3 * depth + 1
+    assert lines[0] == f"d0 split x <= {depth - 1.0} (n=3, missing->middle)"
+    assert lines[-1] == "d0 " + "  " * depth + "missing: leaf δ=0.0 (n=1)"
+    closers = "".join("\n" + "  " * k + "}" for k in range(depth + 1, -1, -1))
+    assert serialize(tree).endswith('"loss": 0.0' + closers)
+
+
 def _classification_tree():
     col = numeric("x", [0.0, 1.0, 2.0, 3.0])
     ds = Dataset((col,), ResponseColumn(CLASS, np.array([0, 0, 1, 1]), ("a", "b")))
@@ -360,6 +402,36 @@ def test_deserialize_rejects_malformed_documents():
     bad_feature["root"]["feature"] = "ghost"
     with pytest.raises(TreeFormatError, match="ghost"):
         deserialize(json.dumps(bad_feature))
+
+    # fields of the wrong JSON type
+    cats = ("blue", "red")
+    col = FeatureColumn("c", CATEGORICAL, np.array([0, 0, 1, 1]), cats)
+    cat_tree = train(Dataset((col,), ResponseColumn(REAL, np.array([0.0, 0.0, 10.0, 10.0]))),
+                     TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+    wrong_types = [
+        (tree, lambda d: d.update(loss=[])),
+        (tree, lambda d: d["loss"].update(n_classes=[])),
+        (tree, lambda d: d.update(features=5)),
+        (tree, lambda d: d["features"][0].update(name=["x"])),
+        (tree, lambda d: d.update(response={"labels": 7})),
+        (tree, lambda d: d["root"].update(feature=[])),
+        (tree, lambda d: d["root"].update(threshold="zz")),
+        (tree, lambda d: d["root"].update(threshold="2.5")),
+        (tree, lambda d: d["root"].update(left=5)),
+        (tree, lambda d: d["root"]["left"].update(value="abc")),
+        (tree, lambda d: d["root"]["left"].update(n="abc")),
+        (tree, lambda d: d["root"]["left"].update(loss=True)),
+        (cat_tree, lambda d: d["features"][0].update(categories="blue")),
+        (cat_tree, lambda d: d["root"].update(left_categories="blue")),
+        (cat_tree, lambda d: d["root"].update(left_categories=[["blue"]])),
+        (cat_tree, lambda d: d["root"].update(left_categories=[])),
+        (cat_tree, lambda d: d["root"].update(threshold=0.5)),
+    ]
+    for base, mutate in wrong_types:
+        doc = json.loads(serialize(base))
+        mutate(doc)
+        with pytest.raises(TreeFormatError):
+            deserialize(json.dumps(doc))
 
 
 def test_deserialize_rejects_route_kind_mismatch():
@@ -459,6 +531,41 @@ def test_predict_equals_predict_row_bitwise(strategy, n_classes):
         for i, r in enumerate(rows):
             want = np.asarray(predict_row(tree, _tree_cells(tree, test_ds, r)), dtype=float)
             assert got[i].tobytes() == want.tobytes()
+
+
+#: a name that JSON must escape: a quote, a backslash, a tab, non-ASCII
+ODD = 'q"b\\t\té€'
+
+
+def _json_nodes(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [node[key] for key in ("left", "right", "middle") if key in node]
+
+
+@pytest.mark.parametrize("n_classes", [0, 3])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_serialize_layout_is_json_dumps_indent_2(strategy, n_classes):
+    """The tree writer lays out text exactly as the stdlib encoder does."""
+    train_ds, _ = _mixed_tables(n_classes)
+    columns = tuple(FeatureColumn(ODD + c.name, c.kind, c.values, tuple(ODD + x for x in c.categories))
+                    for c in train_ds.columns)
+    r = train_ds.response
+    ds = Dataset(columns, ResponseColumn(r.kind, r.values, tuple(ODD + label for label in r.labels)))
+    text = serialize(train(ds, TrainConfig(strategy, max_depth=5, min_samples=3)))
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2) == text
+    assert serialize(deserialize(text)) == text
+    nodes = list(_json_nodes(doc["root"]))
+    assert any(ODD in name for node in nodes for name in node.get("left_categories", ()))
+    if strategy is Strategy.FC:
+        assert any(node.get("missing") == "fractional" for node in nodes)
+    if strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
+        assert any(node.get("middle", {}).get("kind") == "trinary" for node in nodes)
+    if n_classes:
+        assert all(label.startswith(ODD) for label in doc["response"]["labels"])
 
 
 @pytest.mark.parametrize("rows", [[10**6], [4], [-1], [0.5], [[0, 1]], [True, False, True, False]])
