@@ -7,6 +7,17 @@ training folds and evaluate on the (possibly censored) test folds. The
 reported excess loss is L_q / L0 - 1, so 0 means "as good as with
 complete data". Everything except wall time is deterministic in the
 config seed.
+
+Each tree is trained once. Depth tuning grows one majority tree per fold
+at the largest depth and scores every smaller depth on its truncation
+(:func:`nantree.tree.truncate`), which is the tree growth would give at
+that depth. Per (strategy, fold), the q = 0 tree is grown first and kept
+while the grid is walked: when censoring hands back the very training
+``Dataset`` the kept tree was grown on (``mcar_test`` always does, as it
+censors only the test side), that tree is evaluated again instead of
+growing an identical one. A record's ``wall_ms`` is its task's training
+plus evaluation time, evaluation only for a task that reused a tree, and
+its in-memory ``train_ms`` is the training part (0.0 when reused).
 """
 from __future__ import annotations
 
@@ -21,7 +32,7 @@ from .censor import SCENARIOS, CensorSpec, apply_scenario
 from .data import Dataset, FoldAssignment, ValidationError, stratified_kfold
 from .loss import loss_for
 from .split import Strategy
-from .tree import TrainConfig, Tree, evaluate, train
+from .tree import TrainConfig, evaluate, train, truncate
 
 CSV_HEADER = ("dataset", "strategy", "scenario", "q", "fold", "loss", "excess_loss", "depth", "wall_ms")
 
@@ -59,6 +70,18 @@ class ExperimentConfig:
             raise ValidationError("no datasets configured")
         if self.depth_grid_max < 1:
             raise ValidationError("depth grid must reach at least 1")
+        if self.folds < 2:
+            raise ValidationError("cross-validation needs at least 2 folds")
+        if self.min_samples < 1:
+            raise ValidationError("min_samples must be at least 1")
+        if not self.strategies:
+            raise ValidationError("no strategies configured")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValidationError("strategies must not repeat")
+        if not self.q_grid:
+            raise ValidationError("no censoring levels configured")
+        if len(set(self.q_grid)) != len(self.q_grid):
+            raise ValidationError("censoring levels must not repeat")
         for q in self.q_grid:
             if not 0.0 <= q <= 0.9:
                 raise ValidationError("censoring levels must lie in [0, 0.9]")
@@ -76,6 +99,7 @@ class ExperimentRecord:
     depth: int
     wall_ms: float
     misclass: float | None = None  # in-memory diagnostic, not part of the CSV
+    train_ms: float = 0.0  # in-memory: the training part of wall_ms, 0.0 for a reused tree
 
 
 def _fold_seed(seed: int, ds_index: int) -> int:
@@ -100,18 +124,22 @@ def tune_depth(ds: Dataset, cfg: ExperimentConfig, ds_index: int = 0) -> int:
 
     Depths 1..depth_grid_max are scored with the majority strategy (all
     strategies coincide on complete data); the smallest depth wins ties.
+    Each fold grows one tree at depth_grid_max and scores depth d on its
+    truncation at d, which equals the tree grown at depth d, so the fold
+    losses are those of growing every depth separately.
     """
     folds = _folds_for(ds, cfg, ds_index)
     kind = loss_for(ds)
+    totals = [0.0] * cfg.depth_grid_max
+    for f in range(cfg.folds):
+        train_ds = ds.subset(folds.train_rows(f))
+        test_ds = ds.subset(folds.test_rows(f))
+        deepest = train(train_ds, TrainConfig(Strategy.MAJORITY, kind, cfg.depth_grid_max, cfg.min_samples))
+        for depth in range(1, cfg.depth_grid_max + 1):
+            loss, _ = evaluate(truncate(deepest, train_ds, depth), test_ds)
+            totals[depth - 1] += loss
     best_depth, best_loss = None, None
-    for depth in range(1, cfg.depth_grid_max + 1):
-        total = 0.0
-        for f in range(cfg.folds):
-            train_ds = ds.subset(folds.train_rows(f))
-            test_ds = ds.subset(folds.test_rows(f))
-            tree = train(train_ds, TrainConfig(Strategy.MAJORITY, kind, depth, cfg.min_samples))
-            loss, _ = evaluate(tree, test_ds)
-            total += loss
+    for depth, total in enumerate(totals, start=1):
         if best_loss is None or total < best_loss:
             best_depth, best_loss = depth, total
     return best_depth
@@ -123,50 +151,48 @@ def _excess(loss: float, base: float) -> float:
     return loss / base - 1.0
 
 
-def _run_task(train_ds: Dataset, test_ds: Dataset, strategy: Strategy, depth: int, min_samples: int):
-    kind = loss_for(train_ds)
-    t0 = time.perf_counter()
-    tree = train(train_ds, TrainConfig(strategy, kind, depth, min_samples))
-    loss, misclass = evaluate(tree, test_ds)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return loss, misclass, wall_ms
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the full sweep and return per-fold records plus per-(strategy, q)
-    aggregates (fold = -1, losses summed over folds)."""
+    aggregates (fold = -1, losses and times summed over folds)."""
     records: list[ExperimentRecord] = []
+    # q = 0 first: censoring at q = 0 is the identity, so its tree gives the
+    # full-data reference loss and is the tree later levels may reuse
+    levels = (0.0,) + tuple(q for q in cfg.q_grid if q != 0.0)
     for ds_index, (name, ds) in enumerate(cfg.datasets):
         folds = _folds_for(ds, cfg, ds_index)
         depth = tune_depth(ds, cfg, ds_index)
+        kind = loss_for(ds)
         pairs = [
             (ds.subset(folds.train_rows(f)), ds.subset(folds.test_rows(f)))
             for f in range(cfg.folds)
         ]
         test_sizes = [p[1].n_rows for p in pairs]
 
-        # full-data reference: the q = 0 task (censoring at q = 0 is the
-        # identity, so this is the uncensored pipeline)
-        base: dict[Strategy, list[tuple[float, float | None, float]]] = {}
+        # (strategy, q) -> per fold (loss, misclass, wall_ms, train_ms)
+        runs: dict[tuple[Strategy, float], list[tuple[float, float | None, float, float]]] = {}
         for strategy in cfg.strategies:
-            runs = []
+            tcfg = TrainConfig(strategy, kind, depth, cfg.min_samples)
             for f, (tr, te) in enumerate(pairs):
-                spec = CensorSpec(cfg.scenario, 0.0, _task_seed(cfg.seed, ds_index, cfg.scenario, 0.0, f))
-                ctr, cte = apply_scenario(tr, te, spec)
-                runs.append(_run_task(ctr, cte, strategy, depth, cfg.min_samples))
-            base[strategy] = runs
+                tree = grown_on = None
+                for q in levels:
+                    spec = CensorSpec(cfg.scenario, q, _task_seed(cfg.seed, ds_index, cfg.scenario, q, f))
+                    ctr, cte = apply_scenario(tr, te, spec)
+                    t0 = time.perf_counter()
+                    train_ms = 0.0
+                    if ctr is not grown_on:
+                        tree = None  # one task tree alive at a time
+                        tree = train(ctr, tcfg)
+                        grown_on = ctr
+                        train_ms = (time.perf_counter() - t0) * 1000.0
+                    loss, misclass = evaluate(tree, cte)
+                    wall_ms = (time.perf_counter() - t0) * 1000.0
+                    runs.setdefault((strategy, q), []).append((loss, misclass, wall_ms, train_ms))
 
-        for q in cfg.q_grid:
-            for strategy in cfg.strategies:
-                fold_runs = []
-                for f, (tr, te) in enumerate(pairs):
-                    if q == 0.0:
-                        loss, misclass, wall = base[strategy][f]
-                    else:
-                        spec = CensorSpec(cfg.scenario, q, _task_seed(cfg.seed, ds_index, cfg.scenario, q, f))
-                        ctr, cte = apply_scenario(tr, te, spec)
-                        loss, misclass, wall = _run_task(ctr, cte, strategy, depth, cfg.min_samples)
-                    fold_runs.append((loss, misclass, wall))
+        for strategy in cfg.strategies:
+            base = runs[(strategy, 0.0)]
+            for q in cfg.q_grid:
+                fold_runs = runs[(strategy, q)]
+                for f, (loss, misclass, wall_ms, train_ms) in enumerate(fold_runs):
                     records.append(ExperimentRecord(
                         dataset=name,
                         strategy=strategy.value,
@@ -174,13 +200,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                         q=q,
                         fold=f,
                         loss=loss,
-                        excess_loss=_excess(loss, base[strategy][f][0]),
+                        excess_loss=_excess(loss, base[f][0]),
                         depth=depth,
-                        wall_ms=wall,
+                        wall_ms=wall_ms,
                         misclass=misclass,
+                        train_ms=train_ms,
                     ))
                 total = sum(r[0] for r in fold_runs)
-                total_base = sum(r[0] for r in base[strategy])
+                total_base = sum(r[0] for r in base)
                 if fold_runs[0][1] is None:
                     agg_misclass = None
                 else:
@@ -198,6 +225,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     depth=depth,
                     wall_ms=sum(r[2] for r in fold_runs),
                     misclass=agg_misclass,
+                    train_ms=sum(r[3] for r in fold_runs),
                 ))
     records.sort(key=lambda r: (r.dataset, r.strategy, r.q, r.fold))
     return records

@@ -708,7 +708,11 @@ def _scan_feature(ds, feature, rows, y, w, kind, cfg, styles, node_value) -> _Fe
     return _FeatureScan(table.partitions, entries)
 
 
-def _scan_features(ds, rows, features, strategy, kind, cfg, w, node_value) -> dict[int, _FeatureScan]:
+def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value) -> dict[int, _FeatureScan]:
+    """Scan ``features`` at the node of ``rows`` (weights ``w``, leaf value
+    ``node_value``): each feature's candidates and its best feasible entry
+    per objective of ``strategy``. Growth calls this and :func:`select_best`;
+    neither is re-exported from the package."""
     styles = _STYLES[strategy]
     y = ds.response.values[rows]
     scans = {}
@@ -730,7 +734,7 @@ def _best_over(scans: dict[int, _FeatureScan], style: str):
     return best
 
 
-def _select_best(scans: dict[int, _FeatureScan], strategy: Strategy) -> tuple[Partition, MissingRoute] | None:
+def select_best(scans: dict[int, _FeatureScan], strategy: Strategy) -> tuple[Partition, MissingRoute] | None:
     """Pick the winning partition and its missing route; ties prefer the
     lowest feature index, then the earliest candidate, and for trinary_mia
     the trinary objective."""
@@ -773,8 +777,8 @@ def best_split(
     w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=np.float64)
     if node_value is None:
         node_value = fit_leaf(ds.response.values[rows], kind, w)
-    scans = _scan_features(ds, rows, features, strategy, kind, config, w, node_value)
-    choice = _select_best(scans, strategy)
+    scans = scan_features(ds, rows, features, strategy, kind, config, w, node_value)
+    choice = select_best(scans, strategy)
     if choice is None:
         return None
     partition, route = choice

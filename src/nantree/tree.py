@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -28,8 +28,8 @@ from .split import (
     Partition,
     SplitConfig,
     Strategy,
-    _scan_features,
-    _select_best,
+    scan_features,
+    select_best,
     split_rows,
 )
 
@@ -147,8 +147,8 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         if inherited is not None:
             scans = {f: inherited[f] for f in sorted(available) if f in inherited}
         else:
-            scans = _scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, value)
-        choice = _select_best(scans, cfg.strategy)
+            scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, value)
+        choice = select_best(scans, cfg.strategy)
         if choice is None:
             return leaf()
         partition, route = choice
@@ -185,6 +185,54 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         response_kind=ds.response.kind,
         response_labels=ds.response.labels,
     )
+
+
+def truncate(tree: Tree, ds: Dataset, depth: int) -> Tree:
+    """``tree`` cut back to ``depth``: every split node at that depth
+    becomes the leaf that :func:`train` with ``max_depth=depth`` fits there.
+
+    ``tree`` must have been grown on all rows of ``ds``. Growth is
+    greedy and its stopping rules other than depth do not read the depth
+    budget, so the cut tree equals the tree grown at ``depth``: each new
+    leaf is fitted on the node's rows in growth's order, routed by
+    :func:`split.split_rows` with the node's partition and missing route.
+    """
+    if depth < 0:
+        raise ValidationError("depth must be non-negative")
+    kind = tree.loss
+    is_fc = tree.strategy is Strategy.FC
+    done: list = []  # finished subtrees; a Branch on the stack rebuilds from them
+    stack: list = [(tree.root, np.arange(ds.n_rows, dtype=np.int64), None, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Branch):
+            middle = done.pop() if item.middle is not None else None
+            right = done.pop()
+            left = done.pop()
+            done.append(Branch(item.spec, left, right, middle, item.n_samples))
+            continue
+        node, node_rows, node_weights, d = item
+        if isinstance(node, Leaf):
+            done.append(node)
+            continue
+        if d >= depth:
+            y = ds.response.values[node_rows]
+            w = node_weights if node_weights is not None else np.ones(len(node_rows))
+            value = fit_leaf(y, kind, w)
+            n_stat = float(w.sum()) if is_fc else len(node_rows)
+            done.append(Leaf(value=value, n_samples=n_stat, train_loss=eval_loss(y, value, kind, w)))
+            continue
+        spec = node.spec
+        children = split_rows(ds, node_rows, spec.partition, spec.route, weights=node_weights)
+        if children is None:
+            raise ValidationError("a split node gets no rows of ds: the tree was not grown on ds")
+        fc = spec.route is MissingRoute.FRACTIONAL
+        stack.append(node)
+        if node.middle is not None:
+            stack.append((node.middle, node_rows, None, d))
+        stack.append((node.right, children.right_rows, children.right_weights if fc else None, d + 1))
+        stack.append((node.left, children.left_rows, children.left_weights if fc else None, d + 1))
+    return replace(tree, root=done[0])
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +640,8 @@ def deserialize(text: str) -> Tree:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise TreeFormatError("document nested too deeply") from None
     _object(doc, "tree document")
     fmt = _require(doc, "format", "document")
     if fmt != TREE_FORMAT:
@@ -635,7 +685,12 @@ def deserialize(text: str) -> Tree:
     if kind.is_classification and len(labels) not in (0, kind.n_classes):
         raise TreeFormatError("label list does not match the class count")
 
-    root = _node_from_json(_require(doc, "root", "document"), kind, name_to_feature, code_of)
+    try:
+        root = _node_from_json(_require(doc, "root", "document"), kind, name_to_feature, code_of)
+    except RecursionError:
+        # json.loads overflows first where its C recursion shares the
+        # interpreter's limit (3.11); from 3.12 C recursion has a separate budget
+        raise TreeFormatError("document nested too deeply") from None
     return Tree(
         root=root,
         strategy=strategy,

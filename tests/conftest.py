@@ -3,8 +3,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from nantree import Dataset, FeatureColumn, ResponseColumn
+from nantree import (
+    Branch,
+    Dataset,
+    FeatureColumn,
+    Leaf,
+    LossKind,
+    MissingRoute,
+    Partition,
+    ResponseColumn,
+    Strategy,
+    Tree,
+)
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
+from nantree.tree import SplitSpec
 
 
 def random_problem(rng, max_rows=12, max_features=3, classification_ok=True,
@@ -103,3 +115,14 @@ def paired_problem(rng, n_train=150, n_test=200, train_missing=0.2,
         return Dataset(tuple(columns), response)
 
     return build(n_train, train_missing), build(n_test, test_missing), k
+
+
+def middle_chain_tree(depth):
+    """A hand-built trinary tree whose root starts a chain of ``depth``
+    middle children, each split with two leaves beside it."""
+    node = Leaf(value=0.0, n_samples=1.0, train_loss=0.0)
+    for k in range(depth):
+        leaf = Leaf(value=float(k), n_samples=1.0, train_loss=0.0)
+        spec = SplitSpec(Partition(0, threshold=float(k)), MissingRoute.MIDDLE)
+        node = Branch(spec, leaf, leaf, node, 3.0)
+    return Tree(node, Strategy.TRINARY, LossKind("sse"), ("x",), (NUMERIC,), {}, REAL)

@@ -3,7 +3,16 @@ import pytest
 
 from nantree import (
     AGGREGATE_FOLD,
+    ALL_STRATEGIES,
     CSV_HEADER,
+    Branch,
+    CensorSpec,
+    Dataset,
+    FeatureColumn,
+    Leaf,
+    MissingRoute,
+    ResponseColumn,
+    TrainConfig,
     ExperimentConfig,
     ExperimentRecord,
     Strategy,
@@ -13,9 +22,17 @@ from nantree import (
     emit_csv,
     mean_excess_by_strategy,
     read_records,
+    apply_scenario,
+    evaluate,
+    loss_for,
     run_experiment,
+    serialize,
+    stratified_kfold,
+    train,
     tune_depth,
 )
+from nantree import bench
+from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.datasets import step_data, tree_structured_data
 
 
@@ -48,6 +65,21 @@ def test_config_validation():
         small_config(datasets=())
     with pytest.raises(ValidationError):
         small_config(depth_grid_max=0)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(q_grid=(0.5, 0.5)), "levels must not repeat"),
+    (dict(q_grid=(0.0, 0.3, 0.0)), "levels must not repeat"),
+    (dict(q_grid=()), "no censoring levels"),
+    (dict(strategies=(Strategy.MAJORITY, Strategy.MAJORITY)), "strategies must not repeat"),
+    (dict(strategies=()), "no strategies"),
+    (dict(folds=1), "at least 2 folds"),
+    (dict(folds=0), "at least 2 folds"),
+    (dict(min_samples=0), "min_samples"),
+])
+def test_config_rejects_bad_grids(overrides, message):
+    with pytest.raises(ValidationError, match=message):
+        small_config(**overrides)
 
 
 def test_tune_depth_finds_the_step():
@@ -200,3 +232,184 @@ def test_classification_records_carry_misclass():
     for r in records:
         assert r.misclass is not None
         assert 0.0 <= r.misclass <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# one tree per fold in tune_depth, and tree reuse across q in run_experiment
+
+def _table_with_missing(classes: int, n: int = 150, seed: int = 11) -> Dataset:
+    """Two numeric features and one categorical, each with native missing
+    cells; a real response, or ``classes`` classes cut from the same signal."""
+    rng = np.random.default_rng(seed)
+    x1, x2 = rng.normal(size=n), rng.random(n)
+    codes = rng.integers(0, 4, size=n)
+    signal = 2.0 * (x1 > 0.3) + x2 + 0.7 * codes + rng.normal(scale=0.4, size=n)
+    x1[rng.random(n) < 0.2] = np.nan
+    x2[rng.random(n) < 0.1] = np.nan
+    codes[rng.random(n) < 0.15] = -1
+    columns = (
+        FeatureColumn("x1", NUMERIC, x1),
+        FeatureColumn("x2", NUMERIC, x2),
+        FeatureColumn("c", CATEGORICAL, codes.astype(np.int64), ("a", "b", "c", "d")),
+    )
+    if classes:
+        edges = np.quantile(signal, np.linspace(0, 1, classes + 1)[1:-1])
+        labels = tuple(f"k{t}" for t in range(classes))
+        return Dataset(columns, ResponseColumn(CLASS, np.searchsorted(edges, signal).astype(np.int64), labels))
+    return Dataset(columns, ResponseColumn(REAL, signal))
+
+
+def _walk(node, depth=0):
+    yield node, depth
+    if isinstance(node, Branch):
+        yield from _walk(node.left, depth + 1)
+        yield from _walk(node.right, depth + 1)
+        if node.middle is not None:
+            yield from _walk(node.middle, depth)
+
+
+def _reference_depth_totals(ds, cfg, ds_index=0):
+    """Per-depth fold-loss totals and trees, training every depth separately."""
+    folds = stratified_kfold(ds, cfg.folds, bench._fold_seed(cfg.seed, ds_index))
+    kind = loss_for(ds)
+    totals, texts = [], []
+    for depth in range(1, cfg.depth_grid_max + 1):
+        total = 0.0
+        for f in range(cfg.folds):
+            train_ds = ds.subset(folds.train_rows(f))
+            tree = train(train_ds, TrainConfig(Strategy.MAJORITY, kind, depth, cfg.min_samples))
+            loss, _ = evaluate(tree, ds.subset(folds.test_rows(f)))
+            total += loss
+            texts.append(serialize(tree))
+        totals.append(total)
+    return totals, texts
+
+
+@pytest.mark.parametrize("classes", [0, 3])
+def test_tune_depth_truncation_equals_growing_each_depth(classes, monkeypatch):
+    ds = _table_with_missing(classes)
+    cfg = small_config(datasets=(("t", ds),), folds=4, depth_grid_max=5, min_samples=6)
+    ref_totals, ref_texts = _reference_depth_totals(ds, cfg)
+
+    grown, scored = [], []
+    real_train, real_evaluate = bench.train, bench.evaluate
+
+    def spy_train(train_ds, tcfg):
+        tree = real_train(train_ds, tcfg)
+        grown.append(tree)
+        return tree
+
+    def spy_evaluate(tree, test_ds):
+        out = real_evaluate(tree, test_ds)
+        scored.append((serialize(tree), out[0]))
+        return out
+
+    monkeypatch.setattr(bench, "train", spy_train)
+    monkeypatch.setattr(bench, "evaluate", spy_evaluate)
+    best = tune_depth(ds, cfg)
+
+    # one tree per fold, at the deepest depth, scored once per depth
+    assert len(grown) == cfg.folds and len(scored) == cfg.folds * cfg.depth_grid_max
+    totals = [0.0] * cfg.depth_grid_max
+    for i, (text, loss) in enumerate(scored):
+        fold, depth_index = divmod(i, cfg.depth_grid_max)
+        totals[depth_index] += loss
+        assert text == ref_texts[depth_index * cfg.folds + fold]
+    assert totals == ref_totals  # bitwise, in the same summation order
+    assert best == 1 + ref_totals.index(min(ref_totals))
+
+    # the deep trees exercise both majority routes, and min_samples stops
+    # some nodes above the depth budget
+    nodes = [(node, d) for tree in grown for node, d in _walk(tree.root)]
+    routes = {node.spec.route for node, _ in nodes if isinstance(node, Branch)}
+    assert routes == {MissingRoute.LEFT, MissingRoute.RIGHT}
+    assert any(isinstance(node, Leaf) and d < cfg.depth_grid_max for node, d in nodes)
+
+
+def _reference_run(cfg):
+    """The sweep with one freshly grown tree per (strategy, q, fold) task."""
+    records = []
+    for ds_index, (name, ds) in enumerate(cfg.datasets):
+        folds = stratified_kfold(ds, cfg.folds, bench._fold_seed(cfg.seed, ds_index))
+        totals, _ = _reference_depth_totals(ds, cfg, ds_index)
+        depth = 1 + totals.index(min(totals))
+        kind = loss_for(ds)
+        pairs = [(ds.subset(folds.train_rows(f)), ds.subset(folds.test_rows(f))) for f in range(cfg.folds)]
+
+        def task(strategy, q, f):
+            seed = bench._task_seed(cfg.seed, ds_index, cfg.scenario, q, f)
+            ctr, cte = apply_scenario(*pairs[f], CensorSpec(cfg.scenario, q, seed))
+            return evaluate(train(ctr, TrainConfig(strategy, kind, depth, cfg.min_samples)), cte)
+
+        for strategy in cfg.strategies:
+            base = [task(strategy, 0.0, f)[0] for f in range(cfg.folds)]
+            for q in cfg.q_grid:
+                runs = [task(strategy, q, f) for f in range(cfg.folds)]
+                for f, (loss, misclass) in enumerate(runs):
+                    records.append((name, strategy.value, cfg.scenario, q, f, loss,
+                                    bench._excess(loss, base[f]), depth, misclass))
+                total = sum(loss for loss, _ in runs)
+                misclass = None
+                if runs[0][1] is not None:
+                    sizes = [te.n_rows for _, te in pairs]
+                    misclass = float(sum(m * n for (_, m), n in zip(runs, sizes)) / sum(sizes))
+                records.append((name, strategy.value, cfg.scenario, q, AGGREGATE_FOLD, total,
+                                bench._excess(total, sum(base)), depth, misclass))
+    return sorted(records, key=lambda r: (r[0], r[1], r[3], r[4]))
+
+
+@pytest.mark.parametrize("scenario", ["mcar", "mcar_test", "im"])
+def test_run_experiment_equals_one_tree_per_task(scenario):
+    cfg = small_config(
+        datasets=(("reg", _table_with_missing(0, n=90)), ("cls", _table_with_missing(3, n=90, seed=5))),
+        strategies=ALL_STRATEGIES,
+        scenario=scenario,
+        q_grid=(0.0, 0.3, 0.6),
+        folds=3,
+        depth_grid_max=3,
+        min_samples=4,
+    )
+    got = [
+        (r.dataset, r.strategy, r.scenario, r.q, r.fold, r.loss, r.excess_loss, r.depth, r.misclass)
+        for r in run_experiment(cfg)
+    ]
+    assert got == _reference_run(cfg)
+
+
+def _count_train_calls(monkeypatch):
+    calls = []
+    real_train = bench.train
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "train", counting)
+    return calls
+
+
+def test_mcar_test_grows_each_tree_once(monkeypatch):
+    calls = _count_train_calls(monkeypatch)
+    cfg = small_config(scenario="mcar_test", q_grid=(0.0, 0.3, 0.6), folds=4, depth_grid_max=3)
+    records = run_experiment(cfg)
+    # one deepest tree per fold for the depth, then one tree per (strategy, fold)
+    assert len(calls) == cfg.folds * (1 + len(cfg.strategies))
+    for r in records:
+        assert r.wall_ms > 0.0
+        if r.fold != AGGREGATE_FOLD:
+            # q = 0 grows the tree; the later levels evaluate it again
+            assert (r.train_ms > 0.0) == (r.q == 0.0)
+            assert r.train_ms <= r.wall_ms
+
+
+def test_censored_training_sets_grow_their_own_trees(monkeypatch):
+    calls = _count_train_calls(monkeypatch)
+    cfg = small_config(scenario="im", q_grid=(0.3, 0.6), folds=4, depth_grid_max=3)
+    records = run_experiment(cfg)
+    # q = 0 for the excess-loss reference, then one tree per censored level
+    assert len(calls) == cfg.folds * (1 + len(cfg.strategies) * 3)
+    for agg in aggregate_records(records):
+        fold_rows = [r for r in records if r.fold != AGGREGATE_FOLD and (r.strategy, r.q) == (agg.strategy, agg.q)]
+        assert all(r.train_ms > 0.0 for r in fold_rows)
+        assert agg.train_ms == sum(r.train_ms for r in fold_rows)
+        assert agg.wall_ms == sum(r.wall_ms for r in fold_rows)

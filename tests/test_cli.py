@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nantree import NantreeError, read_records
+from nantree import NantreeError, read_records, serialize
 from nantree.cli import _parse_q_grid, _parse_strategies, main
 from nantree.split import Strategy
+
+from conftest import middle_chain_tree
 
 
 def write_step_csv(path, n=60, seed=4, labels=False):
@@ -202,6 +204,11 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
     ["run", "--q-grid", "0:x:0.1"],
     ["run", "--q-grid", "0:nan:0.1"],
     ["run", "--min-samples", "0"],
+    ["run", "--q-grid", "0.5,0.5"],
+    ["run", "--q-grid", "0,0.3,0.30"],
+    ["run", "--strategies", "majority,majority"],
+    ["run", "--strategies", "mia,MIA"],
+    ["run", "--folds", "1"],
     ["train", "--depth", "-1"],
     ["train", "--min-samples", "0"],
 ])
@@ -233,6 +240,17 @@ def test_predict_with_malformed_tree_is_a_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_predict_with_too_deep_tree_is_a_clean_error(tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    data.write_text("x\n0.5\n")
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(serialize(middle_chain_tree(1500)))
+    rc = main(["predict", "--tree", str(tree_path), "--data", str(data), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: document nested too deeply\n"
 
 
 def test_predict_keeps_blank_lines_of_one_column_files(tmp_path, capsys):

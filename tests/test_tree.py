@@ -13,12 +13,10 @@ from nantree import (
     Leaf,
     LossKind,
     MissingRoute,
-    Partition,
     ResponseColumn,
     SplitConfig,
     Strategy,
     TrainConfig,
-    Tree,
     TreeFormatError,
     ValidationError,
     deserialize,
@@ -31,9 +29,8 @@ from nantree import (
 )
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.loss import LOG_CLAMP
-from nantree.tree import SplitSpec
 
-from conftest import random_problem
+from conftest import middle_chain_tree, random_problem
 
 
 def regression(xcols, y):
@@ -344,18 +341,22 @@ def test_text_functions_leave_no_cycle_holding_the_tree():
 def test_deep_middle_chain_serializes_and_renders():
     # deeper than the interpreter's recursion limit: both writers are iterative
     depth = 2000
-    node = Leaf(value=0.0, n_samples=1.0, train_loss=0.0)
-    for k in range(depth):
-        leaf = Leaf(value=float(k), n_samples=1.0, train_loss=0.0)
-        spec = SplitSpec(Partition(0, threshold=float(k)), MissingRoute.MIDDLE)
-        node = Branch(spec, leaf, leaf, node, 3.0)
-    tree = Tree(node, Strategy.TRINARY, LossKind("sse"), ("x",), (NUMERIC,), {}, REAL)
+    tree = middle_chain_tree(depth)
     lines = render(tree).split("\n")
     assert len(lines) == 3 * depth + 1
     assert lines[0] == f"d0 split x <= {depth - 1.0} (n=3, missing->middle)"
     assert lines[-1] == "d0 " + "  " * depth + "missing: leaf δ=0.0 (n=1)"
     closers = "".join("\n" + "  " * k + "}" for k in range(depth + 1, -1, -1))
     assert serialize(tree).endswith('"loss": 0.0' + closers)
+
+
+def test_deserialize_rejects_too_deep_documents():
+    text = serialize(middle_chain_tree(1500))
+    with pytest.raises(TreeFormatError, match="nested too deeply"):
+        deserialize(text)
+    # a chain well inside the limit still round-trips
+    shallow = serialize(middle_chain_tree(300))
+    assert serialize(deserialize(shallow)) == shallow
 
 
 def _classification_tree():
