@@ -8,16 +8,22 @@ reported excess loss is L_q / L0 - 1, so 0 means "as good as with
 complete data". Everything except wall time is deterministic in the
 config seed.
 
-Each tree is trained once. Depth tuning grows one majority tree per fold
-at the largest depth and scores every smaller depth on its truncation
-(:func:`nantree.tree.truncate`), which is the tree growth would give at
-that depth. Per (strategy, fold), the q = 0 tree is grown first and kept
-while the grid is walked: when censoring hands back the very training
-``Dataset`` the kept tree was grown on (``mcar_test`` always does, as it
-censors only the test side), that tree is evaluated again instead of
-growing an identical one. A record's ``wall_ms`` is its task's training
-plus evaluation time, evaluation only for a task that reused a tree, and
-its in-memory ``train_ms`` is the training part (0.0 when reused).
+Each distinct tree is grown once. Depth tuning grows one majority tree
+per fold at the largest depth and scores every smaller depth on its
+truncation (:func:`nantree.tree.truncate`), which is the tree growth
+would give at that depth. The sweep then walks folds, levels q (q = 0
+first) and strategies in that order, so each (q, fold) pair is censored
+once for all strategies. Trees are kept per fold, keyed by the strategy
+actually grown, for as long as censoring hands back the very training
+``Dataset`` they were grown on (``mcar_test`` always does, as it
+censors only the test side); a new training set drops them, so at most
+one tree per grown strategy is alive. On a training set with no missing
+cell, mia and trinary_mia grow the majority and trinary trees node for
+node (:data:`nantree.split.COMPLETE_DATA_TWINS`), so they evaluate those
+trees instead of growing twins. A record's ``wall_ms`` is its task's
+training plus evaluation time, evaluation only for a task that reused a
+tree, and its in-memory ``train_ms`` is the training part (0.0 when
+reused).
 """
 from __future__ import annotations
 
@@ -31,8 +37,8 @@ import numpy as np
 from .censor import SCENARIOS, CensorSpec, apply_scenario
 from .data import Dataset, FoldAssignment, ValidationError, stratified_kfold
 from .loss import loss_for
-from .split import Strategy
-from .tree import TrainConfig, evaluate, train, truncate
+from .split import COMPLETE_DATA_TWINS, Strategy
+from .tree import TrainConfig, Tree, evaluate, train, truncate
 
 CSV_HEADER = ("dataset", "strategy", "scenario", "q", "fold", "loss", "excess_loss", "depth", "wall_ms")
 
@@ -122,8 +128,10 @@ def _folds_for(ds: Dataset, cfg: ExperimentConfig, ds_index: int) -> FoldAssignm
 def tune_depth(ds: Dataset, cfg: ExperimentConfig, ds_index: int = 0) -> int:
     """Pick a tree depth by k-fold cross-validation on the full data.
 
-    Depths 1..depth_grid_max are scored with the majority strategy (all
-    strategies coincide on complete data); the smallest depth wins ties.
+    Depths 1..depth_grid_max are scored with the majority strategy, and
+    the winner serves every strategy: on complete data all strategies'
+    split objectives coincide, though their trees still differ in where
+    missing values go. The smallest depth wins ties.
     Each fold grows one tree at depth_grid_max and scores depth d on its
     truncation at d, which equals the tree grown at depth d, so the fold
     losses are those of growing every depth separately.
@@ -170,19 +178,25 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
         # (strategy, q) -> per fold (loss, misclass, wall_ms, train_ms)
         runs: dict[tuple[Strategy, float], list[tuple[float, float | None, float, float]]] = {}
-        for strategy in cfg.strategies:
-            tcfg = TrainConfig(strategy, kind, depth, cfg.min_samples)
-            for f, (tr, te) in enumerate(pairs):
-                tree = grown_on = None
-                for q in levels:
-                    spec = CensorSpec(cfg.scenario, q, _task_seed(cfg.seed, ds_index, cfg.scenario, q, f))
-                    ctr, cte = apply_scenario(tr, te, spec)
+        for f, (tr, te) in enumerate(pairs):
+            # trees grown on the training set ``grown_on``, keyed by the
+            # strategy actually grown
+            trees: dict[Strategy, Tree] = {}
+            grown_on = None
+            for q in levels:
+                spec = CensorSpec(cfg.scenario, q, _task_seed(cfg.seed, ds_index, cfg.scenario, q, f))
+                ctr, cte = apply_scenario(tr, te, spec)
+                if ctr is not grown_on:
+                    trees.clear()
+                    grown_on = ctr
+                    complete = all(c.present_mask().all() for c in ctr.columns)
+                for strategy in cfg.strategies:
+                    grown = COMPLETE_DATA_TWINS.get(strategy, strategy) if complete else strategy
                     t0 = time.perf_counter()
                     train_ms = 0.0
-                    if ctr is not grown_on:
-                        tree = None  # one task tree alive at a time
-                        tree = train(ctr, tcfg)
-                        grown_on = ctr
+                    tree = trees.get(grown)
+                    if tree is None:
+                        tree = trees[grown] = train(ctr, TrainConfig(grown, kind, depth, cfg.min_samples))
                         train_ms = (time.perf_counter() - t0) * 1000.0
                     loss, misclass = evaluate(tree, cte)
                     wall_ms = (time.perf_counter() - t0) * 1000.0

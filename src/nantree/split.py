@@ -390,17 +390,22 @@ def split_rows(
     rows: np.ndarray,
     partition: Partition,
     route: MissingRoute,
-    min_child: int = 1,
-    min_child_weight: float = 1.0,
+    min_child: int | None = None,
+    min_child_weight: float | None = None,
     weights: np.ndarray | None = None,
 ) -> ChildRows | None:
     """Send ``rows`` to the children of ``partition``, missing rows by ``route``.
 
-    Returns None when the split is infeasible: for the left, right and
-    middle routes, a child with fewer than ``min_child`` rows (routed
-    missing rows count toward their side; middle rows toward neither); for
-    the fractional route, a side with no observed rows or a child whose
-    total weight is below ``min_child_weight``. The fractions come from
+    Without floors (the default) the rows are only routed: growth, tree
+    truncation and :func:`best_split` take a split's feasibility from the
+    scan that chose it, which prices fc child weights from cumulative sums
+    that can differ from direct sums in the last bit. With floors, returns
+    None when the split is infeasible: for the left, right and middle
+    routes, a child with fewer than ``max(min_child, 1)`` rows (routed
+    missing rows count toward their side; middle rows toward neither);
+    for the fractional route, a child whose total weight is below
+    ``min_child_weight``. A fractional split with no observed rows on a
+    side has no fractions and is None either way; the fractions come from
     unweighted observed row counts.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -417,7 +422,7 @@ def split_rows(
         miss_rows, miss_w = rows[missing], w[missing]
         left_w = np.concatenate([w[left], miss_w * frac_left])
         right_w = np.concatenate([w[right], miss_w * frac_right])
-        if left_w.sum() < min_child_weight or right_w.sum() < min_child_weight:
+        if min_child_weight is not None and min(left_w.sum(), right_w.sum()) < min_child_weight:
             return None
         return ChildRows(
             left_rows=np.concatenate([rows[left], miss_rows]),
@@ -431,8 +436,7 @@ def split_rows(
         left = left | missing
     elif route is MissingRoute.RIGHT:
         right = right | missing
-    min_child = max(min_child, 1)
-    if left.sum() < min_child or right.sum() < min_child:
+    if min_child is not None and min(left.sum(), right.sum()) < max(min_child, 1):
         return None
     return ChildRows(
         left_rows=rows[left],
@@ -440,6 +444,36 @@ def split_rows(
         middle_rows=rows[missing] if route is MissingRoute.MIDDLE else rows[:0],
         left_weights=w[left],
         right_weights=w[right],
+    )
+
+
+def _scored(ds: Dataset, partition: Partition, route: MissingRoute, kind: LossKind,
+            children: ChildRows, mother_value) -> ScoredSplit:
+    """``children`` priced: each child at its own weighted fit, the middle
+    rows of a middle-routed split at ``mother_value``."""
+    y = ds.response.values
+    y_left, y_right = y[children.left_rows], y[children.right_rows]
+    w_left, w_right = children.left_weights, children.right_weights
+    ll = eval_loss(y_left, fit_leaf(y_left, kind, w_left), kind, w_left)
+    lr = eval_loss(y_right, fit_leaf(y_right, kind, w_right), kind, w_right)
+    total, lm = ll + lr, 0.0
+    if route is MissingRoute.MIDDLE:
+        lm = eval_loss(y[children.middle_rows], mother_value, kind)
+        total += lm
+    fc = route is MissingRoute.FRACTIONAL
+    return ScoredSplit(
+        partition=partition,
+        route=route,
+        total_loss=total,
+        left_rows=children.left_rows,
+        right_rows=children.right_rows,
+        middle_rows=children.middle_rows,
+        loss_left=ll,
+        loss_right=lr,
+        loss_middle=lm,
+        left_weights=w_left if fc else None,
+        right_weights=w_right if fc else None,
+        frac_left=children.frac_left,
     )
 
 
@@ -460,23 +494,7 @@ def score_binary(
     if route not in (MissingRoute.LEFT, MissingRoute.RIGHT):
         raise ValueError("score_binary routes missing rows left or right")
     children = split_rows(ds, rows, partition, route, min_child=min_child, weights=weights)
-    if children is None:
-        return None
-    y_left = ds.response.values[children.left_rows]
-    y_right = ds.response.values[children.right_rows]
-    w_left, w_right = children.left_weights, children.right_weights
-    ll = eval_loss(y_left, fit_leaf(y_left, kind, w_left), kind, w_left)
-    lr = eval_loss(y_right, fit_leaf(y_right, kind, w_right), kind, w_right)
-    return ScoredSplit(
-        partition=partition,
-        route=route,
-        total_loss=ll + lr,
-        left_rows=children.left_rows,
-        right_rows=children.right_rows,
-        middle_rows=children.middle_rows,
-        loss_left=ll,
-        loss_right=lr,
-    )
+    return None if children is None else _scored(ds, partition, route, kind, children, None)
 
 
 def score_trinary(
@@ -496,24 +514,9 @@ def score_trinary(
     children = split_rows(ds, rows, partition, MissingRoute.MIDDLE, min_child=min_child)
     if children is None:
         return None
-    y = ds.response.values
     if mother_value is None:
-        mother_value = fit_leaf(y[np.asarray(rows, dtype=np.int64)], kind)
-    y_left, y_right = y[children.left_rows], y[children.right_rows]
-    ll = eval_loss(y_left, fit_leaf(y_left, kind), kind)
-    lr = eval_loss(y_right, fit_leaf(y_right, kind), kind)
-    lm = eval_loss(y[children.middle_rows], mother_value, kind)
-    return ScoredSplit(
-        partition=partition,
-        route=MissingRoute.MIDDLE,
-        total_loss=ll + lr + lm,
-        left_rows=children.left_rows,
-        right_rows=children.right_rows,
-        middle_rows=children.middle_rows,
-        loss_left=ll,
-        loss_right=lr,
-        loss_middle=lm,
-    )
+        mother_value = fit_leaf(ds.response.values[np.asarray(rows, dtype=np.int64)], kind)
+    return _scored(ds, partition, MissingRoute.MIDDLE, kind, children, mother_value)
 
 
 def score_fractional(
@@ -533,26 +536,7 @@ def score_fractional(
     """
     children = split_rows(ds, rows, partition, MissingRoute.FRACTIONAL,
                           min_child_weight=min_child_weight, weights=weights)
-    if children is None:
-        return None
-    y_left = ds.response.values[children.left_rows]
-    y_right = ds.response.values[children.right_rows]
-    w_left, w_right = children.left_weights, children.right_weights
-    ll = eval_loss(y_left, fit_leaf(y_left, kind, w_left), kind, w_left)
-    lr = eval_loss(y_right, fit_leaf(y_right, kind, w_right), kind, w_right)
-    return ScoredSplit(
-        partition=partition,
-        route=MissingRoute.FRACTIONAL,
-        total_loss=ll + lr,
-        left_rows=children.left_rows,
-        right_rows=children.right_rows,
-        middle_rows=children.middle_rows,
-        loss_left=ll,
-        loss_right=lr,
-        left_weights=w_left,
-        right_weights=w_right,
-        frac_left=children.frac_left,
-    )
+    return None if children is None else _scored(ds, partition, MissingRoute.FRACTIONAL, kind, children, None)
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +553,17 @@ _STYLES = {
     Strategy.FC: (_FC,),
     Strategy.TRINARY: (_TRINARY,),
     Strategy.TRINARY_MIA: (_MIA, _TRINARY),
+}
+
+#: Strategies that grow, on training rows with no missing cell in any
+#: feature, the very tree of the strategy they map to, node for node:
+#: every scan then takes the ``n_m == 0`` branch of ``_scan_feature``,
+#: where mia's route ties resolve to the majority side and trinary_mia
+#: keeps the trinary objective on ties. Only the tree's ``strategy``
+#: field differs.
+COMPLETE_DATA_TWINS = {
+    Strategy.MIA: Strategy.MAJORITY,
+    Strategy.TRINARY_MIA: Strategy.TRINARY,
 }
 
 
@@ -782,12 +777,6 @@ def best_split(
     if choice is None:
         return None
     partition, route = choice
-    if route is MissingRoute.MIDDLE:
-        scored = score_trinary(ds, rows, partition, kind, mother_value=node_value, min_child=config.min_child)
-    elif route is MissingRoute.FRACTIONAL:
-        scored = score_fractional(ds, rows, partition, kind, min_child_weight=config.min_child_weight, weights=w)
-    else:
-        scored = score_binary(ds, rows, partition, route, kind, min_child=config.min_child, weights=w)
-    if scored is None:
-        raise AssertionError("scan selected an infeasible split")
-    return scored
+    # the scan decided the winner's feasibility: its rows are only routed
+    children = split_rows(ds, rows, partition, route, weights=w)
+    return _scored(ds, partition, route, kind, children, node_value)

@@ -152,10 +152,9 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         if choice is None:
             return leaf()
         partition, route = choice
-        # the scan already priced the winner: only its children's rows are needed
-        children = split_rows(ds, node_rows, partition, route, scfg.min_child, scfg.min_child_weight, w)
-        if children is None:
-            raise AssertionError("scan selected an infeasible split")
+        # the scan already priced the winner and decided its feasibility: its
+        # rows are only routed, with no floors to check again
+        children = split_rows(ds, node_rows, partition, route, None, None, w)
 
         if route is MissingRoute.MIDDLE:
             left = grow(children.left_rows, None, depth + 1, available, None)
@@ -223,8 +222,10 @@ def truncate(tree: Tree, ds: Dataset, depth: int) -> Tree:
             done.append(Leaf(value=value, n_samples=n_stat, train_loss=eval_loss(y, value, kind, w)))
             continue
         spec = node.spec
+        # routed without floors, as in growth; a split node of a tree grown on
+        # ds gets rows on both sides
         children = split_rows(ds, node_rows, spec.partition, spec.route, weights=node_weights)
-        if children is None:
+        if children is None or not (children.left_rows.size and children.right_rows.size):
             raise ValidationError("a split node gets no rows of ds: the tree was not grown on ds")
         fc = spec.route is MissingRoute.FRACTIONAL
         stack.append(node)

@@ -377,11 +377,12 @@ def test_run_experiment_equals_one_tree_per_task(scenario):
 
 
 def _count_train_calls(monkeypatch):
+    """The strategy of each tree the harness grows, in call order."""
     calls = []
     real_train = bench.train
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[1].strategy)
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(bench, "train", counting)
@@ -392,22 +393,32 @@ def test_mcar_test_grows_each_tree_once(monkeypatch):
     calls = _count_train_calls(monkeypatch)
     cfg = small_config(scenario="mcar_test", q_grid=(0.0, 0.3, 0.6), folds=4, depth_grid_max=3)
     records = run_experiment(cfg)
-    # one deepest tree per fold for the depth, then one tree per (strategy, fold)
-    assert len(calls) == cfg.folds * (1 + len(cfg.strategies))
+    # one deepest tree per fold for the depth, then one majority tree per
+    # fold: step data has no missing cell and mcar_test leaves the training
+    # side alone, so mia evaluates the majority tree at every level
+    assert calls == [Strategy.MAJORITY] * cfg.folds * 2
     for r in records:
         assert r.wall_ms > 0.0
         if r.fold != AGGREGATE_FOLD:
-            # q = 0 grows the tree; the later levels evaluate it again
-            assert (r.train_ms > 0.0) == (r.q == 0.0)
+            # majority at q = 0 grows the tree; every other task reuses it
+            assert (r.train_ms > 0.0) == (r.q == 0.0 and r.strategy == "majority")
             assert r.train_ms <= r.wall_ms
+
+    # native missing cells: mia grows its own tree next to majority's at q = 0
+    calls.clear()
+    run_experiment(small_config(datasets=(("t", _table_with_missing(0, n=90)),), scenario="mcar_test",
+                                q_grid=(0.0, 0.3), folds=3, depth_grid_max=2))
+    assert calls == [Strategy.MAJORITY] * 3 + [Strategy.MAJORITY, Strategy.MIA] * 3
 
 
 def test_censored_training_sets_grow_their_own_trees(monkeypatch):
     calls = _count_train_calls(monkeypatch)
     cfg = small_config(scenario="im", q_grid=(0.3, 0.6), folds=4, depth_grid_max=3)
     records = run_experiment(cfg)
-    # q = 0 for the excess-loss reference, then one tree per censored level
-    assert len(calls) == cfg.folds * (1 + len(cfg.strategies) * 3)
+    # per fold: the uncensored q = 0 reference, where mia shares the
+    # majority tree, then one tree per strategy at each censored level
+    per_fold = [Strategy.MAJORITY] + [Strategy.MAJORITY, Strategy.MIA] * 2
+    assert calls == [Strategy.MAJORITY] * cfg.folds + per_fold * cfg.folds
     for agg in aggregate_records(records):
         fold_rows = [r for r in records if r.fold != AGGREGATE_FOLD and (r.strategy, r.q) == (agg.strategy, agg.q)]
         assert all(r.train_ms > 0.0 for r in fold_rows)

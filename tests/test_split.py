@@ -404,3 +404,42 @@ def test_growth_split_rows_match_scorers(strategy, n_classes, monkeypatch):
                        children.left_weights, children.right_weights)
                 want = _routed_one_by_one(ds, rows, partition, route, weights)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_fc_feasibility_at_the_weight_floor_comes_from_the_scan(monkeypatch):
+    """The scan prices fc child weights from cumulative sums, which can
+    reach the floor (5.0) where direct sums of the same weights fall a bit
+    short (4.999999999999999). Growth, truncate and best_split take the
+    scan's verdict and only route the winner's rows, so the sweep runs."""
+    from nantree import ExperimentConfig, TrainConfig, bench, run_experiment, serialize, stratified_kfold
+    from nantree.censor import censor_im
+    from nantree.datasets import tree_structured_data
+
+    ds = tree_structured_data(n_rows=300, seed=3)
+    cfg = ExperimentConfig(datasets=(("t", ds),), strategies=(Strategy.FC,), scenario="im",
+                           q_grid=(0.6,), folds=4, depth_grid_max=4, min_samples=5, seed=2)
+    assert len(run_experiment(cfg)) == cfg.folds + 1
+
+    # the fold whose fc tree met the boundary, grown at the tuned depth 3
+    folds = stratified_kfold(ds, cfg.folds, bench._fold_seed(cfg.seed, 0))
+    censored = censor_im(ds.subset(folds.train_rows(3)), 0.6)
+    nodes = []
+
+    def spy(*args):
+        nodes.append(args)
+        return split_rows(*args)
+
+    monkeypatch.setattr(tree_module, "split_rows", spy)
+    tree = tree_module.train(censored, TrainConfig(Strategy.FC, max_depth=3, min_samples=5))
+    monkeypatch.undo()
+    at_floor = [args for args in nodes if split_rows(*args[:4], 5, 5.0, args[6]) is None]
+    assert len(at_floor) == 1
+    _, rows, partition, route, _, _, weights = at_floor[0]
+    children = split_rows(censored, rows, partition, route, weights=weights)
+    assert children.left_weights.sum() < 5.0 and children.right_weights.sum() < 5.0
+
+    scored = best_split(censored, rows, range(censored.n_features), Strategy.FC, loss_for(censored),
+                        SplitConfig(min_child=5, min_child_weight=5.0), weights=weights)
+    assert (scored.partition, scored.route) == (partition, route)
+    assert scored.left_weights.tobytes() == children.left_weights.tobytes()
+    assert serialize(tree_module.truncate(tree, censored, 3)) == serialize(tree)

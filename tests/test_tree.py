@@ -29,6 +29,7 @@ from nantree import (
 )
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.loss import LOG_CLAMP
+from nantree.split import COMPLETE_DATA_TWINS
 
 from conftest import middle_chain_tree, random_problem
 
@@ -463,10 +464,11 @@ def test_deserialize_rejects_unknown_category():
         deserialize(json.dumps(doc))
 
 
-def _mixed_tables(n_classes, seed=0):
+def _mixed_tables(n_classes, seed=0, train_missing=0.3):
     """Train and test tables over two numeric and two categorical features,
-    30% MCAR everywhere; the test dictionary of ``g1`` adds a name, ``e``,
-    that training never saw."""
+    30% MCAR in the test table and ``train_missing`` in the training one;
+    the test dictionary of ``g1`` adds a name, ``e``, that training never
+    saw."""
     rng = np.random.default_rng(seed)
     n = 400
     x = rng.normal(size=(2 * n, 2))
@@ -481,16 +483,16 @@ def _mixed_tables(n_classes, seed=0):
     test_codes = g[n:, 0].copy()
     test_codes[rng.random(n) < 0.2] = 4
 
-    def table(rows, g1, g1_cats):
-        cols = [numeric(f"x{j}", np.where(rng.random(n) < 0.3, np.nan, x[rows, j])) for j in range(2)]
+    def table(rows, g1, g1_cats, rate=0.3):
+        cols = [numeric(f"x{j}", np.where(rng.random(n) < rate, np.nan, x[rows, j])) for j in range(2)]
         g2 = g[rows, 1]
         for name, codes, cats in (("g1", g1, g1_cats), ("g2", g2, ("a", "b", "c", "d"))):
-            codes = np.where(rng.random(n) < 0.3, -1, codes)
+            codes = np.where(rng.random(n) < rate, -1, codes)
             cols.append(FeatureColumn(name, CATEGORICAL, codes, cats))
         kind, y, labels = response
         return Dataset(tuple(cols), ResponseColumn(kind, y[rows], labels))
 
-    train_ds = table(slice(0, n), g[:n, 0], ("a", "b", "c", "d"))
+    train_ds = table(slice(0, n), g[:n, 0], ("a", "b", "c", "d"), train_missing)
     test_ds = table(slice(n, 2 * n), test_codes, ("a", "b", "c", "d", "e"))
     return train_ds, test_ds
 
@@ -532,6 +534,42 @@ def test_predict_equals_predict_row_bitwise(strategy, n_classes):
         for i, r in enumerate(rows):
             want = np.asarray(predict_row(tree, _tree_cells(tree, test_ds, r)), dtype=float)
             assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_classes", [0, 3])
+@pytest.mark.parametrize("strategy, twin", list(COMPLETE_DATA_TWINS.items()), ids=lambda s: s.value)
+def test_complete_training_data_grows_twin_trees(strategy, twin, n_classes):
+    """On training rows with no missing cell, mia grows the majority tree
+    and trinary_mia the trinary tree, node for node, so the two predict
+    alike on test rows with missing cells too; the sweep harness shares
+    such trees."""
+    train_ds, test_ds = _mixed_tables(n_classes, train_missing=0.0)
+    assert all(col.present_mask().all() for col in train_ds.columns)
+    tree = train(train_ds, TrainConfig(strategy, max_depth=5, min_samples=3))
+    twin_tree = train(train_ds, TrainConfig(twin, max_depth=5, min_samples=3))
+    routes = {node.spec.route for node in _nodes(twin_tree.root) if isinstance(node, Branch)}
+    if twin is Strategy.TRINARY:
+        assert routes == {MissingRoute.MIDDLE}
+    else:
+        assert routes == {MissingRoute.LEFT, MissingRoute.RIGHT}
+
+    text, twin_text = serialize(tree), serialize(twin_tree)
+    field = '"strategy": "{}"'
+    assert text.count(field.format(strategy.value)) == 1
+    assert text == twin_text.replace(field.format(twin.value), field.format(strategy.value))
+
+    censored = np.flatnonzero(~np.all([col.present_mask() for col in test_ds.columns], axis=0))
+    assert censored.size > test_ds.n_rows // 2
+    assert predict(tree, test_ds, censored).tobytes() == predict(twin_tree, test_ds, censored).tobytes()
+
+
+def _nodes(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Branch):
+            stack += [child for child in (node.left, node.right, node.middle) if child is not None]
 
 
 #: a name that JSON must escape: a quote, a backslash, a tab, non-ASCII
