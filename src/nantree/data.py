@@ -158,6 +158,20 @@ class Dataset:
         )
 
 
+def row_index(rows, n_rows: int) -> np.ndarray:
+    """All ``n_rows`` positions when ``rows`` is None; otherwise ``rows``
+    checked to be 1-d integer positions in ``[0, n_rows)``. Every public
+    entry point that takes row indices checks them here."""
+    if rows is None:
+        return np.arange(n_rows, dtype=np.int64)
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise ValidationError("rows must be a 1-d sequence of integer row indices")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValidationError(f"row indices must lie in [0, {n_rows})")
+    return rows.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class FoldAssignment:
     fold_of_row: np.ndarray

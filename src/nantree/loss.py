@@ -5,6 +5,12 @@ cross-entropy (negative log-likelihood) for class responses. Both are
 implemented in their weighted form; unit weights reproduce the plain
 definitions. Leaf values are a float (weighted mean) for SSE and a
 probability vector (weighted class frequencies) for cross-entropy.
+
+The split scan prices blocks of rows from their sufficient statistics:
+:func:`row_stats` gives each row a statistics vector, a block's vector is
+the sum over its rows (:func:`sum_stats` for a block's direct total), and
+:func:`fitted`, :func:`at_value` and :func:`block_weight` read block
+vectors. These are the only split-scan code that knows the loss.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASS, Dataset, ResponseColumn
+from .data import CLASS, Dataset, ValidationError
 
 SSE = "sse"
 CROSS_ENTROPY = "xe"
@@ -46,22 +52,20 @@ class LossKind:
         return self.name == CROSS_ENTROPY
 
 
-def loss_for_response(response: ResponseColumn) -> LossKind:
-    if response.kind == CLASS:
-        return LossKind.cross_entropy(response.n_classes)
+def loss_for(ds: Dataset) -> LossKind:
+    if ds.response.kind == CLASS:
+        return LossKind.cross_entropy(ds.response.n_classes)
     return LossKind.sse()
 
 
-def loss_for(ds: Dataset) -> LossKind:
-    return loss_for_response(ds.response)
-
-
-def _weights(y: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+def row_weights(y: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Unit weights for the samples ``y`` by default, otherwise ``weights``
+    checked to hold one weight per sample."""
     if weights is None:
-        return np.ones(len(y), dtype=np.float64)
+        return np.ones(len(y))
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != np.shape(y):
-        raise ValueError("weights and responses have different lengths")
+        raise ValidationError(f"weights must hold one weight per sample: {w.shape} for {len(y)} samples")
     return w
 
 
@@ -78,7 +82,7 @@ def fit_leaf(y: np.ndarray, kind: LossKind, weights: np.ndarray | None = None):
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("cannot fit a leaf on an empty sample")
-    w = _weights(y, weights)
+    w = row_weights(y, weights)
     total = w.sum()
     if total <= 0:
         raise ValueError("total weight must be positive")
@@ -94,7 +98,7 @@ def eval_loss(y: np.ndarray, value, kind: LossKind, weights: np.ndarray | None =
     y = np.asarray(y)
     if y.size == 0:
         return 0.0
-    w = _weights(y, weights)
+    w = row_weights(y, weights)
     if kind.is_classification:
         y = _check_labels(y, kind)
         probs = np.asarray(value, dtype=np.float64)
@@ -105,3 +109,63 @@ def eval_loss(y: np.ndarray, value, kind: LossKind, weights: np.ndarray | None =
     delta = float(value)
     resid = y - delta
     return float((w * resid * resid).sum())
+
+
+def row_stats(y: np.ndarray, w: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Sufficient statistics of each row, one column per row: the weight
+    ``w``, then ``w·y`` and ``w·y²`` for SSE, or ``w`` in the row of the
+    row's class and zero in the other K - 1 class rows for cross-entropy.
+    A block of rows is priced from the sum of its columns."""
+    if kind.is_classification:
+        y = _check_labels(y, kind)
+        S = np.zeros((1 + kind.n_classes, len(y)))
+        S[0] = w
+        S[1 + y, np.arange(len(y))] = w
+        return S
+    wy = w * y
+    return np.stack([w, wy, wy * y])
+
+
+def sum_stats(S: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Statistics of the block whose rows are the columns of ``S`` (each
+    statistic's row contiguous): the weight and the SSE moments summed
+    pairwise, class weights row by row, as :func:`fit_leaf` counts them.
+    Candidate ties and the fc weight floor hang on these last bits, so the
+    orders are part of the scan's contract."""
+    out = S.sum(axis=1)
+    if kind.is_classification:
+        out[1:] = np.ascontiguousarray(S[1:].T).sum(axis=0)
+    return out
+
+
+def block_weight(S: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Weight of each block, statistics along the last axis, as
+    :func:`fitted` normalises it: the weight statistic for SSE, the sum of
+    the class weights for cross-entropy."""
+    return S[..., 1:].sum(axis=-1) if kind.is_classification else S[..., 0]
+
+
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    return a * np.log(np.where(a > 0, a, 1.0))
+
+
+def fitted(S: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Loss of each block at its own fitted leaf value, statistics along
+    the last axis; clamped at zero against rounding. An empty block costs
+    0 under cross-entropy and NaN under SSE."""
+    W = block_weight(S, kind)
+    if kind.is_classification:
+        return np.maximum(_xlogx(W) - _xlogx(S[..., 1:]).sum(axis=-1), 0.0)
+    A1, A2 = S[..., 1], S[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = A2 - (A1 * A1) / W
+    return np.maximum(out, 0.0)
+
+
+def at_value(S: np.ndarray, value, kind: LossKind) -> float:
+    """Loss of one block, statistics ``S``, under the fixed leaf ``value``."""
+    if kind.is_classification:
+        return float((S[1:] * -np.log(np.maximum(value, LOG_CLAMP))).sum())
+    W, A1, A2 = S
+    return float(max(A2 - 2.0 * value * A1 + value * value * W, 0.0))

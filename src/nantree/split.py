@@ -13,11 +13,26 @@ feature are handled per strategy:
 * trinary_mia -- per node, the better of the mia and trinary objectives
                  (ties go to trinary).
 
-Scoring is exact but vectorized: per feature, candidate child losses are
-computed from running sufficient statistics instead of per-candidate
-passes over the rows. When a feature has no missing rows at a node, all
-strategy objectives coincide and are computed once, so they are equal
-bit for bit.
+Scoring is exact but vectorized, over one statistics core shared by both
+losses. A node's rows get one statistics matrix (:func:`loss.row_stats`:
+the weight, then ``w·y`` and ``w·y²`` for SSE or the class weights for
+cross-entropy), and every block of rows is priced from the sum ``S`` of
+its columns. Per feature, prefix sums of the matrix over the candidate
+order give each candidate's left block ``S_l``; :func:`loss.sum_stats`
+gives the observed and the missing totals, and the right block ``S_r`` is
+the observed total minus ``S_l``. Each strategy is then arithmetic on
+blocks:
+
+* the two children cost ``fitted(S_l) + fitted(S_r)``,
+* mia and majority merge the missing block into one child,
+  ``fitted(S_l + S_miss)``,
+* fc adds it to both, scaled by the observed fractions,
+  ``fitted(S_l + α·S_miss)``, each child weighing ``block_weight``,
+* trinary prices it at the mother value, ``at_value(S_miss, v)``.
+
+Only :mod:`loss` knows what the statistics mean. When a feature has no
+missing rows at a node, all strategy objectives coincide and are computed
+once, so they are equal bit for bit.
 """
 from __future__ import annotations
 
@@ -26,8 +41,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import CATEGORICAL, Dataset, FeatureColumn, ValidationError
-from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf
+from .data import CATEGORICAL, Dataset, FeatureColumn, ValidationError, row_index
+from .loss import LossKind, at_value, block_weight, eval_loss, fit_leaf, fitted, row_stats, row_weights, sum_stats
 
 #: Exhaustive category bipartitions are enumerated up to this many observed
 #: categories (multiclass only); above it, frequency-ordered prefix cuts.
@@ -130,33 +145,18 @@ class ScoredSplit:
 
 
 # ---------------------------------------------------------------------------
-# losses from sufficient statistics
+# argument checks of the public entry points; growth's per-node calls skip them
 
-def _xlogx(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    return a * np.log(np.where(a > 0, a, 1.0))
-
-
-def _fitted_sse(W, A1, A2):
-    # sum of w*(y - mean)^2 over a block, from W = sum w, A1 = sum w*y,
-    # A2 = sum w*y^2; clamped at zero against rounding
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = A2 - (A1 * A1) / W
-    return np.maximum(out, 0.0)
-
-
-def _fitted_xe(C):
-    # C has class weight sums along the last axis
-    W = C.sum(axis=-1)
-    return np.maximum(_xlogx(W) - _xlogx(C).sum(axis=-1), 0.0)
-
-
-def _sse_at_value(delta: float, W: float, A1: float, A2: float) -> float:
-    return max(A2 - 2.0 * delta * A1 + delta * delta * W, 0.0)
-
-
-def _xe_at_value(probs: np.ndarray, C: np.ndarray) -> float:
-    return float((C * -np.log(np.maximum(probs, LOG_CLAMP))).sum())
+def _checked(ds: Dataset, rows, features, weights) -> tuple[np.ndarray, list, np.ndarray]:
+    """The arguments of a public entry point checked: ``rows`` as by
+    :func:`data.row_index`, ``features`` as column indices of ``ds``,
+    ``weights`` as by :func:`loss.row_weights`."""
+    rows = row_index(rows, ds.n_rows)
+    features = list(features)
+    for f in features:
+        if isinstance(f, bool) or not isinstance(f, (int, np.integer)) or not 0 <= f < ds.n_features:
+            raise ValidationError(f"feature {f!r} is not a column index in [0, {ds.n_features})")
+    return rows, features, row_weights(rows, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -164,97 +164,42 @@ def _xe_at_value(probs: np.ndarray, C: np.ndarray) -> float:
 
 @dataclass
 class _Table:
+    """A feature's candidates at a node. Statistics are block sums of
+    :func:`loss.row_stats` columns: ``S_left`` has one row per candidate,
+    ``S_present`` and ``S_miss`` cover the rows observed and missing on
+    the feature."""
+
     partitions: list[Partition]
     n_left: np.ndarray          # observed row counts in the left block
     n_present: int
     n_missing: int
-    # weighted stats; for sse the X arrays are (A1, A2), for xe X is the
-    # per-class weight matrix and A-fields stay None
-    W_left: np.ndarray
-    W_present: float
-    W_miss: float
-    A1_left: np.ndarray | None = None
-    A2_left: np.ndarray | None = None
-    A1_present: float = 0.0
-    A2_present: float = 0.0
-    A1_miss: float = 0.0
-    A2_miss: float = 0.0
-    C_left: np.ndarray | None = None
-    C_present: np.ndarray | None = None
-    C_miss: np.ndarray | None = None
+    S_left: np.ndarray
+    S_present: np.ndarray
+    S_miss: np.ndarray
 
 
-def _class_matrix(y: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(y), k), dtype=np.float64)
-    if len(y):
-        out[np.arange(len(y)), y] = w
-    return out
-
-
-def _candidate_table(
-    column: FeatureColumn,
-    feature: int,
-    rows: np.ndarray,
-    y: np.ndarray,
-    kind: LossKind,
-    w: np.ndarray,
-) -> _Table | None:
+def _candidate_table(column: FeatureColumn, feature: int, rows: np.ndarray, S: np.ndarray,
+                     kind: LossKind) -> _Table | None:
     v = column.values[rows]
+    present = v >= 0 if column.kind == CATEGORICAL else ~np.isnan(v)
+    vp = v[present]
+    # compress keeps each statistic's row contiguous, as sum_stats needs
+    # (S[:, mask] would not)
+    S_p = np.compress(present, S, axis=1)
     if column.kind == CATEGORICAL:
-        present = v >= 0
+        built = _categorical_candidates(feature, vp, S_p, kind, len(column.categories))
     else:
-        present = ~np.isnan(v)
-    miss = ~present
-    yp, wp, vp = y[present], w[present], v[present]
-    ym, wm = y[miss], w[miss]
-
-    n_missing = int(miss.sum())
-    n_present = int(present.sum())
-
-    if kind.is_classification:
-        cm = _class_matrix(ym, wm, kind.n_classes)
-        C_miss = cm.sum(axis=0)
-        W_miss = float(C_miss.sum())
-    else:
-        A1_miss = float((wm * ym).sum())
-        A2_miss = float((wm * ym * ym).sum())
-        W_miss = float(wm.sum())
-
-    if column.kind == CATEGORICAL:
-        built = _categorical_candidates(feature, vp, yp, wp, kind, len(column.categories))
-    else:
-        built = _numeric_candidates(feature, vp, yp, wp, kind)
+        built = _numeric_candidates(feature, vp, S_p)
     if built is None:
         return None
-    partitions, n_left, W_left, X_left = built
-
-    table = _Table(
-        partitions=partitions,
-        n_left=n_left,
-        n_present=n_present,
-        n_missing=n_missing,
-        W_left=W_left,
-        W_present=float(wp.sum()),
-        W_miss=W_miss,
-    )
-    if kind.is_classification:
-        table.C_left = X_left
-        table.C_present = _class_matrix(yp, wp, kind.n_classes).sum(axis=0)
-        table.C_miss = C_miss
-    else:
-        A1, A2 = X_left
-        table.A1_left, table.A2_left = A1, A2
-        table.A1_present = float((wp * yp).sum())
-        table.A2_present = float((wp * yp * yp).sum())
-        table.A1_miss, table.A2_miss = A1_miss, A2_miss
-    return table
+    partitions, n_left, S_left = built
+    S_miss = sum_stats(np.compress(~present, S, axis=1), kind)
+    return _Table(partitions, n_left, vp.size, v.size - vp.size, S_left, sum_stats(S_p, kind), S_miss)
 
 
-def _numeric_candidates(feature, vp, yp, wp, kind):
-    if len(vp) == 0:
-        return None
+def _numeric_candidates(feature, vp, S_p):
     order = np.argsort(vp, kind="stable")
-    vs, ys, ws = vp[order], yp[order], wp[order]
+    vs = vp[order]
     cuts = np.flatnonzero(vs[:-1] < vs[1:])
     if cuts.size == 0:
         return None
@@ -263,81 +208,49 @@ def _numeric_candidates(feature, vp, yp, wp, kind):
     # guard against midpoints that round up to the right value
     thresholds = np.where(mids < hi, mids, lo)
     partitions = [Partition(feature, threshold=float(t)) for t in thresholds]
-    n_left = cuts + 1
-    cw = np.cumsum(ws)
-    W_left = cw[cuts]
-    if kind.is_classification:
-        C = np.cumsum(_class_matrix(ys, ws, kind.n_classes), axis=0)
-        return partitions, n_left, W_left, C[cuts]
-    A1 = np.cumsum(ws * ys)[cuts]
-    A2 = np.cumsum(ws * ys * ys)[cuts]
-    return partitions, n_left, W_left, (A1, A2)
+    return partitions, cuts + 1, np.cumsum(S_p.T[order], axis=0)[cuts]
 
 
-def _categorical_candidates(feature, vp, yp, wp, kind, n_categories):
-    if len(vp) == 0:
-        return None
+def _categorical_candidates(feature, vp, S_p, kind, n_categories):
     counts = np.bincount(vp, minlength=n_categories)
     observed = np.flatnonzero(counts > 0)
     if observed.size < 2:
         return None
-    catW = np.bincount(vp, weights=wp, minlength=n_categories)
-    if kind.is_classification:
-        catC = np.zeros((n_categories, kind.n_classes))
-        for k in range(kind.n_classes):
-            catC[:, k] = np.bincount(vp, weights=wp * (yp == k), minlength=n_categories)
-    else:
-        catA1 = np.bincount(vp, weights=wp * yp, minlength=n_categories)
-        catA2 = np.bincount(vp, weights=wp * yp * yp, minlength=n_categories)
+    # per-category statistics, one row per category
+    cat = np.stack([np.bincount(vp, weights=stat, minlength=n_categories) for stat in S_p], axis=1)
 
-    multiclass = kind.is_classification and kind.n_classes > 2
+    multiclass = kind.n_classes > 2
     if multiclass and observed.size <= MAX_EXHAUSTIVE_CATEGORIES:
         m = observed.size
         n_cand = 2 ** (m - 1) - 1
         b = np.arange(n_cand, dtype=np.uint32)
         bits = ((b[:, None] >> np.arange(m - 1, dtype=np.uint32)) & 1).astype(bool)
         left_mask = np.concatenate([np.ones((n_cand, 1), dtype=bool), bits], axis=1)
-        all_obs = frozenset(int(c) for c in observed)
-        partitions = []
-        for row in left_mask:
-            left = frozenset(int(c) for c in observed[row])
-            partitions.append(Partition(feature, left_categories=left, right_categories=all_obs - left))
-        lm = left_mask.astype(np.int64)
-        n_left = lm @ counts[observed]
-        lmf = left_mask.astype(np.float64)
-        W_left = lmf @ catW[observed]
-        if kind.is_classification:
-            return partitions, n_left, W_left, lmf @ catC[observed]
-        return partitions, n_left, W_left, (lmf @ catA1[observed], lmf @ catA2[observed])
-
-    if multiclass:
-        # too many categories for exhaustive search: descending frequency
-        # prefix cuts, ties by category code
-        order = np.lexsort((observed, -counts[observed]))
+        lefts = [frozenset(observed[row].tolist()) for row in left_mask]
+        n_left = left_mask.astype(np.int64) @ counts[observed]
+        lm = left_mask.astype(np.float64)
+        S_left = lm @ cat[observed]
+        # the weights by a matrix-vector product, which BLAS sums in its own
+        # order; the fc weight floor reads them
+        S_left[:, 0] = lm @ cat[observed, 0]
     else:
-        # order categories by weighted mean response (class-1 share for
-        # binary classification); prefix cuts of this order contain an
-        # optimal bipartition for sse and binary cross-entropy
-        if kind.is_classification:
-            metric = catC[observed, 1] / catW[observed]
+        if multiclass:
+            # too many categories for exhaustive search: descending frequency
+            # prefix cuts, ties by category code
+            order = np.lexsort((observed, -counts[observed]))
         else:
-            metric = catA1[observed] / catW[observed]
-        order = np.lexsort((observed, metric))
-    ordered = observed[order]
-    m = ordered.size
-    all_obs = frozenset(int(c) for c in observed)
-    partitions = []
-    for i in range(1, m):
-        left = frozenset(int(c) for c in ordered[:i])
-        partitions.append(Partition(feature, left_categories=left, right_categories=all_obs - left))
-    n_left = np.cumsum(counts[ordered])[:-1]
-    W_left = np.cumsum(catW[ordered])[:-1]
-    if kind.is_classification:
-        C_left = np.cumsum(catC[ordered], axis=0)[:-1]
-        return partitions, n_left, W_left, C_left
-    A1_left = np.cumsum(catA1[ordered])[:-1]
-    A2_left = np.cumsum(catA2[ordered])[:-1]
-    return partitions, n_left, W_left, (A1_left, A2_left)
+            # order categories by weighted mean response (class-1 share for
+            # binary classification); prefix cuts of this order contain an
+            # optimal bipartition for sse and binary cross-entropy
+            metric = cat[observed, 2 if kind.is_classification else 1] / cat[observed, 0]
+            order = np.lexsort((observed, metric))
+        ordered = observed[order]
+        lefts = [frozenset(ordered[:i].tolist()) for i in range(1, ordered.size)]
+        n_left = np.cumsum(counts[ordered])[:-1]
+        S_left = np.cumsum(cat[ordered], axis=0)[:-1]
+    all_obs = frozenset(observed.tolist())
+    partitions = [Partition(feature, left_categories=left, right_categories=all_obs - left) for left in lefts]
+    return partitions, n_left, S_left
 
 
 def enumerate_candidates(
@@ -357,9 +270,11 @@ def enumerate_candidates(
     otherwise. Fewer than two distinct observed values yields no
     candidates.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=np.float64)
-    table = _candidate_table(column, feature, rows, np.asarray(y), kind, w)
+    rows = row_index(rows, len(column.values))
+    y = np.asarray(y)
+    if y.shape != rows.shape:
+        raise ValidationError("y must hold one response per row")
+    table = _candidate_table(column, feature, rows, row_stats(y, row_weights(rows, weights), kind), kind)
     return table.partitions if table is not None else []
 
 
@@ -409,7 +324,7 @@ def split_rows(
     unweighted observed row counts.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = row_weights(rows, weights)
     left, right = partition.sides(ds.columns[partition.feature].values[rows])
     missing = ~(left | right)
     if route is MissingRoute.FRACTIONAL:
@@ -493,6 +408,7 @@ def score_binary(
     """
     if route not in (MissingRoute.LEFT, MissingRoute.RIGHT):
         raise ValueError("score_binary routes missing rows left or right")
+    rows, _, weights = _checked(ds, rows, [partition.feature], weights)
     children = split_rows(ds, rows, partition, route, min_child=min_child, weights=weights)
     return None if children is None else _scored(ds, partition, route, kind, children, None)
 
@@ -511,11 +427,12 @@ def score_trinary(
     the whole node, computed here when not supplied); it is not refit.
     Feasibility constrains only the observed children.
     """
+    rows, _, _ = _checked(ds, rows, [partition.feature], None)
     children = split_rows(ds, rows, partition, MissingRoute.MIDDLE, min_child=min_child)
     if children is None:
         return None
     if mother_value is None:
-        mother_value = fit_leaf(ds.response.values[np.asarray(rows, dtype=np.int64)], kind)
+        mother_value = fit_leaf(ds.response.values[rows], kind)
     return _scored(ds, partition, MissingRoute.MIDDLE, kind, children, mother_value)
 
 
@@ -533,7 +450,14 @@ def score_fractional(
     side; the fractions come from unweighted observed row counts. Returns
     None when a child's total weight falls below ``min_child_weight`` or
     when the feature is missing (or one-sided) on all rows.
+
+    The weight floor is checked on direct sums of the child weights, while
+    the scan (and so :func:`best_split` and growth) uses cumulative sums.
+    At the boundary the two can round apart, so this can reject a split
+    the scan accepts (CHANGES.md, the ``FOUND`` entry on the fc
+    child-weight floor).
     """
+    rows, _, weights = _checked(ds, rows, [partition.feature], weights)
     children = split_rows(ds, rows, partition, MissingRoute.FRACTIONAL,
                           min_child_weight=min_child_weight, weights=weights)
     return None if children is None else _scored(ds, partition, MissingRoute.FRACTIONAL, kind, children, None)
@@ -541,19 +465,6 @@ def score_fractional(
 
 # ---------------------------------------------------------------------------
 # vectorized per-feature scan
-
-_MAJORITY = "majority"
-_MIA = "mia"
-_FC = "fc"
-_TRINARY = "trinary"
-
-_STYLES = {
-    Strategy.MAJORITY: (_MAJORITY,),
-    Strategy.MIA: (_MIA,),
-    Strategy.FC: (_FC,),
-    Strategy.TRINARY: (_TRINARY,),
-    Strategy.TRINARY_MIA: (_MIA, _TRINARY),
-}
 
 #: Strategies that grow, on training rows with no missing cell in any
 #: feature, the very tree of the strategy they map to, node for node:
@@ -576,130 +487,77 @@ class _Entry:
 
 @dataclass
 class _FeatureScan:
+    """A feature's candidates and, per objective (trinary_mia scans mia's
+    and trinary's), its best feasible entry or None."""
+
     partitions: list[Partition]
-    entries: dict[str, _Entry | None]
+    entries: dict[Strategy, _Entry | None]
 
 
-def _argbest(losses: np.ndarray, feasible: np.ndarray) -> int | None:
-    masked = np.where(feasible, losses, np.inf)
-    if masked.size == 0:
+def _pick(losses: np.ndarray, route) -> _Entry | None:
+    """The first lowest of ``losses`` (inf where infeasible), or None when
+    none is finite; its missing route is ``route``, or ``route(i)`` for
+    candidate ``i`` when ``route`` is a function."""
+    if losses.size == 0:
         return None
-    i = int(np.argmin(masked))
-    if not np.isfinite(masked[i]):
+    i = int(np.argmin(losses))
+    if not np.isfinite(losses[i]):
         return None
-    return i
+    return _Entry(float(losses[i]), i, route(i) if callable(route) else route)
 
 
-def _scan_feature(ds, feature, rows, y, w, kind, cfg, styles, node_value) -> _FeatureScan | None:
-    table = _candidate_table(ds.columns[feature], feature, rows, y, kind, w)
+def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value) -> _FeatureScan | None:
+    table = _candidate_table(ds.columns[feature], feature, rows, S, kind)
     if table is None:
         return None
     mc, mw = cfg.min_child, cfg.min_child_weight
     n_l = table.n_left
     n_r = table.n_present - n_l
     n_m = table.n_missing
-    W_l = table.W_left
-    W_r = table.W_present - W_l
+    S_l, S_m = table.S_left, table.S_miss
+    S_r = table.S_present - S_l
+    f_l, f_r = fitted(S_l, kind), fitted(S_r, kind)
+    count_ok = (n_l >= mc) & (n_r >= mc)
 
-    if kind.is_classification:
-        f_l = _fitted_xe(table.C_left)
-        f_r = _fitted_xe(table.C_present - table.C_left)
-    else:
-        A1_l, A2_l = table.A1_left, table.A2_left
-        A1_r, A2_r = table.A1_present - A1_l, table.A2_present - A2_l
-        f_l = _fitted_sse(W_l, A1_l, A2_l)
-        f_r = _fitted_sse(W_r, A1_r, A2_r)
-
-    entries: dict[str, _Entry | None] = {}
+    def majority(i):
+        # the side with more observed rows, ties right; mia's route ties go
+        # there too, which makes the two coincide on missing-free training data
+        return MissingRoute.LEFT if n_l[i] > n_r[i] else MissingRoute.RIGHT
 
     if n_m == 0:
         # No missing rows at this node-feature: every strategy objective is
         # the same plain two-child loss, computed once so they agree exactly.
         base = f_l + f_r
-        count_ok = (n_l >= mc) & (n_r >= mc)
-        weight_ok = (W_l >= mw) & (W_r >= mw)
-        for style in styles:
-            i = _argbest(base, weight_ok if style == _FC else count_ok)
-            if i is None:
-                entries[style] = None
-                continue
-            if style == _FC:
-                entries[style] = _Entry(float(base[i]), i, MissingRoute.FRACTIONAL)
-            elif style == _TRINARY:
-                entries[style] = _Entry(float(base[i]), i, MissingRoute.MIDDLE)
-            else:
-                # majority routing; mia route ties resolve to the majority
-                # side, which is what makes the two strategies coincide on
-                # missing-free training data
-                route = MissingRoute.LEFT if n_l[i] > n_r[i] else MissingRoute.RIGHT
-                entries[style] = _Entry(float(base[i]), i, route)
-        return _FeatureScan(table.partitions, entries)
+        # fc's children are the observed blocks, weighed by their summed row weights
+        weight_ok = (S_l[:, 0] >= mw) & (S_r[:, 0] >= mw)
+        routes = {Strategy.FC: MissingRoute.FRACTIONAL, Strategy.TRINARY: MissingRoute.MIDDLE}
+        return _FeatureScan(table.partitions, {
+            style: _pick(np.where(weight_ok if style is Strategy.FC else count_ok, base, np.inf),
+                         routes.get(style, majority))
+            for style in styles})
 
-    # merged-block losses for routing strategies
-    if _MAJORITY in styles or _MIA in styles:
-        if kind.is_classification:
-            loss_left_routed = _fitted_xe(table.C_left + table.C_miss) + f_r
-            loss_right_routed = f_l + _fitted_xe((table.C_present - table.C_left) + table.C_miss)
-        else:
-            loss_left_routed = _fitted_sse(W_l + table.W_miss, A1_l + table.A1_miss, A2_l + table.A2_miss) + f_r
-            loss_right_routed = f_l + _fitted_sse(W_r + table.W_miss, A1_r + table.A1_miss, A2_r + table.A2_miss)
-        feas_left = (n_l + n_m >= mc) & (n_r >= mc)
-        feas_right = (n_l >= mc) & (n_r + n_m >= mc)
-        majority_left = n_l > n_r
-
-    if _MAJORITY in styles:
-        loss = np.where(majority_left, loss_left_routed, loss_right_routed)
-        feas = np.where(majority_left, feas_left, feas_right)
-        i = _argbest(loss, feas)
-        entries[_MAJORITY] = None if i is None else _Entry(
-            float(loss[i]), i,
-            MissingRoute.LEFT if majority_left[i] else MissingRoute.RIGHT,
-        )
-
-    if _MIA in styles:
-        ml = np.where(feas_left, loss_left_routed, np.inf)
-        mr = np.where(feas_right, loss_right_routed, np.inf)
+    entries: dict[Strategy, _Entry | None] = {}
+    if Strategy.MAJORITY in styles or Strategy.MIA in styles:
+        # mia and majority merge the missing block into one child
+        ml = np.where((n_l + n_m >= mc) & (n_r >= mc), fitted(S_l + S_m, kind) + f_r, np.inf)
+        mr = np.where((n_l >= mc) & (n_r + n_m >= mc), f_l + fitted(S_r + S_m, kind), np.inf)
+    if Strategy.MAJORITY in styles:
+        entries[Strategy.MAJORITY] = _pick(np.where(n_l > n_r, ml, mr), majority)
+    if Strategy.MIA in styles:
         loss = np.minimum(ml, mr)
-        i = _argbest(loss, np.isfinite(loss))
-        if i is None:
-            entries[_MIA] = None
-        else:
-            if ml[i] < mr[i]:
-                route = MissingRoute.LEFT
-            elif mr[i] < ml[i]:
-                route = MissingRoute.RIGHT
-            else:
-                route = MissingRoute.LEFT if majority_left[i] else MissingRoute.RIGHT
-            entries[_MIA] = _Entry(float(loss[i]), i, route)
-
-    if _TRINARY in styles:
-        if kind.is_classification:
-            g = _xe_at_value(node_value, table.C_miss)
-        else:
-            g = _sse_at_value(node_value, table.W_miss, table.A1_miss, table.A2_miss)
-        loss = f_l + f_r + g
-        i = _argbest(loss, (n_l >= mc) & (n_r >= mc))
-        entries[_TRINARY] = None if i is None else _Entry(float(loss[i]), i, MissingRoute.MIDDLE)
-
-    if _FC in styles:
-        alpha = n_l / table.n_present
-        beta = 1.0 - alpha
-        if kind.is_classification:
-            C_lf = table.C_left + alpha[:, None] * table.C_miss
-            C_rf = (table.C_present - table.C_left) + beta[:, None] * table.C_miss
-            fl = _fitted_xe(C_lf)
-            fr = _fitted_xe(C_rf)
-            W_lf = C_lf.sum(axis=1)
-            W_rf = C_rf.sum(axis=1)
-        else:
-            W_lf = W_l + alpha * table.W_miss
-            W_rf = W_r + beta * table.W_miss
-            fl = _fitted_sse(W_lf, A1_l + alpha * table.A1_miss, A2_l + alpha * table.A2_miss)
-            fr = _fitted_sse(W_rf, A1_r + beta * table.A1_miss, A2_r + beta * table.A2_miss)
-        loss = fl + fr
-        i = _argbest(loss, (W_lf >= mw) & (W_rf >= mw))
-        entries[_FC] = None if i is None else _Entry(float(loss[i]), i, MissingRoute.FRACTIONAL)
-
+        entries[Strategy.MIA] = _pick(np.where(np.isfinite(loss), loss, np.inf), lambda i: (
+            MissingRoute.LEFT if ml[i] < mr[i] else MissingRoute.RIGHT if mr[i] < ml[i] else majority(i)))
+    if Strategy.TRINARY in styles:
+        # trinary prices the missing block at the mother value
+        loss = f_l + f_r + at_value(S_m, node_value, kind)
+        entries[Strategy.TRINARY] = _pick(np.where(count_ok, loss, np.inf), MissingRoute.MIDDLE)
+    if Strategy.FC in styles:
+        # fc adds the missing block to both children, scaled by the observed fractions
+        alpha = (n_l / table.n_present)[:, None]
+        S_lf, S_rf = S_l + alpha * S_m, S_r + (1.0 - alpha) * S_m
+        feasible = (block_weight(S_lf, kind) >= mw) & (block_weight(S_rf, kind) >= mw)
+        loss = fitted(S_lf, kind) + fitted(S_rf, kind)
+        entries[Strategy.FC] = _pick(np.where(feasible, loss, np.inf), MissingRoute.FRACTIONAL)
     return _FeatureScan(table.partitions, entries)
 
 
@@ -708,17 +566,17 @@ def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value) -> dic
     ``node_value``): each feature's candidates and its best feasible entry
     per objective of ``strategy``. Growth calls this and :func:`select_best`;
     neither is re-exported from the package."""
-    styles = _STYLES[strategy]
-    y = ds.response.values[rows]
+    styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
+    S = row_stats(ds.response.values[rows], w, kind)
     scans = {}
     for feature in sorted(features):
-        scan = _scan_feature(ds, feature, rows, y, w, kind, cfg, styles, node_value)
+        scan = _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value)
         if scan is not None:
             scans[feature] = scan
     return scans
 
 
-def _best_over(scans: dict[int, _FeatureScan], style: str):
+def _best_over(scans: dict[int, _FeatureScan], style: Strategy):
     best = None
     for feature in sorted(scans):
         entry = scans[feature].entries.get(style)
@@ -734,12 +592,12 @@ def select_best(scans: dict[int, _FeatureScan], strategy: Strategy) -> tuple[Par
     lowest feature index, then the earliest candidate, and for trinary_mia
     the trinary objective."""
     if strategy is Strategy.TRINARY_MIA:
-        best = best_m = _best_over(scans, _MIA)
-        best_t = _best_over(scans, _TRINARY)
+        best = best_m = _best_over(scans, Strategy.MIA)
+        best_t = _best_over(scans, Strategy.TRINARY)
         if best_t is not None and (best_m is None or best_t[1].loss <= best_m[1].loss):
             best = best_t
     else:
-        best = _best_over(scans, _STYLES[strategy][0])
+        best = _best_over(scans, strategy)
     if best is None:
         return None
     feature, entry = best
@@ -762,14 +620,13 @@ def best_split(
     order; only a strictly lower loss displaces the incumbent, which makes
     tie-breaking deterministic.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows, features, w = _checked(ds, rows, features, weights)
     if rows.size == 0:
         raise ValueError("cannot split an empty node")
     if weights is not None and strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
         # trinary middle children always carry the full unweighted row set,
         # so weighted trinary scoring has no meaning here
         raise ValueError("trinary strategies do not take row weights")
-    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=np.float64)
     if node_value is None:
         node_value = fit_leaf(ds.response.values[rows], kind, w)
     scans = scan_features(ds, rows, features, strategy, kind, config, w, node_value)

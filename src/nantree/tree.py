@@ -21,8 +21,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .data import CATEGORICAL, CLASS, Dataset, NUMERIC, REAL, ValidationError
-from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf, loss_for
+from .data import CATEGORICAL, CLASS, Dataset, NUMERIC, REAL, ValidationError, row_index
+from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf, loss_for, row_weights
 from .split import (
     MissingRoute,
     Partition,
@@ -94,17 +94,16 @@ class Tree:
     response_labels: tuple[str, ...] = ()
 
 
-def _row_index(rows, n_rows: int) -> np.ndarray:
-    """All ``n_rows`` positions by default; otherwise ``rows`` checked to be
-    1-d integer positions in ``[0, n_rows)``."""
-    if rows is None:
-        return np.arange(n_rows, dtype=np.int64)
-    rows = np.asarray(rows)
-    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-        raise ValidationError("rows must be a 1-d sequence of integer row indices")
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-        raise ValidationError(f"row indices must lie in [0, {n_rows})")
-    return rows.astype(np.int64, copy=False)
+def _fit_node(ds: Dataset, kind: LossKind, is_fc: bool, node_rows: np.ndarray,
+              node_weights: np.ndarray | None) -> tuple[Leaf, np.ndarray]:
+    """The leaf growth fits on a node, and the node's row weights (unit
+    unless given). Its size is the total weight under fc, else the row
+    count."""
+    y = ds.response.values[node_rows]
+    w = row_weights(node_rows, node_weights)
+    value = fit_leaf(y, kind, w)
+    size = float(w.sum()) if is_fc else len(node_rows)
+    return Leaf(value=value, n_samples=size, train_loss=eval_loss(y, value, kind, w)), w
 
 
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
@@ -119,7 +118,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         raise ValidationError("cross-entropy loss needs a class response")
     if not kind.is_classification and ds.response.kind != REAL:
         raise ValidationError("sse loss needs a real response")
-    rows = _row_index(rows, ds.n_rows)
+    rows = row_index(rows, ds.n_rows)
     if rows.size == 0:
         raise ValidationError("cannot train on an empty row set")
 
@@ -128,50 +127,36 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
     all_features = frozenset(range(ds.n_features))
 
     def grow(node_rows, node_weights, depth, available, inherited):
-        y = ds.response.values[node_rows]
-        w = node_weights if node_weights is not None else np.ones(len(node_rows))
-        value = fit_leaf(y, kind, w)
-        node_loss = eval_loss(y, value, kind, w)
-        size = float(w.sum()) if is_fc else float(len(node_rows))
-        n_stat = float(w.sum()) if is_fc else len(node_rows)
-
-        def leaf():
-            return Leaf(value=value, n_samples=n_stat, train_loss=node_loss)
-
-        if depth >= cfg.max_depth or node_loss == 0.0 or not available:
-            return leaf()
+        leaf, w = _fit_node(ds, kind, is_fc, node_rows, node_weights)
+        if depth >= cfg.max_depth or leaf.train_loss == 0.0 or not available:
+            return leaf
         floor = 2.0 * scfg.min_child_weight if is_fc else 2 * scfg.min_child
-        if size < floor:
-            return leaf()
+        if leaf.n_samples < floor:
+            return leaf
 
         if inherited is not None:
             scans = {f: inherited[f] for f in sorted(available) if f in inherited}
         else:
-            scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, value)
+            scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, leaf.value)
         choice = select_best(scans, cfg.strategy)
         if choice is None:
-            return leaf()
+            return leaf
         partition, route = choice
         # the scan already priced the winner and decided its feasibility: its
         # rows are only routed, with no floors to check again
         children = split_rows(ds, node_rows, partition, route, None, None, w)
 
+        fc = route is MissingRoute.FRACTIONAL
+        # only fc children carry row weights; the other trees train on unit weights
+        left = grow(children.left_rows, children.left_weights if fc else None, depth + 1, available, None)
+        right = grow(children.right_rows, children.right_weights if fc else None, depth + 1, available, None)
+        middle = None
         if route is MissingRoute.MIDDLE:
-            left = grow(children.left_rows, None, depth + 1, available, None)
-            right = grow(children.right_rows, None, depth + 1, available, None)
             sub_avail = available - {partition.feature}
-            sub_scans = {f: scans[f] for f in sub_avail if f in scans}
-            middle = grow(node_rows, None, depth, sub_avail, sub_scans)
-            return Branch(SplitSpec(partition, route), left, right, middle, n_stat)
-        if route is MissingRoute.FRACTIONAL:
-            left = grow(children.left_rows, children.left_weights, depth + 1, available, None)
-            right = grow(children.right_rows, children.right_weights, depth + 1, available, None)
-            spec = SplitSpec(partition, route, w_left=children.frac_left, w_right=1.0 - children.frac_left)
-            return Branch(spec, left, right, None, n_stat)
-        # majority/mia trees carry unit weights throughout
-        left = grow(children.left_rows, None, depth + 1, available, None)
-        right = grow(children.right_rows, None, depth + 1, available, None)
-        return Branch(SplitSpec(partition, route), left, right, None, n_stat)
+            middle = grow(node_rows, None, depth, sub_avail, {f: scans[f] for f in sub_avail if f in scans})
+        spec = SplitSpec(partition, route, w_left=children.frac_left,
+                         w_right=1.0 - children.frac_left if fc else None)
+        return Branch(spec, left, right, middle, leaf.n_samples)
 
     root = grow(rows, np.ones(len(rows)) if is_fc else None, 0, all_features, None)
     return Tree(
@@ -215,11 +200,7 @@ def truncate(tree: Tree, ds: Dataset, depth: int) -> Tree:
             done.append(node)
             continue
         if d >= depth:
-            y = ds.response.values[node_rows]
-            w = node_weights if node_weights is not None else np.ones(len(node_rows))
-            value = fit_leaf(y, kind, w)
-            n_stat = float(w.sum()) if is_fc else len(node_rows)
-            done.append(Leaf(value=value, n_samples=n_stat, train_loss=eval_loss(y, value, kind, w)))
+            done.append(_fit_node(ds, kind, is_fc, node_rows, node_weights)[0])
             continue
         spec = node.spec
         # routed without floors, as in growth; a split node of a tree grown on
@@ -356,7 +337,7 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
     """
     if ds.n_features != len(tree.feature_names):
         raise ValidationError("dataset and tree have different feature counts")
-    rows = _row_index(rows, ds.n_rows)
+    rows = row_index(rows, ds.n_rows)
     remaps = _code_remap(tree, ds)
     cols = []
     for j, col in enumerate(ds.columns):
@@ -376,7 +357,7 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
 def evaluate(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> tuple[float, float | None]:
     """Total test loss of the tree on rows of ``ds``; for classification
     also the misclassification rate (argmax, lowest class on ties)."""
-    rows = _row_index(rows, ds.n_rows)
+    rows = row_index(rows, ds.n_rows)
     preds = predict(tree, ds, rows)
     y = ds.response.values[rows]
     if tree.loss.is_classification:

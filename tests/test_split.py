@@ -9,6 +9,7 @@ from nantree import (
     ResponseColumn,
     SplitConfig,
     Strategy,
+    ValidationError,
     best_split,
     enumerate_candidates,
     loss_for,
@@ -215,6 +216,35 @@ def test_trinary_rejects_weights():
     ds = fixed_node()
     with pytest.raises(ValueError):
         best_split(ds, ALL, [0], Strategy.TRINARY, SSE, SplitConfig(1, 1.0), weights=np.ones(5))
+
+
+_T15 = Partition(0, threshold=1.5)
+_BAD_INPUTS = {
+    "best_split row past the end": lambda ds: best_split(ds, [10**6], [0], Strategy.MIA, SSE),
+    "score_binary row past the end": lambda ds: score_binary(ds, [10**6], _T15, MissingRoute.LEFT, SSE),
+    "negative row": lambda ds: best_split(ds, [-1, 0, 1], [0], Strategy.MIA, SSE),
+    "fractional rows": lambda ds: best_split(ds, [0.5, 1.5, 2.5], [0], Strategy.MIA, SSE),
+    "feature past the end": lambda ds: best_split(ds, ALL, [5], Strategy.MIA, SSE),
+    "negative feature": lambda ds: best_split(ds, ALL, [-1], Strategy.MIA, SSE),
+    "fc weights of the wrong length": lambda ds: best_split(ds, ALL, [0], Strategy.FC, SSE,
+                                                            weights=np.ones(4), node_value=3.0),
+    "scorer weights of the wrong length": lambda ds: score_fractional(ds, ALL, _T15, SSE, weights=np.ones(6)),
+    "scorer partition feature": lambda ds: score_trinary(ds, ALL, Partition(1, threshold=1.5), SSE),
+    "scorer negative row": lambda ds: score_trinary(ds, [-1], _T15, SSE),
+    "candidates row past the end": lambda ds: enumerate_candidates(ds.columns[0], 0, [5], [1.0], SSE),
+    "candidates responses of the wrong length": lambda ds: enumerate_candidates(
+        ds.columns[0], 0, ALL, ds.response.values[:4], SSE),
+    "candidates weights of the wrong length": lambda ds: enumerate_candidates(
+        ds.columns[0], 0, ALL, ds.response.values, SSE, weights=np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_public_split_entry_points_reject_bad_input(call):
+    """Rows, features and weights are checked where they enter the public
+    split functions, so a bad index never reads a wrong row or feature."""
+    with pytest.raises(ValidationError):
+        call(fixed_node())
 
 
 def test_partition_validation():
