@@ -1,11 +1,12 @@
 """Tree growth, prediction, text rendering, and a lossless JSON format.
 
-Trees are grown depth-first. Under the trinary strategies an internal
-node may carry a third child for missing values: that child is trained on
-the node's *entire* row set at the *same* depth, with the split feature
-removed from the available set, so a chain of middle children walks
-through the remaining features without consuming depth budget. Depth is
-spent only on left/right edges.
+Trees are grown depth-first by one explicit-stack loop, which truncation
+reruns to replay a grown tree's splits. Under the trinary strategies an
+internal node may carry a third child for missing values: that child is
+trained on the node's *entire* row set at the *same* depth, with the split
+feature removed from the available set, so a chain of middle children as
+long as the feature count walks through the remaining features without
+consuming depth budget; no walk over a tree recurses along it.
 
 Because a middle child sees the same rows as its parent, its per-feature
 scan results are inherited from the parent rather than recomputed; only
@@ -94,24 +95,56 @@ class Tree:
     response_labels: tuple[str, ...] = ()
 
 
-def _fit_node(ds: Dataset, kind: LossKind, is_fc: bool, node_rows: np.ndarray,
-              node_weights: np.ndarray | None) -> tuple[Leaf, np.ndarray]:
-    """The leaf growth fits on a node, and the node's row weights (unit
-    unless given). Its size is the total weight under fc, else the row
-    count."""
-    y = ds.response.values[node_rows]
-    w = row_weights(node_rows, node_weights)
-    value = fit_leaf(y, kind, w)
-    size = float(w.sum()) if is_fc else len(node_rows)
-    return Leaf(value=value, n_samples=size, train_loss=eval_loss(y, value, kind, w)), w
+def _grow(ds: Dataset, kind: LossKind, is_fc: bool, rows: np.ndarray, max_depth: int,
+          root_hint, choose) -> Leaf | Branch:
+    """The one growth loop of :func:`train` and :func:`truncate`: fits each
+    node as a leaf (its size is the total weight under fc, else the row
+    count), then below ``max_depth`` asks ``choose(leaf, rows, weights,
+    hint)`` for None, keeping the leaf, or for the node's partition, missing
+    route and the left, right and middle children's hints."""
+    done: list = []  # finished subtrees; a pending split rebuilds from them
+    stack: list = [(rows, np.ones(len(rows)) if is_fc else None, 0, root_hint)]
+    while stack:
+        item = stack.pop()
+        if type(item[0]) is SplitSpec:
+            spec, n = item
+            middle = done.pop() if spec.route is MissingRoute.MIDDLE else None
+            right, left = done.pop(), done.pop()
+            done.append(Branch(spec, left, right, middle, n))
+            continue
+        node_rows, node_weights, depth, hint = item
+        y = ds.response.values[node_rows]
+        w = row_weights(node_rows, node_weights)
+        value = fit_leaf(y, kind, w)
+        leaf = Leaf(value=value, n_samples=float(w.sum()) if is_fc else len(node_rows),
+                    train_loss=eval_loss(y, value, kind, w))
+        choice = choose(leaf, node_rows, w, hint) if depth < max_depth else None
+        if choice is None:
+            done.append(leaf)
+            continue
+        partition, route, (left_hint, right_hint, middle_hint) = choice
+        # the chooser decided the split's feasibility: its rows are only routed
+        children = split_rows(ds, node_rows, partition, route, None, None, w)
+        if children is None or not (children.left_rows.size and children.right_rows.size):
+            # growth never picks such a split; truncate meets one on foreign rows
+            raise ValidationError("a split node gets no rows of ds: the tree was not grown on ds")
+        fc = route is MissingRoute.FRACTIONAL
+        spec = SplitSpec(partition, route, w_left=children.frac_left,
+                         w_right=1.0 - children.frac_left if fc else None)
+        stack.append((spec, leaf.n_samples))
+        if route is MissingRoute.MIDDLE:
+            stack.append((node_rows, None, depth, middle_hint))
+        # only fc children carry row weights; the other trees train on unit weights
+        stack.append((children.right_rows, children.right_weights if fc else None, depth + 1, right_hint))
+        stack.append((children.left_rows, children.left_weights if fc else None, depth + 1, left_hint))
+    return done[0]
 
 
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
-    """Grow a tree on ``rows`` of ``ds`` (all rows by default).
-
-    A node becomes a leaf when the depth budget is exhausted, its training
-    loss is zero, it is too small to split, or no feasible candidate
-    exists on the available features.
+    """Grow a tree on ``rows`` of ``ds`` (all rows by default) with the
+    growth loop. A node becomes a leaf when the depth budget is exhausted,
+    its training loss is zero, it is too small to split, or no feasible
+    candidate exists on the available features.
     """
     kind = cfg.loss if cfg.loss is not None else loss_for(ds)
     if kind.is_classification and ds.response.kind != CLASS:
@@ -124,41 +157,25 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
 
     scfg = cfg.split_config
     is_fc = cfg.strategy is Strategy.FC
-    all_features = frozenset(range(ds.n_features))
+    floor = 2.0 * scfg.min_child_weight if is_fc else 2 * scfg.min_child
 
-    def grow(node_rows, node_weights, depth, available, inherited):
-        leaf, w = _fit_node(ds, kind, is_fc, node_rows, node_weights)
-        if depth >= cfg.max_depth or leaf.train_loss == 0.0 or not available:
-            return leaf
-        floor = 2.0 * scfg.min_child_weight if is_fc else 2 * scfg.min_child
-        if leaf.n_samples < floor:
-            return leaf
-
+    def choose(leaf, node_rows, w, hint):
+        available, inherited = hint
+        if leaf.train_loss == 0.0 or not available or leaf.n_samples < floor:
+            return None
         if inherited is not None:
             scans = {f: inherited[f] for f in sorted(available) if f in inherited}
         else:
             scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, leaf.value)
         choice = select_best(scans, cfg.strategy)
         if choice is None:
-            return leaf
+            return None
         partition, route = choice
-        # the scan already priced the winner and decided its feasibility: its
-        # rows are only routed, with no floors to check again
-        children = split_rows(ds, node_rows, partition, route, None, None, w)
+        # a middle child inherits these scans, less the split feature
+        middle = (available - {partition.feature}, scans) if route is MissingRoute.MIDDLE else None
+        return partition, route, ((available, None), (available, None), middle)
 
-        fc = route is MissingRoute.FRACTIONAL
-        # only fc children carry row weights; the other trees train on unit weights
-        left = grow(children.left_rows, children.left_weights if fc else None, depth + 1, available, None)
-        right = grow(children.right_rows, children.right_weights if fc else None, depth + 1, available, None)
-        middle = None
-        if route is MissingRoute.MIDDLE:
-            sub_avail = available - {partition.feature}
-            middle = grow(node_rows, None, depth, sub_avail, {f: scans[f] for f in sub_avail if f in scans})
-        spec = SplitSpec(partition, route, w_left=children.frac_left,
-                         w_right=1.0 - children.frac_left if fc else None)
-        return Branch(spec, left, right, middle, leaf.n_samples)
-
-    root = grow(rows, np.ones(len(rows)) if is_fc else None, 0, all_features, None)
+    root = _grow(ds, kind, is_fc, rows, cfg.max_depth, (frozenset(range(ds.n_features)), None), choose)
     return Tree(
         root=root,
         strategy=cfg.strategy,
@@ -177,44 +194,21 @@ def truncate(tree: Tree, ds: Dataset, depth: int) -> Tree:
 
     ``tree`` must have been grown on all rows of ``ds``. Growth is
     greedy and its stopping rules other than depth do not read the depth
-    budget, so the cut tree equals the tree grown at ``depth``: each new
-    leaf is fitted on the node's rows in growth's order, routed by
-    :func:`split.split_rows` with the node's partition and missing route.
+    budget, so the cut tree equals the tree grown at ``depth``: the growth
+    loop replays the stored tree's splits, a node's hint being its stored
+    subtree, and fits each node on its rows in growth's order.
     """
     if depth < 0:
         raise ValidationError("depth must be non-negative")
-    kind = tree.loss
-    is_fc = tree.strategy is Strategy.FC
-    done: list = []  # finished subtrees; a Branch on the stack rebuilds from them
-    stack: list = [(tree.root, np.arange(ds.n_rows, dtype=np.int64), None, 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Branch):
-            middle = done.pop() if item.middle is not None else None
-            right = done.pop()
-            left = done.pop()
-            done.append(Branch(item.spec, left, right, middle, item.n_samples))
-            continue
-        node, node_rows, node_weights, d = item
+
+    def choose(leaf, node_rows, w, node):
         if isinstance(node, Leaf):
-            done.append(node)
-            continue
-        if d >= depth:
-            done.append(_fit_node(ds, kind, is_fc, node_rows, node_weights)[0])
-            continue
-        spec = node.spec
-        # routed without floors, as in growth; a split node of a tree grown on
-        # ds gets rows on both sides
-        children = split_rows(ds, node_rows, spec.partition, spec.route, weights=node_weights)
-        if children is None or not (children.left_rows.size and children.right_rows.size):
-            raise ValidationError("a split node gets no rows of ds: the tree was not grown on ds")
-        fc = spec.route is MissingRoute.FRACTIONAL
-        stack.append(node)
-        if node.middle is not None:
-            stack.append((node.middle, node_rows, None, d))
-        stack.append((node.right, children.right_rows, children.right_weights if fc else None, d + 1))
-        stack.append((node.left, children.left_rows, children.left_weights if fc else None, d + 1))
-    return replace(tree, root=done[0])
+            return None
+        return node.spec.partition, node.spec.route, (node.left, node.right, node.middle)
+
+    rows = np.arange(ds.n_rows, dtype=np.int64)
+    root = _grow(ds, tree.loss, tree.strategy is Strategy.FC, rows, depth, tree.root, choose)
+    return replace(tree, root=root)
 
 
 # ---------------------------------------------------------------------------
@@ -235,40 +229,38 @@ def _route_cell(spec: SplitSpec, cell) -> str:
     return "missing"
 
 
-def _normalize_probs(v: np.ndarray) -> np.ndarray:
-    s = v.sum()
-    return v if s == 1.0 else v / s
-
-
 def predict_row(tree: Tree, cells):
     """Predict one row given per-feature cells (float with NaN for missing
     numerics, int code with -1 for missing categoricals)."""
     if len(cells) != len(tree.feature_names):
         raise ValidationError(f"row has {len(cells)} cells, tree expects {len(tree.feature_names)}")
 
-    def walk(node):
+    values: list = []  # finished subtree predictions; a pending fractional mix pops two
+    stack: list = [tree.root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Leaf):
-            return node.value
+            values.append(node.value)
+            continue
+        if isinstance(node, SplitSpec):
+            rv, lv = values.pop(), values.pop()
+            mixed = node.w_left * lv + node.w_right * rv
+            if isinstance(mixed, np.ndarray):
+                mixed = mixed / mixed.sum()  # renormalise the class probabilities
+            values.append(mixed)
+            continue
         side = _route_cell(node.spec, cells[node.spec.partition.feature])
-        if side == "left":
-            return walk(node.left)
-        if side == "right":
-            return walk(node.right)
-        if node.spec.route is MissingRoute.MIDDLE:
-            return walk(node.middle)
-        if node.spec.route is MissingRoute.LEFT:
-            return walk(node.left)
-        if node.spec.route is MissingRoute.RIGHT:
-            return walk(node.right)
-        # fractional: mix both children
-        lv = walk(node.left)
-        rv = walk(node.right)
-        mixed = node.spec.w_left * lv + node.spec.w_right * rv
-        if isinstance(mixed, np.ndarray):
-            return _normalize_probs(mixed)
-        return mixed
-
-    return walk(tree.root)
+        route = node.spec.route
+        if side == "left" or (side == "missing" and route is MissingRoute.LEFT):
+            stack.append(node.left)
+        elif side == "right" or (side == "missing" and route is MissingRoute.RIGHT):
+            stack.append(node.right)
+        elif route is MissingRoute.MIDDLE:
+            stack.append(node.middle)
+        else:
+            # fractional: mix both children once both are predicted
+            stack += [node.spec, node.right, node.left]
+    return values[0]
 
 
 def _code_remap(tree: Tree, ds: Dataset) -> list[np.ndarray | None]:
@@ -291,39 +283,45 @@ def _code_remap(tree: Tree, ds: Dataset) -> list[np.ndarray | None]:
     return remaps
 
 
-def _fill(node, cols: list[np.ndarray], rows: np.ndarray, out: np.ndarray, at: np.ndarray) -> None:
+def _fill(root, cols: list[np.ndarray], rows: np.ndarray, out: np.ndarray) -> None:
     """Write the predictions for rows ``rows`` of the feature columns
-    ``cols`` into ``out[at]``, mirroring :func:`predict_row` operation for
-    operation."""
-    if isinstance(node, Leaf):
-        out[at] = node.value
-        return
-    spec = node.spec
-    left, right = spec.partition.sides(cols[spec.partition.feature][rows])
-    missing = ~(left | right)
-    if spec.route is MissingRoute.LEFT:
-        left |= missing
-    elif spec.route is MissingRoute.RIGHT:
-        right |= missing
-    elif spec.route is MissingRoute.MIDDLE:
-        if missing.any():
-            _fill(node.middle, cols, rows[missing], out, at[missing])
-    elif missing.any():
-        # fractional: both subtrees predict the missing rows, then mix
-        m_rows = rows[missing]
-        m_at = np.arange(len(m_rows))
-        lv = np.empty((len(m_rows),) + out.shape[1:])
-        rv = np.empty_like(lv)
-        _fill(node.left, cols, m_rows, lv, m_at)
-        _fill(node.right, cols, m_rows, rv, m_at)
-        mixed = spec.w_left * lv + spec.w_right * rv
-        if mixed.ndim == 2:
-            mixed /= mixed.sum(axis=1, keepdims=True)
-        out[at[missing]] = mixed
-    if left.any():
-        _fill(node.left, cols, rows[left], out, at[left])
-    if right.any():
-        _fill(node.right, cols, rows[right], out, at[right])
+    ``cols`` into ``out``, mirroring :func:`predict_row` operation for
+    operation. A pending item fills ``out[at]``; at a fractional node the
+    subtrees fill scratch outputs for the missing rows, mixed by an item
+    pushed beneath them."""
+    stack: list = [(root, rows, out, np.arange(len(rows)))]
+    while stack:
+        node, rows, out, at = stack.pop()
+        if isinstance(node, Leaf):
+            out[at] = node.value
+            continue
+        if isinstance(node, SplitSpec):
+            lv, rv = rows
+            mixed = node.w_left * lv + node.w_right * rv
+            if mixed.ndim == 2:
+                mixed /= mixed.sum(axis=1, keepdims=True)
+            out[at] = mixed
+            continue
+        spec = node.spec
+        left, right = spec.partition.sides(cols[spec.partition.feature][rows])
+        missing = ~(left | right)
+        if spec.route is MissingRoute.LEFT:
+            left |= missing
+        elif spec.route is MissingRoute.RIGHT:
+            right |= missing
+        if right.any():
+            stack.append((node.right, rows[right], out, at[right]))
+        if left.any():
+            stack.append((node.left, rows[left], out, at[left]))
+        if spec.route is MissingRoute.MIDDLE and missing.any():
+            stack.append((node.middle, rows[missing], out, at[missing]))
+        elif spec.route is MissingRoute.FRACTIONAL and missing.any():
+            m_rows = rows[missing]
+            m_at = np.arange(len(m_rows))
+            lv = np.empty((len(m_rows),) + out.shape[1:])
+            rv = np.empty_like(lv)
+            stack += [(spec, (lv, rv), out, at[missing]),
+                      (node.right, m_rows, rv, m_at), (node.left, m_rows, lv, m_at)]
 
 
 def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarray:
@@ -350,7 +348,7 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
         out = np.empty((len(rows), tree.loss.n_classes))
     else:
         out = np.empty(len(rows))
-    _fill(tree.root, cols, rows, out, np.arange(len(rows)))
+    _fill(tree.root, cols, rows, out)
     return out
 
 

@@ -29,7 +29,8 @@ from nantree import (
 )
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.loss import LOG_CLAMP
-from nantree.split import COMPLETE_DATA_TWINS
+from nantree.split import COMPLETE_DATA_TWINS, Partition
+from nantree.tree import SplitSpec, Tree, truncate
 
 from conftest import middle_chain_tree, random_problem
 
@@ -349,6 +350,76 @@ def test_deep_middle_chain_serializes_and_renders():
     assert lines[-1] == "d0 " + "  " * depth + "missing: leaf δ=0.0 (n=1)"
     closers = "".join("\n" + "  " * k + "}" for k in range(depth + 1, -1, -1))
     assert serialize(tree).endswith('"loss": 0.0' + closers)
+
+
+def test_deep_middle_chain_predicts():
+    # deeper than the interpreter's recursion limit: both predictors are iterative
+    tree = middle_chain_tree(5000)
+    ds = regression([numeric("x", [np.nan, 0.5])], [0.0, 0.0])
+    assert predict(tree, ds).tolist() == [0.0, 4999.0]
+    assert predict_row(tree, [np.nan]) == 0.0
+    assert predict_row(tree, [0.5]) == 4999.0
+
+
+def _fractional_chain(depth, n_classes):
+    """A hand-built fc tree whose root starts a chain of ``depth``
+    fractional splits down the left side, a leaf on each right side."""
+    rng = np.random.default_rng(depth)
+
+    def value():
+        if n_classes:
+            p = rng.random(n_classes)
+            return p / p.sum()
+        return float(rng.normal())
+
+    node = Leaf(value=value(), n_samples=1.0, train_loss=0.0)
+    for k in range(depth):
+        w_left = float(rng.uniform(0.1, 0.9))
+        spec = SplitSpec(Partition(0, threshold=-float(k)), MissingRoute.FRACTIONAL, w_left, 1.0 - w_left)
+        node = Branch(spec, node, Leaf(value=value(), n_samples=1.0, train_loss=0.0), None, 2.0)
+    kind = LossKind("xe", n_classes) if n_classes else LossKind("sse")
+    labels = tuple(f"l{k}" for k in range(n_classes))
+    return Tree(node, Strategy.FC, kind, ("x",), (NUMERIC,), {}, CLASS if n_classes else REAL, labels)
+
+
+@pytest.mark.parametrize("n_classes", [0, 3])
+def test_deep_fractional_chain_predict_equals_predict_row_bitwise(n_classes):
+    depth = 3000
+    tree = _fractional_chain(depth, n_classes)
+    x = [np.nan, -0.5 * depth, -depth - 1.0, 1.0, np.nan]
+    y = np.zeros(len(x), dtype=np.int64) if n_classes else np.zeros(len(x))
+    labels = tuple(f"l{k}" for k in range(n_classes))
+    ds = Dataset((numeric("x", x),), ResponseColumn(CLASS if n_classes else REAL, y, labels))
+    got = predict(tree, ds)
+    for i, cell in enumerate(x):
+        assert got[i].tobytes() == np.asarray(predict_row(tree, [cell]), dtype=float).tobytes()
+    assert got[0].tobytes() == got[4].tobytes()
+
+
+def test_thousand_feature_trinary_tree_trains_predicts_and_serializes():
+    # a middle chain as long as the feature count, past the recursion limit
+    rng = np.random.default_rng(0)
+    n, p = 60, 1100
+    x = rng.normal(size=(n, p))
+    x[rng.random((n, p)) < 0.3] = np.nan
+    ds = regression([numeric(f"x{j}", x[:, j]) for j in range(p)], rng.normal(size=n))
+    tree = train(ds, TrainConfig(Strategy.TRINARY, max_depth=1, min_samples=2))
+    chain, node = 0, tree.root
+    while isinstance(node, Branch):
+        chain, node = chain + 1, node.middle
+    assert chain == p
+    got = predict(tree, ds, np.arange(5))
+    for r in range(5):
+        assert got[r].tobytes() == np.asarray(predict_row(tree, x[r].tolist())).tobytes()
+    assert serialize(tree).count('"kind": "trinary"') == p
+
+
+def test_truncate_rejects_a_tree_not_grown_on_the_rows():
+    tree = train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=2, min_samples=1))
+    assert tree.root.spec.partition.threshold == 2.5
+    one_side = regression([numeric("x", [1.0, 2.0, 2.0, 1.0])], [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="not grown on ds"):
+        truncate(tree, one_side, 1)
 
 
 def test_deserialize_rejects_too_deep_documents():
