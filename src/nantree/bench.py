@@ -10,16 +10,17 @@ config seed.
 
 Each distinct tree is grown once. Depth tuning grows one majority tree
 per fold at the largest depth and scores every smaller depth on its
-truncation (:func:`nantree.tree.truncate`), which is the tree growth
-would give at that depth. The sweep then walks folds, levels q (q = 0
-first) and strategies in that order, so each (q, fold) pair is censored
-once for all strategies. Trees are kept per fold, keyed by the strategy
-actually grown, for as long as censoring hands back the very training
-``Dataset`` they were grown on (``mcar_test`` always does, as it
-censors only the test side); a new training set drops them, so at most
-one tree per grown strategy is alive. On a training set with no missing
-cell, mia and trinary_mia grow the majority and trinary trees node for
-node (:data:`nantree.split.COMPLETE_DATA_TWINS`), so they evaluate those
+truncation (:func:`nantree.tree.truncate`, a cut that refits nothing),
+which is the tree growth would give at that depth. The sweep then walks
+folds, levels q (q = 0 first) and strategies in that order, so each
+(q, fold) pair is censored once for all strategies. Trees are kept per
+fold, keyed by the strategy actually grown, for as long as censoring
+hands back the very training ``Dataset`` they were grown on
+(``mcar_test`` always does, as it censors only the test side); a new
+training set drops them, so at most one tree per grown strategy is
+alive. On a training set with no missing cell, mia and trinary_mia grow
+the majority and trinary trees node for node
+(:data:`nantree.split.COMPLETE_DATA_TWINS`), so they evaluate those
 trees instead of growing twins. A record's ``wall_ms`` is its task's
 training plus evaluation time, evaluation only for a task that reused a
 tree, and its in-memory ``train_ms`` is the training part (0.0 when
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censor import SCENARIOS, CensorSpec, apply_scenario
-from .data import Dataset, FoldAssignment, ValidationError, stratified_kfold
+from .data import Dataset, FoldAssignment, ParseError, ValidationError, stratified_kfold
 from .loss import loss_for
 from .split import COMPLETE_DATA_TWINS, Strategy
 from .tree import TrainConfig, Tree, evaluate, train, truncate
@@ -133,8 +134,8 @@ def tune_depth(ds: Dataset, cfg: ExperimentConfig, ds_index: int = 0) -> int:
     split objectives coincide, though their trees still differ in where
     missing values go. The smallest depth wins ties.
     Each fold grows one tree at depth_grid_max and scores depth d on its
-    truncation at d, which equals the tree grown at depth d, so the fold
-    losses are those of growing every depth separately.
+    cut at d, which refits nothing and equals the tree grown at depth d,
+    so the fold losses are those of growing every depth separately.
     """
     folds = _folds_for(ds, cfg, ds_index)
     kind = loss_for(ds)
@@ -144,7 +145,7 @@ def tune_depth(ds: Dataset, cfg: ExperimentConfig, ds_index: int = 0) -> int:
         test_ds = ds.subset(folds.test_rows(f))
         deepest = train(train_ds, TrainConfig(Strategy.MAJORITY, kind, cfg.depth_grid_max, cfg.min_samples))
         for depth in range(1, cfg.depth_grid_max + 1):
-            loss, _ = evaluate(truncate(deepest, train_ds, depth), test_ds)
+            loss, _ = evaluate(truncate(deepest, depth), test_ds)
             totals[depth - 1] += loss
     best_depth, best_loss = None, None
     for depth, total in enumerate(totals, start=1):
@@ -262,19 +263,25 @@ def emit_csv(records: list[ExperimentRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[ExperimentRecord]:
+    """Records from an :func:`emit_csv` file; a bad row raises ParseError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
             raise ValidationError(f"unexpected header {header!r}")
         out = []
         for row in reader:
-            out.append(ExperimentRecord(
-                dataset=row[0], strategy=row[1], scenario=row[2],
-                q=float(row[3]), fold=int(row[4]),
-                loss=float(row[5]), excess_loss=float(row[6]),
-                depth=int(row[7]), wall_ms=float(row[8]),
-            ))
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"{len(row)} cells, expected {len(CSV_HEADER)}")
+                out.append(ExperimentRecord(
+                    dataset=row[0], strategy=row[1], scenario=row[2],
+                    q=float(row[3]), fold=int(row[4]),
+                    loss=float(row[5]), excess_loss=float(row[6]),
+                    depth=int(row[7]), wall_ms=float(row[8]),
+                ))
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
         return out
 
 

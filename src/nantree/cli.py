@@ -41,7 +41,8 @@ def _parse_strategies(text: str) -> tuple[Strategy, ...]:
 
 def _parse_q_grid(text: str) -> tuple[float, ...]:
     """Either a comma list ("0,0.3,0.5") or a start:stop:step range with
-    inclusive endpoints ("0:0.9:0.1")."""
+    inclusive endpoints ("0:0.9:0.1"); a range has no level above ``stop``
+    and keeps ``stop`` when it lies on the grid within rounding."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -50,7 +51,7 @@ def _parse_q_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (_q_number(p, text) for p in parts)
         if step <= 0 or stop < start:
             raise NantreeError(f"bad q grid {text!r}")
-        n = int(round((stop - start) / step))
+        n = math.floor((stop - start) / step + 1e-9)
         return tuple(round(start + i * step, 10) for i in range(n + 1))
     return tuple(round(_q_number(p, text), 10) for p in text.split(","))
 

@@ -311,10 +311,10 @@ def split_rows(
 ) -> ChildRows | None:
     """Send ``rows`` to the children of ``partition``, missing rows by ``route``.
 
-    Without floors (the default) the rows are only routed: growth, tree
-    truncation and :func:`best_split` take a split's feasibility from the
-    scan that chose it, which prices fc child weights from cumulative sums
-    that can differ from direct sums in the last bit. With floors, returns
+    Without floors (the default) the rows are only routed: growth and
+    :func:`best_split` take a split's feasibility from the scan that chose
+    it, which prices fc child weights from cumulative sums that can differ
+    from direct sums in the last bit. With floors, returns
     None when the split is infeasible: for the left, right and middle
     routes, a child with fewer than ``max(min_child, 1)`` rows (routed
     missing rows count toward their side; middle rows toward neither);

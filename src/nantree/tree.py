@@ -1,12 +1,13 @@
 """Tree growth, prediction, text rendering, and a lossless JSON format.
 
-Trees are grown depth-first by one explicit-stack loop, which truncation
-reruns to replay a grown tree's splits. Under the trinary strategies an
-internal node may carry a third child for missing values: that child is
-trained on the node's *entire* row set at the *same* depth, with the split
-feature removed from the available set, so a chain of middle children as
-long as the feature count walks through the remaining features without
-consuming depth budget; no walk over a tree recurses along it.
+Trees are grown depth-first by one explicit-stack loop in :func:`train`;
+split nodes keep the leaf fitted at them, so :func:`truncate` only cuts.
+Under the trinary strategies an internal node may carry a third child for
+missing values: that child is trained on the node's *entire* row set at
+the *same* depth, with the split feature removed from the available set,
+so a chain of middle children as long as the feature count walks through
+the remaining features without consuming depth budget; no walk over a
+tree recurses along it.
 
 Because a middle child sees the same rows as its parent, its per-feature
 scan results are inherited from the parent rather than recomputed; only
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -56,7 +57,7 @@ class TrainConfig:
         return SplitConfig(min_child=self.min_samples, min_child_weight=float(self.min_samples))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitSpec:
     """What an internal node stores: the partition, where missing rows go,
     and for fc the observed fractions used to mix child predictions."""
@@ -67,20 +68,23 @@ class SplitSpec:
     w_right: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     value: float | np.ndarray
     n_samples: float
     train_loss: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     spec: SplitSpec
     left: "Leaf | Branch"
     right: "Leaf | Branch"
     middle: "Leaf | Branch | None"
     n_samples: float
+    # the leaf growth fitted here before splitting, which truncate puts in
+    # the node's place; not part of nantree/1, so None in trees read back
+    fit: Leaf | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -95,56 +99,12 @@ class Tree:
     response_labels: tuple[str, ...] = ()
 
 
-def _grow(ds: Dataset, kind: LossKind, is_fc: bool, rows: np.ndarray, max_depth: int,
-          root_hint, choose) -> Leaf | Branch:
-    """The one growth loop of :func:`train` and :func:`truncate`: fits each
-    node as a leaf (its size is the total weight under fc, else the row
-    count), then below ``max_depth`` asks ``choose(leaf, rows, weights,
-    hint)`` for None, keeping the leaf, or for the node's partition, missing
-    route and the left, right and middle children's hints."""
-    done: list = []  # finished subtrees; a pending split rebuilds from them
-    stack: list = [(rows, np.ones(len(rows)) if is_fc else None, 0, root_hint)]
-    while stack:
-        item = stack.pop()
-        if type(item[0]) is SplitSpec:
-            spec, n = item
-            middle = done.pop() if spec.route is MissingRoute.MIDDLE else None
-            right, left = done.pop(), done.pop()
-            done.append(Branch(spec, left, right, middle, n))
-            continue
-        node_rows, node_weights, depth, hint = item
-        y = ds.response.values[node_rows]
-        w = row_weights(node_rows, node_weights)
-        value = fit_leaf(y, kind, w)
-        leaf = Leaf(value=value, n_samples=float(w.sum()) if is_fc else len(node_rows),
-                    train_loss=eval_loss(y, value, kind, w))
-        choice = choose(leaf, node_rows, w, hint) if depth < max_depth else None
-        if choice is None:
-            done.append(leaf)
-            continue
-        partition, route, (left_hint, right_hint, middle_hint) = choice
-        # the chooser decided the split's feasibility: its rows are only routed
-        children = split_rows(ds, node_rows, partition, route, None, None, w)
-        if children is None or not (children.left_rows.size and children.right_rows.size):
-            # growth never picks such a split; truncate meets one on foreign rows
-            raise ValidationError("a split node gets no rows of ds: the tree was not grown on ds")
-        fc = route is MissingRoute.FRACTIONAL
-        spec = SplitSpec(partition, route, w_left=children.frac_left,
-                         w_right=1.0 - children.frac_left if fc else None)
-        stack.append((spec, leaf.n_samples))
-        if route is MissingRoute.MIDDLE:
-            stack.append((node_rows, None, depth, middle_hint))
-        # only fc children carry row weights; the other trees train on unit weights
-        stack.append((children.right_rows, children.right_weights if fc else None, depth + 1, right_hint))
-        stack.append((children.left_rows, children.left_weights if fc else None, depth + 1, left_hint))
-    return done[0]
-
-
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
-    """Grow a tree on ``rows`` of ``ds`` (all rows by default) with the
-    growth loop. A node becomes a leaf when the depth budget is exhausted,
-    its training loss is zero, it is too small to split, or no feasible
-    candidate exists on the available features.
+    """Grow a tree on ``rows`` of ``ds`` (all rows by default). Each node is
+    fitted as a leaf, sized by total weight under fc, else by row count. It
+    stays a leaf when the depth budget is exhausted, its training loss is
+    zero, it is too small to split, or no feasible candidate exists on the
+    available features; a split node keeps the leaf as its ``fit``.
     """
     kind = cfg.loss if cfg.loss is not None else loss_for(ds)
     if kind.is_classification and ds.response.kind != CLASS:
@@ -158,26 +118,48 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
     scfg = cfg.split_config
     is_fc = cfg.strategy is Strategy.FC
     floor = 2.0 * scfg.min_child_weight if is_fc else 2 * scfg.min_child
-
-    def choose(leaf, node_rows, w, hint):
-        available, inherited = hint
-        if leaf.train_loss == 0.0 or not available or leaf.n_samples < floor:
-            return None
-        if inherited is not None:
-            scans = {f: inherited[f] for f in sorted(available) if f in inherited}
-        else:
-            scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, leaf.value)
-        choice = select_best(scans, cfg.strategy)
+    done: list = []  # finished subtrees; a pending split rebuilds from them
+    # pending nodes (rows, weights, depth, available features, inherited scans) and splits (spec, leaf)
+    stack: list = [(rows, np.ones(len(rows)) if is_fc else None, 0, frozenset(range(ds.n_features)), None)]
+    while stack:
+        item = stack.pop()
+        if type(item[0]) is SplitSpec:
+            spec, fit = item
+            middle = done.pop() if spec.route is MissingRoute.MIDDLE else None
+            right, left = done.pop(), done.pop()
+            done.append(Branch(spec, left, right, middle, fit.n_samples, fit))
+            continue
+        node_rows, node_weights, depth, available, inherited = item
+        y = ds.response.values[node_rows]
+        w = row_weights(node_rows, node_weights)
+        value = fit_leaf(y, kind, w)
+        leaf = Leaf(value=value, n_samples=float(w.sum()) if is_fc else len(node_rows),
+                    train_loss=eval_loss(y, value, kind, w))
+        choice = None
+        if depth < cfg.max_depth and leaf.train_loss != 0.0 and available and leaf.n_samples >= floor:
+            if inherited is not None:
+                scans = {f: inherited[f] for f in sorted(available) if f in inherited}
+            else:
+                scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, value)
+            choice = select_best(scans, cfg.strategy)
         if choice is None:
-            return None
+            done.append(leaf)
+            continue
         partition, route = choice
-        # a middle child inherits these scans, less the split feature
-        middle = (available - {partition.feature}, scans) if route is MissingRoute.MIDDLE else None
-        return partition, route, ((available, None), (available, None), middle)
-
-    root = _grow(ds, kind, is_fc, rows, cfg.max_depth, (frozenset(range(ds.n_features)), None), choose)
+        # the scan decided the split's feasibility, and every candidate has
+        # observed rows on both sides: the rows are only routed
+        children = split_rows(ds, node_rows, partition, route, None, None, w)
+        spec = SplitSpec(partition, route, w_left=children.frac_left,
+                         w_right=1.0 - children.frac_left if is_fc else None)
+        stack.append((spec, leaf))
+        if route is MissingRoute.MIDDLE:
+            # the middle child inherits these scans, less the split feature
+            stack.append((node_rows, None, depth, available - {partition.feature}, scans))
+        # fc splits are always fractional, and only their children carry row weights
+        stack.append((children.right_rows, children.right_weights if is_fc else None, depth + 1, available, None))
+        stack.append((children.left_rows, children.left_weights if is_fc else None, depth + 1, available, None))
     return Tree(
-        root=root,
+        root=done[0],
         strategy=cfg.strategy,
         loss=kind,
         feature_names=tuple(c.name for c in ds.columns),
@@ -188,27 +170,36 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
     )
 
 
-def truncate(tree: Tree, ds: Dataset, depth: int) -> Tree:
-    """``tree`` cut back to ``depth``: every split node at that depth
-    becomes the leaf that :func:`train` with ``max_depth=depth`` fits there.
-
-    ``tree`` must have been grown on all rows of ``ds``. Growth is
-    greedy and its stopping rules other than depth do not read the depth
-    budget, so the cut tree equals the tree grown at ``depth``: the growth
-    loop replays the stored tree's splits, a node's hint being its stored
-    subtree, and fits each node on its rows in growth's order.
+def truncate(tree: Tree, depth: int) -> Tree:
+    """``tree`` cut back to ``depth``: each split node at that depth is
+    replaced by its ``fit`` (middle children sit at their parent's depth).
+    Growth is greedy and no stopping rule but depth reads the budget, so a
+    cut trained tree is the tree :func:`train` grows at ``depth``. Cutting
+    a split node with no fit (read back by :func:`deserialize`, or built
+    by hand) raises ValidationError.
     """
     if depth < 0:
         raise ValidationError("depth must be non-negative")
-
-    def choose(leaf, node_rows, w, node):
-        if isinstance(node, Leaf):
-            return None
-        return node.spec.partition, node.spec.route, (node.left, node.right, node.middle)
-
-    rows = np.arange(ds.n_rows, dtype=np.int64)
-    root = _grow(ds, tree.loss, tree.strategy is Strategy.FC, rows, depth, tree.root, choose)
-    return replace(tree, root=root)
+    done: list = []  # cut subtrees; a pending split node rebuilds from them
+    stack: list = [(tree.root, 0)]  # (node, its depth), or (split node, None) pending
+    while stack:
+        node, d = stack.pop()
+        if d is None:
+            middle = done.pop() if node.middle is not None else None
+            right, left = done.pop(), done.pop()
+            done.append(replace(node, left=left, right=right, middle=middle))
+        elif isinstance(node, Leaf):
+            done.append(node)
+        elif d == depth:
+            if node.fit is None:
+                raise ValidationError(f"cannot cut at depth {depth}: the tree keeps no fit at its split nodes")
+            done.append(node.fit)
+        else:
+            stack.append((node, None))
+            if node.middle is not None:
+                stack.append((node.middle, d))
+            stack += [(node.right, d + 1), (node.left, d + 1)]
+    return replace(tree, root=done[0])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from nantree import (
     tune_depth,
 )
 from nantree import bench
-from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
+from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL, ParseError
 from nantree.datasets import step_data, tree_structured_data
 
 
@@ -201,6 +201,22 @@ def test_read_records_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValidationError):
         read_records(str(path))
+    path.write_text("")
+    with pytest.raises(ValidationError, match="unexpected header"):
+        read_records(str(path))
+
+
+def test_read_records_names_the_bad_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    head = ",".join(CSV_HEADER)
+    good = "t,mia,mcar,0.5,0,1.0,0.2,2,3.5"
+    for row, match in (("t,mia,mcar,0.5", r"row 3: 4 cells, expected 9"),
+                       ("t,mia,mcar,0.5,zero,1.0,0.2,2,3.5", r"row 3: .*'zero'")):
+        path.write_text(f"{head}\n{good}\n{row}\n")
+        with pytest.raises(ParseError, match=match):
+            read_records(str(path))
+    path.write_text(f"{head}\n{good}\n")
+    assert read_records(str(path))[0].fold == 0
 
 
 def test_mean_excess_by_strategy():

@@ -40,6 +40,11 @@ def test_parse_strategies_tokens():
 def test_parse_q_grid_forms():
     assert _parse_q_grid("0:0.9:0.1") == tuple(round(0.1 * i, 10) for i in range(10))
     assert _parse_q_grid("0:0.5:0.25") == (0.0, 0.25, 0.5)
+    # no level above stop; stop stays when it is on the grid within rounding
+    assert _parse_q_grid("0.1:0.26:0.1") == (0.1, 0.2)
+    assert _parse_q_grid("0.1:0.19:0.1") == (0.1,)
+    assert _parse_q_grid("0:0.3:0.1") == (0.0, 0.1, 0.2, 0.3)
+    assert _parse_q_grid("0.4:0.4:0.1") == (0.4,)
     assert _parse_q_grid("0,0.3,0.5") == (0.0, 0.3, 0.5)
     assert _parse_q_grid("0.2") == (0.2,)
     with pytest.raises(NantreeError):

@@ -439,8 +439,9 @@ def test_growth_split_rows_match_scorers(strategy, n_classes, monkeypatch):
 def test_fc_feasibility_at_the_weight_floor_comes_from_the_scan(monkeypatch):
     """The scan prices fc child weights from cumulative sums, which can
     reach the floor (5.0) where direct sums of the same weights fall a bit
-    short (4.999999999999999). Growth, truncate and best_split take the
-    scan's verdict and only route the winner's rows, so the sweep runs."""
+    short (4.999999999999999). Growth and best_split take the scan's
+    verdict and only route the winner's rows, so the sweep runs, and a
+    deeper tree cut back to the tuned depth is the tree grown there."""
     from nantree import ExperimentConfig, TrainConfig, bench, run_experiment, serialize, stratified_kfold
     from nantree.censor import censor_im
     from nantree.datasets import tree_structured_data
@@ -472,4 +473,6 @@ def test_fc_feasibility_at_the_weight_floor_comes_from_the_scan(monkeypatch):
                         SplitConfig(min_child=5, min_child_weight=5.0), weights=weights)
     assert (scored.partition, scored.route) == (partition, route)
     assert scored.left_weights.tobytes() == children.left_weights.tobytes()
-    assert serialize(tree_module.truncate(tree, censored, 3)) == serialize(tree)
+    assert serialize(tree_module.truncate(tree, 3)) == serialize(tree)
+    deeper = tree_module.train(censored, TrainConfig(Strategy.FC, max_depth=4, min_samples=5))
+    assert serialize(tree_module.truncate(deeper, 3)) == serialize(tree)

@@ -30,6 +30,7 @@ from nantree import (
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.loss import LOG_CLAMP
 from nantree.split import COMPLETE_DATA_TWINS, Partition
+from nantree import tree as tree_module
 from nantree.tree import SplitSpec, Tree, truncate
 
 from conftest import middle_chain_tree, random_problem
@@ -414,12 +415,89 @@ def test_thousand_feature_trinary_tree_trains_predicts_and_serializes():
     assert serialize(tree).count('"kind": "trinary"') == p
 
 
-def test_truncate_rejects_a_tree_not_grown_on_the_rows():
+def _mixed_missing_table(n_classes, seed=5, n=160):
+    """Three numeric features and one categorical, 25-30% of each missing;
+    a real response, or ``n_classes`` classes cut from the same signal."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    codes = rng.integers(0, 4, size=n)
+    signal = x[:, 0] - x[:, 1] + 0.5 * x[:, 2] + codes + rng.normal(scale=0.3, size=n)
+    miss = rng.random((n, 4)) < np.array([0.25, 0.3, 0.25, 0.3])
+    cols = [numeric(f"x{j}", np.where(miss[:, j], np.nan, x[:, j])) for j in range(3)]
+    cols.append(FeatureColumn("g", CATEGORICAL, np.where(miss[:, 3], -1, codes), ("a", "b", "c", "d")))
+    if n_classes:
+        edges = np.quantile(signal, np.linspace(0, 1, n_classes + 1)[1:-1])
+        labels = tuple(f"l{k}" for k in range(n_classes))
+        return Dataset(tuple(cols), ResponseColumn(CLASS, np.searchsorted(edges, signal), labels))
+    return regression(cols, signal)
+
+
+def _cut_fits(deep, grown, depth):
+    """Pairs (split node of ``deep`` that a cut at ``depth`` removes, the
+    leaf at its place in ``grown``), walking both trees together. A cut
+    node's middle chain sees its rows, so each chain node is paired with
+    the same leaf."""
+    stack = [(deep, grown, 0)]
+    while stack:
+        node, other, d = stack.pop()
+        if not isinstance(node, Branch):
+            continue
+        if d < depth:
+            stack += [(node.left, other.left, d + 1), (node.right, other.right, d + 1)]
+            if node.middle is not None:
+                stack.append((node.middle, other.middle, d))
+            continue
+        while isinstance(node, Branch):
+            yield node, other
+            node = node.middle
+
+
+@pytest.mark.parametrize("n_classes", [0, 2, 3])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_truncation_equals_growing_each_depth(strategy, n_classes, monkeypatch):
+    """Every depth's cut of the deepest tree is the tree grown at that
+    depth, in text and prediction bytes; cutting a cut tree is one cut;
+    and each split node's fit is, bit for bit, the leaf grown in its place."""
+    ds = _mixed_missing_table(n_classes)
+    deepest = 5
+    grown = [train(ds, TrainConfig(strategy, max_depth=d, min_samples=2)) for d in range(deepest + 1)]
+    deep = grown[deepest]
+    # a cut reads no dataset and fits nothing
+    monkeypatch.setattr(tree_module, "fit_leaf", None)
+    monkeypatch.setattr(tree_module, "split_rows", None)
+    cut_routes = []
+    for depth in range(deepest + 1):
+        cut = truncate(deep, depth)
+        assert serialize(cut) == serialize(grown[depth])
+        assert predict(cut, ds).tobytes() == predict(grown[depth], ds).tobytes()
+        for shallower in range(depth + 1):
+            assert serialize(truncate(cut, shallower)) == serialize(grown[shallower])
+        for node, leaf in _cut_fits(deep.root, grown[depth].root, depth):
+            cut_routes.append(node.spec.route)
+            assert isinstance(leaf, Leaf)
+            assert np.asarray(node.fit.value).tobytes() == np.asarray(leaf.value).tobytes()
+            assert (node.fit.n_samples, node.fit.train_loss) == (leaf.n_samples, leaf.train_loss)
+    # every split node of the deepest tree was paired once
+    assert len(cut_routes) == serialize(deep).count('"missing": ')
+    # middle chains and fractional nodes cross the cuts
+    if strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
+        assert MissingRoute.MIDDLE in cut_routes
+    if strategy is Strategy.FC:
+        assert MissingRoute.FRACTIONAL in cut_routes
+
+
+def test_truncate_cuts_only_split_nodes_that_keep_a_fit():
     tree = train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=2, min_samples=1))
-    assert tree.root.spec.partition.threshold == 2.5
-    one_side = regression([numeric("x", [1.0, 2.0, 2.0, 1.0])], [0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError, match="not grown on ds"):
-        truncate(tree, one_side, 1)
+    assert truncate(tree, 0).root is tree.root.fit
+    read = deserialize(serialize(tree))
+    assert read.root.fit is None
+    for fitless in (read, middle_chain_tree(5)):
+        with pytest.raises(ValidationError, match="no fit"):
+            truncate(fitless, 0)
+    # a cut below every split node needs no fit
+    assert serialize(truncate(read, 1)) == serialize(tree)
+    with pytest.raises(ValidationError, match="non-negative"):
+        truncate(tree, -1)
 
 
 def test_deserialize_rejects_too_deep_documents():
