@@ -10,7 +10,7 @@ proxies z1..z3, so a strategy that can reroute missing rows through the
 proxies (trinary's third child, mia's learned routing) has something to
 work with.
 
-Run: python3 demos/03_benchmark.py          (about 6 s on a 2-CPU machine)
+Run: python3 demos/03_benchmark.py          (about 5 s on a 2-CPU machine)
 """
 from nantree import ExperimentConfig, emit_csv, mean_excess_by_strategy, run_experiment
 from nantree.datasets import tree_structured_data

@@ -14,32 +14,34 @@ truncation (:func:`nantree.tree.truncate`, a cut that refits nothing),
 which is the tree growth would give at that depth. The sweep then walks
 folds, levels q (q = 0 first) and strategies in that order, so each
 (q, fold) pair is censored once for all strategies. Trees are kept per
-fold, keyed by the strategy actually grown, for as long as censoring
-hands back the very training ``Dataset`` they were grown on
-(``mcar_test`` always does, as it censors only the test side); a new
-training set drops them, so at most one tree per grown strategy is
-alive. On a training set with no missing cell, mia and trinary_mia grow
-the majority and trinary trees node for node
-(:data:`nantree.split.COMPLETE_DATA_TWINS`), so they evaluate those
-trees instead of growing twins. A record's ``wall_ms`` is its task's
-training plus evaluation time, evaluation only for a task that reused a
-tree, and its in-memory ``train_ms`` is the training part (0.0 when
-reused).
+fold and strategy for as long as censoring hands back the very training
+``Dataset`` they were grown on (``mcar_test`` always does, as it censors
+only the test side); a new training set drops them. On a training set
+with no missing cell every strategy makes the same splits, and only the
+missing routes and trinary's middle children differ, so one source tree
+is grown there (trinary when a trinary strategy is swept, else majority)
+and each strategy's tree is its projection: the source itself for the
+trinary strategies, the source without middle children and with the
+majority or fractional route for the others. A record's ``wall_ms`` is
+its task's training plus evaluation time (evaluation only for a reused
+tree, projection and evaluation for a projected one), and its in-memory
+``train_ms`` is the growth part: on a complete training set, the first
+task that needs the source records its growth, the others 0.0.
 """
 from __future__ import annotations
 
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .censor import SCENARIOS, CensorSpec, apply_scenario
 from .data import Dataset, FoldAssignment, ParseError, ValidationError, stratified_kfold
 from .loss import loss_for
-from .split import COMPLETE_DATA_TWINS, Strategy
-from .tree import TrainConfig, Tree, evaluate, train, truncate
+from .split import MissingRoute, Strategy
+from .tree import Branch, Leaf, SplitSpec, TrainConfig, Tree, evaluate, train, truncate
 
 CSV_HEADER = ("dataset", "strategy", "scenario", "q", "fold", "loss", "excess_loss", "depth", "wall_ms")
 
@@ -75,6 +77,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         if not self.datasets:
             raise ValidationError("no datasets configured")
+        if len({name for name, _ in self.datasets}) != len(self.datasets):
+            raise ValidationError("dataset names must not repeat")
         if self.depth_grid_max < 1:
             raise ValidationError("depth grid must reach at least 1")
         if self.folds < 2:
@@ -106,7 +110,7 @@ class ExperimentRecord:
     depth: int
     wall_ms: float
     misclass: float | None = None  # in-memory diagnostic, not part of the CSV
-    train_ms: float = 0.0  # in-memory: the training part of wall_ms, 0.0 for a reused tree
+    train_ms: float = 0.0  # in-memory: the growth part of wall_ms, 0.0 for a reused or projected tree
 
 
 def _fold_seed(seed: int, ds_index: int) -> int:
@@ -160,6 +164,40 @@ def _excess(loss: float, base: float) -> float:
     return loss / base - 1.0
 
 
+def _project(source: Tree, strategy: Strategy) -> Tree:
+    """The tree ``strategy`` grows on the missing-free training set that
+    ``source``, a trinary or majority tree, was grown on. There all
+    strategies make the same splits: the trinary ones grow ``source``
+    itself; the others grow it without middle children, with missing rows
+    routed to the child with more rows, ties right (majority and mia), or
+    to both by the observed fractions (fc, whose node sizes are row
+    weights, so floats).
+    """
+    if strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
+        return replace(source, strategy=strategy)
+    is_fc = strategy is Strategy.FC
+    done: list = []  # projected subtrees; a pending split node rebuilds from them
+    stack: list = [(source.root, False)]  # (node, whether its children are done)
+    while stack:
+        node, pending = stack.pop()
+        if isinstance(node, Leaf):
+            done.append(replace(node, n_samples=float(node.n_samples)) if is_fc else node)
+        elif not pending:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+        else:
+            right, left = done.pop(), done.pop()
+            n_l, n_r = node.left.n_samples, node.right.n_samples
+            if is_fc:
+                w_left = n_l / (n_l + n_r)
+                spec = SplitSpec(node.spec.partition, MissingRoute.FRACTIONAL, w_left, 1.0 - w_left)
+                fit = replace(node.fit, n_samples=float(node.fit.n_samples))
+                done.append(Branch(spec, left, right, None, float(node.n_samples), fit))
+            else:
+                spec = SplitSpec(node.spec.partition, MissingRoute.LEFT if n_l > n_r else MissingRoute.RIGHT)
+                done.append(Branch(spec, left, right, None, node.n_samples, node.fit))
+    return replace(source, root=done[0], strategy=strategy)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the full sweep and return per-fold records plus per-(strategy, q)
     aggregates (fold = -1, losses and times summed over folds)."""
@@ -167,6 +205,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     # q = 0 first: censoring at q = 0 is the identity, so its tree gives the
     # full-data reference loss and is the tree later levels may reuse
     levels = (0.0,) + tuple(q for q in cfg.q_grid if q != 0.0)
+    # the tree grown on a complete training set, which every strategy's tree there projects
+    source_strategy = (Strategy.TRINARY if {Strategy.TRINARY, Strategy.TRINARY_MIA} & set(cfg.strategies)
+                       else Strategy.MAJORITY)
     for ds_index, (name, ds) in enumerate(cfg.datasets):
         folds = _folds_for(ds, cfg, ds_index)
         depth = tune_depth(ds, cfg, ds_index)
@@ -180,25 +221,30 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         # (strategy, q) -> per fold (loss, misclass, wall_ms, train_ms)
         runs: dict[tuple[Strategy, float], list[tuple[float, float | None, float, float]]] = {}
         for f, (tr, te) in enumerate(pairs):
-            # trees grown on the training set ``grown_on``, keyed by the
-            # strategy actually grown
+            # trees on the training set ``grown_on`` by strategy, and the
+            # source tree when that set has no missing cell
             trees: dict[Strategy, Tree] = {}
-            grown_on = None
+            grown_on = source = None
             for q in levels:
                 spec = CensorSpec(cfg.scenario, q, _task_seed(cfg.seed, ds_index, cfg.scenario, q, f))
                 ctr, cte = apply_scenario(tr, te, spec)
                 if ctr is not grown_on:
                     trees.clear()
-                    grown_on = ctr
+                    grown_on, source = ctr, None
                     complete = all(c.present_mask().all() for c in ctr.columns)
                 for strategy in cfg.strategies:
-                    grown = COMPLETE_DATA_TWINS.get(strategy, strategy) if complete else strategy
                     t0 = time.perf_counter()
                     train_ms = 0.0
-                    tree = trees.get(grown)
-                    if tree is None:
-                        tree = trees[grown] = train(ctr, TrainConfig(grown, kind, depth, cfg.min_samples))
+                    tree = trees.get(strategy)
+                    if tree is None and not complete:
+                        tree = train(ctr, TrainConfig(strategy, kind, depth, cfg.min_samples))
                         train_ms = (time.perf_counter() - t0) * 1000.0
+                    elif tree is None:
+                        if source is None:
+                            source = train(ctr, TrainConfig(source_strategy, kind, depth, cfg.min_samples))
+                            train_ms = (time.perf_counter() - t0) * 1000.0
+                        tree = _project(source, strategy)
+                    trees[strategy] = tree
                     loss, misclass = evaluate(tree, cte)
                     wall_ms = (time.perf_counter() - t0) * 1000.0
                     runs.setdefault((strategy, q), []).append((loss, misclass, wall_ms, train_ms))

@@ -154,10 +154,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    strategies = _parse_strategies(args.strategy)
+    if len(strategies) != 1:
+        raise NantreeError(f"train takes one strategy, not {len(strategies)} ({args.strategy!r})")
     schema = _schema_from_args(args)
     ds = load_csv(args.data, schema)
-    strategy = _parse_strategies(args.strategy)[0]
-    tree = train(ds, TrainConfig(strategy, max_depth=args.depth, min_samples=args.min_samples))
+    tree = train(ds, TrainConfig(strategies[0], max_depth=args.depth, min_samples=args.min_samples))
     print(render(tree))
     if args.dump_tree:
         with open(args.dump_tree, "w", encoding="utf-8") as fh:

@@ -466,18 +466,6 @@ def score_fractional(
 # ---------------------------------------------------------------------------
 # vectorized per-feature scan
 
-#: Strategies that grow, on training rows with no missing cell in any
-#: feature, the very tree of the strategy they map to, node for node:
-#: every scan then takes the ``n_m == 0`` branch of ``_scan_feature``,
-#: where mia's route ties resolve to the majority side and trinary_mia
-#: keeps the trinary objective on ties. Only the tree's ``strategy``
-#: field differs.
-COMPLETE_DATA_TWINS = {
-    Strategy.MIA: Strategy.MAJORITY,
-    Strategy.TRINARY_MIA: Strategy.TRINARY,
-}
-
-
 @dataclass(frozen=True)
 class _Entry:
     loss: float

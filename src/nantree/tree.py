@@ -345,13 +345,14 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
 
 def evaluate(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> tuple[float, float | None]:
     """Total test loss of the tree on rows of ``ds``; for classification
-    also the misclassification rate (argmax, lowest class on ties)."""
+    also the misclassification rate (argmax, lowest class on ties). On no
+    rows both are 0.0."""
     rows = row_index(rows, ds.n_rows)
     preds = predict(tree, ds, rows)
     y = ds.response.values[rows]
     if tree.loss.is_classification:
         p = np.maximum(preds[np.arange(len(y)), y], LOG_CLAMP)
-        misclass = float((preds.argmax(axis=1) != y).mean())
+        misclass = float((preds.argmax(axis=1) != y).mean()) if len(y) else 0.0
         return float(-np.log(p).sum()), misclass
     resid = y - preds
     return float((resid * resid).sum()), None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,7 @@ def test_config_validation():
     (dict(folds=1), "at least 2 folds"),
     (dict(folds=0), "at least 2 folds"),
     (dict(min_samples=0), "min_samples"),
+    (dict(datasets=(("a", step_data(n_rows=20)),) * 2), "dataset names must not repeat"),
 ])
 def test_config_rejects_bad_grids(overrides, message):
     with pytest.raises(ValidationError, match=message):
@@ -253,16 +256,18 @@ def test_classification_records_carry_misclass():
 # ---------------------------------------------------------------------------
 # one tree per fold in tune_depth, and tree reuse across q in run_experiment
 
-def _table_with_missing(classes: int, n: int = 150, seed: int = 11) -> Dataset:
+def _table_with_missing(classes: int, n: int = 150, seed: int = 11, missing: bool = True) -> Dataset:
     """Two numeric features and one categorical, each with native missing
-    cells; a real response, or ``classes`` classes cut from the same signal."""
+    cells unless ``missing`` is false; a real response, or ``classes``
+    classes cut from the same signal."""
     rng = np.random.default_rng(seed)
     x1, x2 = rng.normal(size=n), rng.random(n)
     codes = rng.integers(0, 4, size=n)
     signal = 2.0 * (x1 > 0.3) + x2 + 0.7 * codes + rng.normal(scale=0.4, size=n)
-    x1[rng.random(n) < 0.2] = np.nan
-    x2[rng.random(n) < 0.1] = np.nan
-    codes[rng.random(n) < 0.15] = -1
+    if missing:
+        x1[rng.random(n) < 0.2] = np.nan
+        x2[rng.random(n) < 0.1] = np.nan
+        codes[rng.random(n) < 0.15] = -1
     columns = (
         FeatureColumn("x1", NUMERIC, x1),
         FeatureColumn("x2", NUMERIC, x2),
@@ -377,7 +382,13 @@ def _reference_run(cfg):
 @pytest.mark.parametrize("scenario", ["mcar", "mcar_test", "im"])
 def test_run_experiment_equals_one_tree_per_task(scenario):
     cfg = small_config(
-        datasets=(("reg", _table_with_missing(0, n=90)), ("cls", _table_with_missing(3, n=90, seed=5))),
+        datasets=(
+            ("reg", _table_with_missing(0, n=90)),
+            ("cls", _table_with_missing(3, n=90, seed=5)),
+            # no missing cell: the q = 0 trees (all trees under mcar_test) are projections
+            ("reg_complete", _table_with_missing(0, n=90, seed=7, missing=False)),
+            ("cls_complete", _table_with_missing(3, n=90, seed=9, missing=False)),
+        ),
         strategies=ALL_STRATEGIES,
         scenario=scenario,
         q_grid=(0.0, 0.3, 0.6),
@@ -440,3 +451,39 @@ def test_censored_training_sets_grow_their_own_trees(monkeypatch):
         assert all(r.train_ms > 0.0 for r in fold_rows)
         assert agg.train_ms == sum(r.train_ms for r in fold_rows)
         assert agg.wall_ms == sum(r.wall_ms for r in fold_rows)
+
+
+def test_complete_training_sets_grow_one_source_tree(monkeypatch):
+    calls = _count_train_calls(monkeypatch)
+    folds = 3
+    ds = _table_with_missing(0, n=90, missing=False)
+    cfg = small_config(datasets=(("t", ds),), strategies=ALL_STRATEGIES, scenario="mcar_test",
+                       q_grid=(0.0, 0.3), folds=folds, depth_grid_max=2)
+    records = run_experiment(cfg)
+    # the depth's majority trees, then one trinary source per fold for all
+    # strategies and levels
+    assert calls == [Strategy.MAJORITY] * folds + [Strategy.TRINARY] * folds
+    for r in records:
+        if r.fold != AGGREGATE_FOLD:
+            assert (r.train_ms > 0.0) == (r.q == 0.0 and r.strategy == "majority")
+
+    # the first strategy to need the source records its growth
+    calls.clear()
+    order = (Strategy.FC, Strategy.TRINARY_MIA, Strategy.MAJORITY)
+    records = run_experiment(replace(cfg, strategies=order))
+    assert calls == [Strategy.MAJORITY] * folds + [Strategy.TRINARY] * folds
+    for r in records:
+        if r.fold != AGGREGATE_FOLD:
+            assert (r.train_ms > 0.0) == (r.q == 0.0 and r.strategy == "fc")
+
+    # without a trinary strategy the source is the majority tree
+    calls.clear()
+    run_experiment(replace(cfg, strategies=(Strategy.FC, Strategy.MIA)))
+    assert calls == [Strategy.MAJORITY] * folds * 2
+
+    # im censors the training side: per fold, the source at q = 0, then
+    # every strategy grows its own tree at each censored level
+    calls.clear()
+    run_experiment(replace(cfg, scenario="im", q_grid=(0.3, 0.6)))
+    per_fold = [Strategy.TRINARY] + list(ALL_STRATEGIES) * 2
+    assert calls == [Strategy.MAJORITY] * folds + per_fold * folds

@@ -198,6 +198,19 @@ def test_unknown_strategy_is_a_clean_error(tmp_path, capsys):
     assert "unknown strategy" in capsys.readouterr().err
 
 
+def test_train_takes_one_strategy(tmp_path, capsys):
+    data = tmp_path / "step.csv"
+    write_step_csv(data)
+    tree_path = tmp_path / "tree.json"
+    rc = main(["train", "--data", str(data), "--target", "y", "--strategy", "majority,fc",
+               "--dump-tree", str(tree_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "one strategy" in captured.err
+    assert captured.out == "" and not tree_path.exists()
+
+
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--target", "y"])
     assert rc == 1

@@ -27,9 +27,10 @@ from nantree import (
     serialize,
     train,
 )
+from nantree.bench import _project
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.loss import LOG_CLAMP
-from nantree.split import COMPLETE_DATA_TWINS, Partition
+from nantree.split import MAX_EXHAUSTIVE_CATEGORIES, Partition
 from nantree import tree as tree_module
 from nantree.tree import SplitSpec, Tree, truncate
 
@@ -273,6 +274,19 @@ def test_evaluate_clamps_unseen_class():
     # the left leaf never saw class b: probability clamps instead of inf
     assert loss == pytest.approx(-math.log(LOG_CLAMP), rel=1e-12)
     assert misclass == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_on_no_rows_is_zero():
+    none = np.array([], dtype=np.int64)
+    tree = train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+    assert evaluate(tree, STEP, none) == (0.0, None)
+    col = numeric("x", [0.0, 1.0, 2.0, 3.0])
+    ds = Dataset((col,), ResponseColumn(CLASS, np.array([0, 0, 1, 1]), ("a", "b")))
+    tree = train(ds, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+    loss, misclass = evaluate(tree, ds, none)
+    assert (loss, misclass) == (0.0, 0.0)
+    assert type(misclass) is float
 
 
 def test_classification_predictions_are_distributions():
@@ -685,13 +699,35 @@ def test_predict_equals_predict_row_bitwise(strategy, n_classes):
             assert got[i].tobytes() == want.tobytes()
 
 
+def _censored_rows(ds):
+    return np.flatnonzero(~np.all([col.present_mask() for col in ds.columns], axis=0))
+
+
+def _assert_projections_are_grown(train_ds, test_ds, source_strategy, max_depth, min_samples):
+    """Each strategy's tree projected from the source grown on ``train_ds``
+    serializes and predicts ``test_ds`` (rows with missing cells) as the
+    tree it grows itself; returns the projections."""
+    source = train(train_ds, TrainConfig(source_strategy, max_depth=max_depth, min_samples=min_samples))
+    censored = _censored_rows(test_ds)
+    projections = {}
+    for strategy in Strategy:
+        if source_strategy is Strategy.MAJORITY and strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
+            continue
+        grown = train(train_ds, TrainConfig(strategy, max_depth=max_depth, min_samples=min_samples))
+        projected = projections[strategy] = _project(source, strategy)
+        assert serialize(projected) == serialize(grown)
+        assert predict(projected, test_ds, censored).tobytes() == predict(grown, test_ds, censored).tobytes()
+    return projections
+
+
 @pytest.mark.parametrize("n_classes", [0, 3])
-@pytest.mark.parametrize("strategy, twin", list(COMPLETE_DATA_TWINS.items()), ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy, twin", [(Strategy.MIA, Strategy.MAJORITY), (Strategy.TRINARY_MIA, Strategy.TRINARY)],
+                         ids=lambda s: s.value)
 def test_complete_training_data_grows_twin_trees(strategy, twin, n_classes):
     """On training rows with no missing cell, mia grows the majority tree
     and trinary_mia the trinary tree, node for node, so the two predict
-    alike on test rows with missing cells too; the sweep harness shares
-    such trees."""
+    alike on test rows with missing cells too; and every strategy's tree is
+    the sweep harness's projection of the twin's."""
     train_ds, test_ds = _mixed_tables(n_classes, train_missing=0.0)
     assert all(col.present_mask().all() for col in train_ds.columns)
     tree = train(train_ds, TrainConfig(strategy, max_depth=5, min_samples=3))
@@ -707,9 +743,68 @@ def test_complete_training_data_grows_twin_trees(strategy, twin, n_classes):
     assert text.count(field.format(strategy.value)) == 1
     assert text == twin_text.replace(field.format(twin.value), field.format(strategy.value))
 
-    censored = np.flatnonzero(~np.all([col.present_mask() for col in test_ds.columns], axis=0))
+    censored = _censored_rows(test_ds)
     assert censored.size > test_ds.n_rows // 2
     assert predict(tree, test_ds, censored).tobytes() == predict(twin_tree, test_ds, censored).tobytes()
+
+    _assert_projections_are_grown(train_ds, test_ds, twin, 5, 3)
+
+
+def _complete_tables(n_classes, seed=0, n=100):
+    """A training table with no missing cell and a test table with 30% MCAR
+    per feature: two numeric features, a categorical with 4 categories and
+    one with ``MAX_EXHAUSTIVE_CATEGORIES + 2``."""
+    rng = np.random.default_rng(seed)
+    many = MAX_EXHAUSTIVE_CATEGORIES + 2
+    x = rng.normal(size=(2 * n, 2))
+    few_codes, many_codes = rng.integers(0, 4, size=2 * n), rng.integers(0, many, size=2 * n)
+    signal = x[:, 0] - 2.0 * x[:, 1] + few_codes + (many_codes % 5) + rng.normal(scale=0.3, size=2 * n)
+    if n_classes:
+        edges = np.quantile(signal, np.linspace(0, 1, n_classes + 1)[1:-1])
+        response = (CLASS, np.searchsorted(edges, signal), tuple(f"l{k}" for k in range(n_classes)))
+    else:
+        response = (REAL, signal, ())
+
+    def table(rows, rate):
+        cols = [numeric(f"x{j}", np.where(rng.random(n) < rate, np.nan, x[rows, j])) for j in range(2)]
+        for name, codes, size in (("few", few_codes, 4), ("many", many_codes, many)):
+            codes = np.where(rng.random(n) < rate, -1, codes[rows])
+            cols.append(FeatureColumn(name, CATEGORICAL, codes, tuple(f"c{k:02d}" for k in range(size))))
+        kind, y, labels = response
+        return Dataset(tuple(cols), ResponseColumn(kind, y[rows], labels))
+
+    return table(slice(0, n), 0.0), table(slice(n, 2 * n), 0.3)
+
+
+@pytest.mark.parametrize("n_classes", [0, 2, 3])
+def test_projection_of_the_source_tree_is_each_strategys_tree(n_classes):
+    """The sweep harness grows one trinary or majority source tree on a
+    training set with no missing cell and projects it onto every strategy;
+    each projection is, byte for byte, the tree the strategy grows."""
+    train_ds, test_ds = _complete_tables(n_classes)
+    branches = []
+    for min_samples, max_depth in [(1, 5), (2, 4), (3, 3), (4, 5), (5, 2), (1, 1), (5, 0)]:
+        from_trinary = _assert_projections_are_grown(train_ds, test_ds, Strategy.TRINARY, max_depth, min_samples)
+        from_majority = _assert_projections_are_grown(train_ds, test_ds, Strategy.MAJORITY, max_depth, min_samples)
+        for tree in (*from_trinary.values(), *from_majority.values()):
+            branches += [(tree.strategy, node) for node in _nodes(tree.root) if isinstance(node, Branch)]
+            if tree.strategy is Strategy.FC:
+                assert all(type(node.n_samples) is float for node in _nodes(tree.root))
+    # the grid reaches every route, majority ties (which go right), and both
+    # categorical features, the larger one cut at a node that observes more
+    # categories than are cut exhaustively
+    routes = {strategy: set() for strategy in Strategy}
+    for strategy, node in branches:
+        routes[strategy].add(node.spec.route)
+    assert routes[Strategy.FC] == {MissingRoute.FRACTIONAL}
+    assert routes[Strategy.MAJORITY] == routes[Strategy.MIA] == {MissingRoute.LEFT, MissingRoute.RIGHT}
+    assert routes[Strategy.TRINARY] == routes[Strategy.TRINARY_MIA] == {MissingRoute.MIDDLE}
+    assert any(node.left.n_samples == node.right.n_samples and node.spec.route is MissingRoute.RIGHT
+               for _, node in branches)
+    partitions = [node.spec.partition for _, node in branches]
+    assert any(p.feature == 2 for p in partitions)
+    assert any(p.feature == 3 and len(p.left_categories | p.right_categories) > MAX_EXHAUSTIVE_CATEGORIES
+               for p in partitions)
 
 
 def _nodes(node):
