@@ -2,9 +2,10 @@
 
 Two losses are supported: sum of squared errors for real responses and
 cross-entropy (negative log-likelihood) for class responses. Both are
-implemented in their weighted form; unit weights reproduce the plain
-definitions. Leaf values are a float (weighted mean) for SSE and a
-probability vector (weighted class frequencies) for cross-entropy.
+implemented in their weighted form and, without weights, in the plain
+form, which unit weights reproduce bit for bit. Leaf values are a float
+(weighted mean) for SSE and a probability vector (weighted class
+frequencies) for cross-entropy.
 
 The split scan prices blocks of rows from their sufficient statistics:
 :func:`row_stats` gives each row a statistics vector, a block's vector is
@@ -82,6 +83,11 @@ def fit_leaf(y: np.ndarray, kind: LossKind, weights: np.ndarray | None = None):
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("cannot fit a leaf on an empty sample")
+    if weights is None:
+        # the float64 sums the weighted form takes, for any sample dtype
+        if kind.is_classification:
+            return np.bincount(_check_labels(y, kind), minlength=kind.n_classes) / y.size
+        return float(np.asarray(y, dtype=np.float64).sum() / y.size)
     w = row_weights(y, weights)
     total = w.sum()
     if total <= 0:
@@ -98,17 +104,16 @@ def eval_loss(y: np.ndarray, value, kind: LossKind, weights: np.ndarray | None =
     y = np.asarray(y)
     if y.size == 0:
         return 0.0
-    w = row_weights(y, weights)
+    w = None if weights is None else row_weights(y, weights)
     if kind.is_classification:
         y = _check_labels(y, kind)
         probs = np.asarray(value, dtype=np.float64)
         if probs.shape != (kind.n_classes,):
             raise ValueError(f"leaf value must have {kind.n_classes} probabilities")
-        p = np.maximum(probs[y], LOG_CLAMP)
-        return float(-(w * np.log(p)).sum())
-    delta = float(value)
-    resid = y - delta
-    return float((w * resid * resid).sum())
+        log_p = np.log(np.maximum(probs[y], LOG_CLAMP))
+        return float(-(log_p if w is None else w * log_p).sum())
+    resid = y - float(value)
+    return float((np.square(resid, dtype=np.float64) if w is None else w * resid * resid).sum())
 
 
 def row_stats(y: np.ndarray, w: np.ndarray, kind: LossKind) -> np.ndarray:

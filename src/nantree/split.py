@@ -64,7 +64,7 @@ class MissingRoute(Enum):
     FRACTIONAL = "fractional"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """One candidate bipartition of a feature's observed values."""
 
@@ -74,17 +74,18 @@ class Partition:
     right_categories: frozenset[int] | None = None
 
     def __post_init__(self) -> None:
-        numeric = self.threshold is not None
-        categorical = self.left_categories is not None and self.right_categories is not None
-        if numeric == categorical:
-            raise ValueError("partition needs either a threshold or two category sets")
-        if categorical:
-            left = frozenset(int(c) for c in self.left_categories)
-            right = frozenset(int(c) for c in self.right_categories)
+        if self.threshold is not None:
+            if self.left_categories is None and self.right_categories is None:
+                return
+        elif self.left_categories is not None and self.right_categories is not None:
+            left = frozenset(map(int, self.left_categories))
+            right = frozenset(map(int, self.right_categories))
             if not left or not right or left & right:
                 raise ValueError("category sets must be disjoint and non-empty")
             object.__setattr__(self, "left_categories", left)
             object.__setattr__(self, "right_categories", right)
+            return
+        raise ValueError("partition needs either a threshold or two category sets")
 
     @property
     def is_numeric(self) -> bool:
@@ -207,7 +208,7 @@ def _numeric_candidates(feature, vp, S_p):
     mids = 0.5 * (lo + hi)
     # guard against midpoints that round up to the right value
     thresholds = np.where(mids < hi, mids, lo)
-    partitions = [Partition(feature, threshold=float(t)) for t in thresholds]
+    partitions = [Partition(feature, t) for t in thresholds.tolist()]
     return partitions, cuts + 1, np.cumsum(S_p.T[order], axis=0)[cuts]
 
 

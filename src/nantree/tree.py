@@ -9,10 +9,10 @@ so a chain of middle children as long as the feature count walks through
 the remaining features without consuming depth budget; no walk over a
 tree recurses along it.
 
-Because a middle child sees the same rows as its parent, its per-feature
-scan results are inherited from the parent rather than recomputed; only
-the excluded feature is dropped. This is an exact reuse, not an
-approximation.
+Because a middle child sees the same rows as its parent, it takes the
+parent's leaf (one ``Leaf`` object serves as both) and per-feature scan
+results rather than recomputing them; only the excluded feature is
+dropped. This is an exact reuse, not an approximation.
 """
 from __future__ import annotations
 
@@ -101,7 +101,8 @@ class Tree:
 
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
     """Grow a tree on ``rows`` of ``ds`` (all rows by default). Each node is
-    fitted as a leaf, sized by total weight under fc, else by row count. It
+    fitted as a leaf, sized by total weight under fc, else by row count; a
+    middle child takes its parent's leaf, fitted on the same rows. A node
     stays a leaf when the depth budget is exhausted, its training loss is
     zero, it is too small to split, or no feasible candidate exists on the
     available features; a split node keeps the leaf as its ``fit``.
@@ -119,8 +120,9 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
     is_fc = cfg.strategy is Strategy.FC
     floor = 2.0 * scfg.min_child_weight if is_fc else 2 * scfg.min_child
     done: list = []  # finished subtrees; a pending split rebuilds from them
-    # pending nodes (rows, weights, depth, available features, inherited scans) and splits (spec, leaf)
-    stack: list = [(rows, np.ones(len(rows)) if is_fc else None, 0, frozenset(range(ds.n_features)), None)]
+    # pending nodes (rows, weights, depth, available features, inherited
+    # scans and leaf) and splits (spec, leaf); only fc nodes carry weights
+    stack: list = [(rows, np.ones(len(rows)) if is_fc else None, 0, frozenset(range(ds.n_features)), None, None)]
     while stack:
         item = stack.pop()
         if type(item[0]) is SplitSpec:
@@ -129,18 +131,19 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
             right, left = done.pop(), done.pop()
             done.append(Branch(spec, left, right, middle, fit.n_samples, fit))
             continue
-        node_rows, node_weights, depth, available, inherited = item
-        y = ds.response.values[node_rows]
-        w = row_weights(node_rows, node_weights)
-        value = fit_leaf(y, kind, w)
-        leaf = Leaf(value=value, n_samples=float(w.sum()) if is_fc else len(node_rows),
-                    train_loss=eval_loss(y, value, kind, w))
+        node_rows, w, depth, available, inherited, leaf = item
+        if leaf is None:
+            y = ds.response.values[node_rows]
+            value = fit_leaf(y, kind, w)
+            leaf = Leaf(value=value, n_samples=float(w.sum()) if is_fc else len(node_rows),
+                        train_loss=eval_loss(y, value, kind, w))
         choice = None
         if depth < cfg.max_depth and leaf.train_loss != 0.0 and available and leaf.n_samples >= floor:
             if inherited is not None:
                 scans = {f: inherited[f] for f in sorted(available) if f in inherited}
             else:
-                scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, value)
+                scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg,
+                                      row_weights(node_rows, w), leaf.value)
             choice = select_best(scans, cfg.strategy)
         if choice is None:
             done.append(leaf)
@@ -153,11 +156,12 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
                          w_right=1.0 - children.frac_left if is_fc else None)
         stack.append((spec, leaf))
         if route is MissingRoute.MIDDLE:
-            # the middle child inherits these scans, less the split feature
-            stack.append((node_rows, None, depth, available - {partition.feature}, scans))
+            # the middle child has these rows, unweighted: it inherits this
+            # leaf and these scans, less the split feature
+            stack.append((node_rows, None, depth, available - {partition.feature}, scans, leaf))
         # fc splits are always fractional, and only their children carry row weights
-        stack.append((children.right_rows, children.right_weights if is_fc else None, depth + 1, available, None))
-        stack.append((children.left_rows, children.left_weights if is_fc else None, depth + 1, available, None))
+        stack.append((children.right_rows, children.right_weights if is_fc else None, depth + 1, available, None, None))
+        stack.append((children.left_rows, children.left_weights if is_fc else None, depth + 1, available, None, None))
     return Tree(
         root=done[0],
         strategy=cfg.strategy,
@@ -533,9 +537,10 @@ def _value_from_json(raw, kind: LossKind):
         if type(raw) is not list or len(raw) != kind.n_classes:
             raise TreeFormatError(f"leaf value must be a list of {kind.n_classes} probabilities")
         probs = np.array([_number(p, "leaf probability") for p in raw])
-        if (probs < 0).any():
-            raise TreeFormatError("leaf probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
+        # NaN fails every comparison, so each check is phrased to fail on it
+        if not (probs >= 0).all():
+            raise TreeFormatError("leaf probabilities must be non-negative numbers, not NaN")
+        if not abs(float(probs.sum()) - 1.0) <= 1e-9:
             raise TreeFormatError(f"leaf probabilities sum to {probs.sum()!r}, not 1")
         return probs
     return _number(raw, "regression leaf value")
@@ -570,7 +575,10 @@ def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
     if "threshold" in doc:
         if feature in code_of:
             raise TreeFormatError(f"feature {fname!r} is categorical but the node has a threshold")
-        partition = Partition(feature, threshold=_number(doc["threshold"], "threshold"))
+        threshold = _number(doc["threshold"], "threshold")
+        if threshold != threshold:
+            raise TreeFormatError(f"split on feature {fname!r}: threshold is NaN")
+        partition = Partition(feature, threshold)
     else:
         if feature not in code_of:
             raise TreeFormatError(f"feature {fname!r} is numeric but the node has no threshold")
@@ -589,7 +597,8 @@ def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
     if route is MissingRoute.FRACTIONAL:
         w_left = _number(_require(doc, "w_left", "fractional node"), "w_left")
         w_right = _number(_require(doc, "w_right", "fractional node"), "w_right")
-        if abs(w_left + w_right - 1.0) > 1e-12:
+        # NaN fails every comparison, so the check is phrased to fail on it
+        if not abs(w_left + w_right - 1.0) <= 1e-12:
             raise TreeFormatError(f"fractional weights sum to {w_left + w_right!r}, not 1")
         if w_left < 0 or w_right < 0:
             raise TreeFormatError("fractional weights must be non-negative")

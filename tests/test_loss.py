@@ -42,6 +42,25 @@ def test_xe_clamps_zero_probability():
     assert loss == pytest.approx(-math.log(LOG_CLAMP))
 
 
+@pytest.mark.parametrize("n_classes", [0, 2, 3])
+def test_no_weights_equal_unit_weights_bit_for_bit(n_classes):
+    # sizes on both sides of numpy's pairwise-summation blocks, a pure
+    # sample, whose cross-entropy is -0.0 either way, and float32 responses
+    rng = np.random.default_rng(n_classes)
+    kind = LossKind.cross_entropy(n_classes) if n_classes else SSE
+    for n in (1, 2, 7, 8, 9, 130, 1000, 4099):
+        y = rng.integers(0, n_classes, n) if n_classes else rng.normal(1e3, 50.0, n)
+        samples = [y, np.full(n, y[0])] if n_classes else [y, np.full(n, y[0]), y.astype(np.float32)]
+        for sample in samples:
+            ones = np.ones(n)
+            value = fit_leaf(sample, kind)
+            assert np.asarray(value).tobytes() == np.asarray(fit_leaf(sample, kind, ones)).tobytes()
+            other = rng.dirichlet(np.ones(n_classes)) if n_classes else value + 1.5
+            for v in (value, other):
+                unweighted = np.float64(eval_loss(sample, v, kind)).tobytes()
+                assert unweighted == np.float64(eval_loss(sample, v, kind, ones)).tobytes()
+
+
 def test_empty_sample():
     assert eval_loss(np.array([]), 0.0, SSE) == 0.0
     with pytest.raises(ValueError):

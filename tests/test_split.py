@@ -254,6 +254,12 @@ def test_partition_validation():
         Partition(0, threshold=1.0, left_categories=frozenset({0}), right_categories=frozenset({1}))
     with pytest.raises(ValueError):
         Partition(0, left_categories=frozenset({0}), right_categories=frozenset({0}))
+    # any mix of a threshold and a category set is neither kind
+    for sets in ({"left_categories": frozenset({1})}, {"right_categories": frozenset({1})}):
+        with pytest.raises(ValueError, match="either a threshold or two category sets"):
+            Partition(0, threshold=0.5, **sets)
+    with pytest.raises(ValueError, match="either a threshold or two category sets"):
+        Partition(0, left_categories=frozenset({0}))
 
 
 def test_unseen_category_counts_as_missing():

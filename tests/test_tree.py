@@ -191,6 +191,30 @@ def test_middle_chain_excludes_split_feature():
     walk(tree.root, frozenset())
 
 
+@pytest.mark.parametrize("n_classes", [0, 3])
+def test_middle_children_take_their_parents_leaf(n_classes, monkeypatch):
+    """A middle child has its parent's rows and no weights, so growth hands
+    it the parent's leaf: a middle child that stays a leaf is its parent's
+    fit, one that splits keeps that fit, and fit_leaf runs once per node
+    that is not a middle child."""
+    fits = []
+    fit_leaf = tree_module.fit_leaf
+
+    def counting_fit_leaf(*args):
+        fits.append(args)
+        return fit_leaf(*args)
+
+    monkeypatch.setattr(tree_module, "fit_leaf", counting_fit_leaf)
+    ds = _mixed_missing_table(n_classes, seed=7, n=300)
+    tree = train(ds, TrainConfig(Strategy.TRINARY, max_depth=4, min_samples=3))
+    nodes = list(_nodes(tree.root))
+    parents = [node for node in nodes if isinstance(node, Branch) and node.middle is not None]
+    assert any(isinstance(p.middle, Leaf) for p in parents) and any(isinstance(p.middle, Branch) for p in parents)
+    for parent in parents:
+        assert (parent.middle if isinstance(parent.middle, Leaf) else parent.middle.fit) is parent.fit
+    assert len(fits) == len(nodes) - len(parents)
+
+
 def test_depth_bound_counts_binary_splits_only():
     rng = np.random.default_rng(11)
     n = 120
@@ -545,6 +569,12 @@ def test_deserialize_rejects_bad_probabilities():
     _set_first_leaf_probs(doc2, [1.2, -0.2])
     with pytest.raises(TreeFormatError, match="non-negative"):
         deserialize(json.dumps(doc2))
+    # NaN fails both range checks as written with > and <, so it needs its own
+    for probs in ([float("nan"), 1.0], [float("nan"), float("nan")]):
+        doc3 = json.loads(serialize(_classification_tree()))
+        _set_first_leaf_probs(doc3, probs)
+        with pytest.raises(TreeFormatError, match="NaN"):
+            deserialize(json.dumps(doc3))
 
 
 def test_deserialize_rejects_malformed_documents():
@@ -567,6 +597,11 @@ def test_deserialize_rejects_malformed_documents():
     bad_feature["root"]["feature"] = "ghost"
     with pytest.raises(TreeFormatError, match="ghost"):
         deserialize(json.dumps(bad_feature))
+
+    nan_threshold = json.loads(serialize(tree))
+    nan_threshold["root"]["threshold"] = float("nan")
+    with pytest.raises(TreeFormatError, match="threshold is NaN"):
+        deserialize(json.dumps(nan_threshold))
 
     # fields of the wrong JSON type
     cats = ("blue", "red")
@@ -614,7 +649,10 @@ def test_deserialize_rejects_bad_fractional_weights():
     doc["root"]["w_left"] = 0.7  # w_right stays 0.5
     with pytest.raises(TreeFormatError, match="weights"):
         deserialize(json.dumps(doc))
-
+    for w_left, w_right in ((float("nan"), 0.5), (0.5, float("nan")), (float("nan"), float("nan"))):
+        doc["root"]["w_left"], doc["root"]["w_right"] = w_left, w_right
+        with pytest.raises(TreeFormatError, match="weights"):
+            deserialize(json.dumps(doc))
 
 def test_deserialize_rejects_unknown_category():
     cats = ("blue", "red")
