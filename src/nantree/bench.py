@@ -20,28 +20,28 @@ only the test side); a new training set drops them. On a training set
 with no missing cell every strategy makes the same splits, and only the
 missing routes and trinary's middle children differ, so one source tree
 is grown there (trinary when a trinary strategy is swept, else majority)
-and each strategy's tree is its projection: the source itself for the
-trinary strategies, the source without middle children and with the
-majority or fractional route for the others. A record's ``wall_ms`` is
-its task's training plus evaluation time (evaluation only for a reused
-tree, projection and evaluation for a projected one), and its in-memory
-``train_ms`` is the growth part: on a complete training set, the first
-task that needs the source records its growth, the others 0.0.
+and each strategy's tree is its projection (:func:`nantree.tree.project`):
+the source itself for the trinary strategies, the source without middle
+children and with the majority or fractional route for the others. A
+record's ``wall_ms`` is its task's training plus evaluation time
+(evaluation only for a reused tree, projection and evaluation for a
+projected one), and its in-memory ``train_ms`` is the growth part: on a
+complete training set, the first task that needs the source records its
+growth, the others 0.0.
 """
 from __future__ import annotations
 
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .censor import SCENARIOS, CensorSpec, apply_scenario
 from .data import Dataset, FoldAssignment, ParseError, ValidationError, stratified_kfold
-from .loss import loss_for
-from .split import MissingRoute, Strategy
-from .tree import Branch, Leaf, SplitSpec, TrainConfig, Tree, evaluate, train, truncate
+from .split import Strategy
+from .tree import TrainConfig, Tree, evaluate, project, train, truncate
 
 CSV_HEADER = ("dataset", "strategy", "scenario", "q", "fold", "loss", "excess_loss", "depth", "wall_ms")
 
@@ -142,12 +142,11 @@ def tune_depth(ds: Dataset, cfg: ExperimentConfig, ds_index: int = 0) -> int:
     so the fold losses are those of growing every depth separately.
     """
     folds = _folds_for(ds, cfg, ds_index)
-    kind = loss_for(ds)
     totals = [0.0] * cfg.depth_grid_max
     for f in range(cfg.folds):
         train_ds = ds.subset(folds.train_rows(f))
         test_ds = ds.subset(folds.test_rows(f))
-        deepest = train(train_ds, TrainConfig(Strategy.MAJORITY, kind, cfg.depth_grid_max, cfg.min_samples))
+        deepest = train(train_ds, TrainConfig(Strategy.MAJORITY, cfg.depth_grid_max, cfg.min_samples))
         for depth in range(1, cfg.depth_grid_max + 1):
             loss, _ = evaluate(truncate(deepest, depth), test_ds)
             totals[depth - 1] += loss
@@ -164,40 +163,6 @@ def _excess(loss: float, base: float) -> float:
     return loss / base - 1.0
 
 
-def _project(source: Tree, strategy: Strategy) -> Tree:
-    """The tree ``strategy`` grows on the missing-free training set that
-    ``source``, a trinary or majority tree, was grown on. There all
-    strategies make the same splits: the trinary ones grow ``source``
-    itself; the others grow it without middle children, with missing rows
-    routed to the child with more rows, ties right (majority and mia), or
-    to both by the observed fractions (fc, whose node sizes are row
-    weights, so floats).
-    """
-    if strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
-        return replace(source, strategy=strategy)
-    is_fc = strategy is Strategy.FC
-    done: list = []  # projected subtrees; a pending split node rebuilds from them
-    stack: list = [(source.root, False)]  # (node, whether its children are done)
-    while stack:
-        node, pending = stack.pop()
-        if isinstance(node, Leaf):
-            done.append(replace(node, n_samples=float(node.n_samples)) if is_fc else node)
-        elif not pending:
-            stack += [(node, True), (node.right, False), (node.left, False)]
-        else:
-            right, left = done.pop(), done.pop()
-            n_l, n_r = node.left.n_samples, node.right.n_samples
-            if is_fc:
-                w_left = n_l / (n_l + n_r)
-                spec = SplitSpec(node.spec.partition, MissingRoute.FRACTIONAL, w_left, 1.0 - w_left)
-                fit = replace(node.fit, n_samples=float(node.fit.n_samples))
-                done.append(Branch(spec, left, right, None, float(node.n_samples), fit))
-            else:
-                spec = SplitSpec(node.spec.partition, MissingRoute.LEFT if n_l > n_r else MissingRoute.RIGHT)
-                done.append(Branch(spec, left, right, None, node.n_samples, node.fit))
-    return replace(source, root=done[0], strategy=strategy)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the full sweep and return per-fold records plus per-(strategy, q)
     aggregates (fold = -1, losses and times summed over folds)."""
@@ -211,7 +176,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     for ds_index, (name, ds) in enumerate(cfg.datasets):
         folds = _folds_for(ds, cfg, ds_index)
         depth = tune_depth(ds, cfg, ds_index)
-        kind = loss_for(ds)
         pairs = [
             (ds.subset(folds.train_rows(f)), ds.subset(folds.test_rows(f)))
             for f in range(cfg.folds)
@@ -237,13 +201,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     train_ms = 0.0
                     tree = trees.get(strategy)
                     if tree is None and not complete:
-                        tree = train(ctr, TrainConfig(strategy, kind, depth, cfg.min_samples))
+                        tree = train(ctr, TrainConfig(strategy, depth, cfg.min_samples))
                         train_ms = (time.perf_counter() - t0) * 1000.0
                     elif tree is None:
                         if source is None:
-                            source = train(ctr, TrainConfig(source_strategy, kind, depth, cfg.min_samples))
+                            source = train(ctr, TrainConfig(source_strategy, depth, cfg.min_samples))
                             train_ms = (time.perf_counter() - t0) * 1000.0
-                        tree = _project(source, strategy)
+                        tree = project(source, strategy)
                     trees[strategy] = tree
                     loss, misclass = evaluate(tree, cte)
                     wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -64,6 +64,13 @@ class MissingRoute(Enum):
     FRACTIONAL = "fractional"
 
 
+def majority_route(n_left, n_right) -> MissingRoute:
+    """Where majority sends missing rows: to the child with more observed
+    rows, ties right. mia's route ties go there too, which makes the two
+    coincide on missing-free training data."""
+    return MissingRoute.LEFT if n_left > n_right else MissingRoute.RIGHT
+
+
 @dataclass(frozen=True, slots=True)
 class Partition:
     """One candidate bipartition of a feature's observed values."""
@@ -206,8 +213,9 @@ def _numeric_candidates(feature, vp, S_p):
         return None
     lo, hi = vs[cuts], vs[cuts + 1]
     mids = 0.5 * (lo + hi)
-    # guard against midpoints that round up to the right value
-    thresholds = np.where(mids < hi, mids, lo)
+    # guard against midpoints that round up to the right value, or overflow
+    # to -inf below the left one
+    thresholds = np.where((lo <= mids) & (mids < hi), mids, lo)
     partitions = [Partition(feature, t) for t in thresholds.tolist()]
     return partitions, cuts + 1, np.cumsum(S_p.T[order], axis=0)[cuts]
 
@@ -470,32 +478,23 @@ def score_fractional(
 @dataclass(frozen=True)
 class _Entry:
     loss: float
-    cand: int
+    partition: Partition
     route: MissingRoute
 
 
-@dataclass
-class _FeatureScan:
-    """A feature's candidates and, per objective (trinary_mia scans mia's
-    and trinary's), its best feasible entry or None."""
-
-    partitions: list[Partition]
-    entries: dict[Strategy, _Entry | None]
-
-
-def _pick(losses: np.ndarray, route) -> _Entry | None:
-    """The first lowest of ``losses`` (inf where infeasible), or None when
-    none is finite; its missing route is ``route``, or ``route(i)`` for
-    candidate ``i`` when ``route`` is a function."""
+def _pick(losses: np.ndarray, route, partitions: list[Partition]) -> _Entry | None:
+    """The first lowest of ``losses`` (inf where infeasible) with its
+    partition, or None when none is finite; its missing route is ``route``,
+    or ``route(i)`` for candidate ``i`` when ``route`` is a function."""
     if losses.size == 0:
         return None
     i = int(np.argmin(losses))
     if not np.isfinite(losses[i]):
         return None
-    return _Entry(float(losses[i]), i, route(i) if callable(route) else route)
+    return _Entry(float(losses[i]), partitions[i], route(i) if callable(route) else route)
 
 
-def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value) -> _FeatureScan | None:
+def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value) -> dict[Strategy, _Entry | None] | None:
     table = _candidate_table(ds.columns[feature], feature, rows, S, kind)
     if table is None:
         return None
@@ -507,11 +506,10 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value) -> _Featu
     S_r = table.S_present - S_l
     f_l, f_r = fitted(S_l, kind), fitted(S_r, kind)
     count_ok = (n_l >= mc) & (n_r >= mc)
+    partitions = table.partitions
 
     def majority(i):
-        # the side with more observed rows, ties right; mia's route ties go
-        # there too, which makes the two coincide on missing-free training data
-        return MissingRoute.LEFT if n_l[i] > n_r[i] else MissingRoute.RIGHT
+        return majority_route(n_l[i], n_r[i])
 
     if n_m == 0:
         # No missing rows at this node-feature: every strategy objective is
@@ -520,10 +518,9 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value) -> _Featu
         # fc's children are the observed blocks, weighed by their summed row weights
         weight_ok = (S_l[:, 0] >= mw) & (S_r[:, 0] >= mw)
         routes = {Strategy.FC: MissingRoute.FRACTIONAL, Strategy.TRINARY: MissingRoute.MIDDLE}
-        return _FeatureScan(table.partitions, {
-            style: _pick(np.where(weight_ok if style is Strategy.FC else count_ok, base, np.inf),
-                         routes.get(style, majority))
-            for style in styles})
+        return {style: _pick(np.where(weight_ok if style is Strategy.FC else count_ok, base, np.inf),
+                             routes.get(style, majority), partitions)
+                for style in styles}
 
     entries: dict[Strategy, _Entry | None] = {}
     if Strategy.MAJORITY in styles or Strategy.MIA in styles:
@@ -531,30 +528,32 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value) -> _Featu
         ml = np.where((n_l + n_m >= mc) & (n_r >= mc), fitted(S_l + S_m, kind) + f_r, np.inf)
         mr = np.where((n_l >= mc) & (n_r + n_m >= mc), f_l + fitted(S_r + S_m, kind), np.inf)
     if Strategy.MAJORITY in styles:
-        entries[Strategy.MAJORITY] = _pick(np.where(n_l > n_r, ml, mr), majority)
+        entries[Strategy.MAJORITY] = _pick(np.where(n_l > n_r, ml, mr), majority, partitions)
     if Strategy.MIA in styles:
         loss = np.minimum(ml, mr)
         entries[Strategy.MIA] = _pick(np.where(np.isfinite(loss), loss, np.inf), lambda i: (
-            MissingRoute.LEFT if ml[i] < mr[i] else MissingRoute.RIGHT if mr[i] < ml[i] else majority(i)))
+            MissingRoute.LEFT if ml[i] < mr[i] else MissingRoute.RIGHT if mr[i] < ml[i] else majority(i)),
+            partitions)
     if Strategy.TRINARY in styles:
         # trinary prices the missing block at the mother value
         loss = f_l + f_r + at_value(S_m, node_value, kind)
-        entries[Strategy.TRINARY] = _pick(np.where(count_ok, loss, np.inf), MissingRoute.MIDDLE)
+        entries[Strategy.TRINARY] = _pick(np.where(count_ok, loss, np.inf), MissingRoute.MIDDLE, partitions)
     if Strategy.FC in styles:
         # fc adds the missing block to both children, scaled by the observed fractions
         alpha = (n_l / table.n_present)[:, None]
         S_lf, S_rf = S_l + alpha * S_m, S_r + (1.0 - alpha) * S_m
         feasible = (block_weight(S_lf, kind) >= mw) & (block_weight(S_rf, kind) >= mw)
         loss = fitted(S_lf, kind) + fitted(S_rf, kind)
-        entries[Strategy.FC] = _pick(np.where(feasible, loss, np.inf), MissingRoute.FRACTIONAL)
-    return _FeatureScan(table.partitions, entries)
+        entries[Strategy.FC] = _pick(np.where(feasible, loss, np.inf), MissingRoute.FRACTIONAL, partitions)
+    return entries
 
 
-def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value) -> dict[int, _FeatureScan]:
+def scan_features(ds, rows, features, strategy, kind, cfg, w,
+                  node_value) -> dict[int, dict[Strategy, _Entry | None]]:
     """Scan ``features`` at the node of ``rows`` (weights ``w``, leaf value
-    ``node_value``): each feature's candidates and its best feasible entry
-    per objective of ``strategy``. Growth calls this and :func:`select_best`;
-    neither is re-exported from the package."""
+    ``node_value``): each feature's best feasible entry (loss, partition
+    and missing route) per objective of ``strategy``. Growth calls this and
+    :func:`select_best`; neither is re-exported from the package."""
     styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
     S = row_stats(ds.response.values[rows], w, kind)
     scans = {}
@@ -565,32 +564,28 @@ def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value) -> dic
     return scans
 
 
-def _best_over(scans: dict[int, _FeatureScan], style: Strategy):
+def _best_over(scans: dict[int, dict[Strategy, _Entry | None]], style: Strategy) -> _Entry | None:
     best = None
     for feature in sorted(scans):
-        entry = scans[feature].entries.get(style)
-        if entry is None:
-            continue
-        if best is None or entry.loss < best[1].loss:
-            best = (feature, entry)
+        entry = scans[feature].get(style)
+        if entry is not None and (best is None or entry.loss < best.loss):
+            best = entry
     return best
 
 
-def select_best(scans: dict[int, _FeatureScan], strategy: Strategy) -> tuple[Partition, MissingRoute] | None:
+def select_best(scans: dict[int, dict[Strategy, _Entry | None]],
+                strategy: Strategy) -> tuple[Partition, MissingRoute] | None:
     """Pick the winning partition and its missing route; ties prefer the
     lowest feature index, then the earliest candidate, and for trinary_mia
     the trinary objective."""
     if strategy is Strategy.TRINARY_MIA:
         best = best_m = _best_over(scans, Strategy.MIA)
         best_t = _best_over(scans, Strategy.TRINARY)
-        if best_t is not None and (best_m is None or best_t[1].loss <= best_m[1].loss):
+        if best_t is not None and (best_m is None or best_t.loss <= best_m.loss):
             best = best_t
     else:
         best = _best_over(scans, strategy)
-    if best is None:
-        return None
-    feature, entry = best
-    return scans[feature].partitions[entry.cand], entry.route
+    return None if best is None else (best.partition, best.route)
 
 
 def best_split(

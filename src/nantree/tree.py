@@ -1,7 +1,9 @@
 """Tree growth, prediction, text rendering, and a lossless JSON format.
 
-Trees are grown depth-first by one explicit-stack loop in :func:`train`;
-split nodes keep the leaf fitted at them, so :func:`truncate` only cuts.
+This module alone builds tree nodes. :func:`train` grows them depth-first
+in one explicit-stack loop, under the loss the response calls for; split
+nodes keep the leaf fitted at them, so :func:`truncate` only cuts, and
+:func:`project` recasts a tree grown on complete data for another strategy.
 Under the trinary strategies an internal node may carry a third child for
 missing values: that child is trained on the node's *entire* row set at
 the *same* depth, with the split feature removed from the available set,
@@ -30,6 +32,7 @@ from .split import (
     Partition,
     SplitConfig,
     Strategy,
+    majority_route,
     scan_features,
     select_best,
     split_rows,
@@ -41,7 +44,6 @@ TREE_FORMAT = "nantree/1"
 @dataclass(frozen=True)
 class TrainConfig:
     strategy: Strategy
-    loss: LossKind | None = None  # None: derived from the dataset's response
     max_depth: int = 5
     min_samples: int = 5
 
@@ -107,11 +109,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
     zero, it is too small to split, or no feasible candidate exists on the
     available features; a split node keeps the leaf as its ``fit``.
     """
-    kind = cfg.loss if cfg.loss is not None else loss_for(ds)
-    if kind.is_classification and ds.response.kind != CLASS:
-        raise ValidationError("cross-entropy loss needs a class response")
-    if not kind.is_classification and ds.response.kind != REAL:
-        raise ValidationError("sse loss needs a real response")
+    kind = loss_for(ds)
     rows = row_index(rows, ds.n_rows)
     if rows.size == 0:
         raise ValidationError("cannot train on an empty row set")
@@ -204,6 +202,44 @@ def truncate(tree: Tree, depth: int) -> Tree:
                 stack.append((node.middle, d))
             stack += [(node.right, d + 1), (node.left, d + 1)]
     return replace(tree, root=done[0])
+
+
+def project(tree: Tree, strategy: Strategy) -> Tree:
+    """The tree ``strategy`` grows on the missing-free training set that
+    ``tree``, a majority, mia, trinary or trinary_mia tree, was grown on.
+    There all strategies make the same splits: the trinary ones grow
+    ``tree`` itself, so it must be trinary; the others grow it without
+    middle children, with missing rows routed by :func:`split.majority_route`
+    (majority and mia) or to both children by the observed fractions (fc,
+    whose node sizes are row weights, so floats). Any other source raises
+    ValidationError. A split node without a fit (read back by
+    :func:`deserialize`) keeps none."""
+    trinary = (Strategy.TRINARY, Strategy.TRINARY_MIA)
+    if tree.strategy is Strategy.FC or (strategy in trinary and tree.strategy not in trinary):
+        raise ValidationError(f"a {tree.strategy.value} tree cannot be projected onto {strategy.value}")
+    if strategy in trinary:
+        return replace(tree, strategy=strategy)
+    is_fc = strategy is Strategy.FC
+    done: list = []  # projected subtrees; a pending split node rebuilds from them
+    stack: list = [(tree.root, False)]  # (node, whether its children are done)
+    while stack:
+        node, pending = stack.pop()
+        if isinstance(node, Leaf):
+            done.append(replace(node, n_samples=float(node.n_samples)) if is_fc else node)
+        elif not pending:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+        else:
+            right, left = done.pop(), done.pop()
+            n_l, n_r = node.left.n_samples, node.right.n_samples
+            if is_fc:
+                w_left = n_l / (n_l + n_r)
+                spec = SplitSpec(node.spec.partition, MissingRoute.FRACTIONAL, w_left, 1.0 - w_left)
+                fit = None if node.fit is None else replace(node.fit, n_samples=float(node.fit.n_samples))
+                done.append(Branch(spec, left, right, None, float(node.n_samples), fit))
+            else:
+                spec = SplitSpec(node.spec.partition, majority_route(n_l, n_r))
+                done.append(Branch(spec, left, right, None, node.n_samples, node.fit))
+    return replace(tree, root=done[0], strategy=strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +562,14 @@ def _number(raw, what: str) -> float:
     raise TreeFormatError(f"{what} must be a number, not {reprlib.repr(raw)}")
 
 
+def _size(raw, what: str, slack: float = 0.0) -> float:
+    """A JSON number no less than ``-slack``; the check is phrased to fail on NaN."""
+    x = _number(raw, what)
+    if not x >= -slack:
+        raise TreeFormatError(f"{what} must be a non-negative number, not {x!r}")
+    return x
+
+
 def _strings(raw, what: str) -> tuple[str, ...]:
     if type(raw) is not list or not all(type(item) is str for item in raw):
         raise TreeFormatError(f"{what} must be an array of strings, not {reprlib.repr(raw)}")
@@ -543,7 +587,10 @@ def _value_from_json(raw, kind: LossKind):
         if not abs(float(probs.sum()) - 1.0) <= 1e-9:
             raise TreeFormatError(f"leaf probabilities sum to {probs.sum()!r}, not 1")
         return probs
-    return _number(raw, "regression leaf value")
+    value = _number(raw, "regression leaf value")
+    if value != value:
+        raise TreeFormatError("regression leaf value is NaN")
+    return value
 
 
 def _category_set(doc: dict, key: str, code_of: dict, fname: str) -> frozenset[int]:
@@ -564,8 +611,12 @@ def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
     node_kind = _require(_object(doc, "node"), "kind", "node")
     if node_kind == "leaf":
         value = _value_from_json(_require(doc, "value", "leaf"), kind)
-        return Leaf(value=value, n_samples=_number(doc.get("n", 0), "leaf n"),
-                    train_loss=_number(doc.get("loss", 0.0), "leaf loss"))
+        n = _size(doc.get("n", 0), "leaf n")
+        # a cross-entropy leaf on fractional row weights can price a hair
+        # below 0: its class weights and their total are summed in different
+        # orders, so a pure leaf's probability can read 1 + 1 ulp
+        loss = _size(doc.get("loss", 0.0), "leaf loss", 1e-9 * max(n, 1.0))
+        return Leaf(value=value, n_samples=n, train_loss=loss)
     if node_kind not in ("binary", "trinary"):
         raise TreeFormatError(f"unknown node kind {node_kind!r}")
     fname = _require(doc, "feature", "split node")
@@ -576,8 +627,8 @@ def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
         if feature in code_of:
             raise TreeFormatError(f"feature {fname!r} is categorical but the node has a threshold")
         threshold = _number(doc["threshold"], "threshold")
-        if threshold != threshold:
-            raise TreeFormatError(f"split on feature {fname!r}: threshold is NaN")
+        if not threshold - threshold == 0.0:  # NaN and both infinities fail it
+            raise TreeFormatError(f"split on feature {fname!r}: threshold is {_json_float(threshold)}, not finite")
         partition = Partition(feature, threshold)
     else:
         if feature not in code_of:
@@ -612,7 +663,7 @@ def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
     if node_kind == "trinary":
         middle_child = _node_from_json(doc["middle"], kind, name_to_feature, code_of)
     spec = SplitSpec(partition, route, w_left=w_left, w_right=w_right)
-    return Branch(spec, left_child, right_child, middle_child, _number(doc.get("n", 0), "split node n"))
+    return Branch(spec, left_child, right_child, middle_child, _size(doc.get("n", 0), "split node n"))
 
 
 def deserialize(text: str) -> Tree:

@@ -26,7 +26,6 @@ from nantree import (
     read_records,
     apply_scenario,
     evaluate,
-    loss_for,
     run_experiment,
     serialize,
     stratified_kfold,
@@ -292,13 +291,12 @@ def _walk(node, depth=0):
 def _reference_depth_totals(ds, cfg, ds_index=0):
     """Per-depth fold-loss totals and trees, training every depth separately."""
     folds = stratified_kfold(ds, cfg.folds, bench._fold_seed(cfg.seed, ds_index))
-    kind = loss_for(ds)
     totals, texts = [], []
     for depth in range(1, cfg.depth_grid_max + 1):
         total = 0.0
         for f in range(cfg.folds):
             train_ds = ds.subset(folds.train_rows(f))
-            tree = train(train_ds, TrainConfig(Strategy.MAJORITY, kind, depth, cfg.min_samples))
+            tree = train(train_ds, TrainConfig(Strategy.MAJORITY, depth, cfg.min_samples))
             loss, _ = evaluate(tree, ds.subset(folds.test_rows(f)))
             total += loss
             texts.append(serialize(tree))
@@ -354,13 +352,12 @@ def _reference_run(cfg):
         folds = stratified_kfold(ds, cfg.folds, bench._fold_seed(cfg.seed, ds_index))
         totals, _ = _reference_depth_totals(ds, cfg, ds_index)
         depth = 1 + totals.index(min(totals))
-        kind = loss_for(ds)
         pairs = [(ds.subset(folds.train_rows(f)), ds.subset(folds.test_rows(f))) for f in range(cfg.folds)]
 
         def task(strategy, q, f):
             seed = bench._task_seed(cfg.seed, ds_index, cfg.scenario, q, f)
             ctr, cte = apply_scenario(*pairs[f], CensorSpec(cfg.scenario, q, seed))
-            return evaluate(train(ctr, TrainConfig(strategy, kind, depth, cfg.min_samples)), cte)
+            return evaluate(train(ctr, TrainConfig(strategy, depth, cfg.min_samples)), cte)
 
         for strategy in cfg.strategies:
             base = [task(strategy, 0.0, f)[0] for f in range(cfg.folds)]

@@ -61,6 +61,19 @@ def test_degenerate_midpoint_falls_back_to_left_value():
     assert cands[0].threshold == lo  # lo <= t < hi still separates the rows
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_midpoint_falls_back_to_left_value():
+    lo, hi = -1.5e308, -1e308
+    assert 0.5 * (lo + hi) == -np.inf  # the sum overflows: the midpoint falls below lo
+    ds = regression([numeric("x", [lo, hi, 1.5e308, 1.7e308])], [0.0, 1.0, 2.0, 3.0])
+    cands = enumerate_candidates(ds.columns[0], 0, np.arange(4), ds.response.values, SSE)
+    assert [c.threshold for c in cands] == [lo, 0.5 * (hi + 1.5e308), 1.5e308]
+    tree = tree_module.train(ds, tree_module.TrainConfig(Strategy.MAJORITY, max_depth=2, min_samples=1))
+    assert np.array_equal(tree_module.predict(tree, ds), ds.response.values)
+    text = tree_module.serialize(tree)
+    assert tree_module.serialize(tree_module.deserialize(text)) == text
+
+
 def test_constant_feature_has_no_candidates():
     ds = regression([numeric("x", [2.0, 2.0, np.nan])], [1.0, 2.0, 3.0])
     assert enumerate_candidates(ds.columns[0], 0, np.arange(3), ds.response.values, SSE) == []

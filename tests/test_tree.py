@@ -27,12 +27,11 @@ from nantree import (
     serialize,
     train,
 )
-from nantree.bench import _project
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.loss import LOG_CLAMP
 from nantree.split import MAX_EXHAUSTIVE_CATEGORIES, Partition
 from nantree import tree as tree_module
-from nantree.tree import SplitSpec, Tree, truncate
+from nantree.tree import SplitSpec, Tree, project, truncate
 
 from conftest import middle_chain_tree, random_problem
 
@@ -328,15 +327,6 @@ def test_classification_predictions_are_distributions():
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_loss_response_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        train(STEP, TrainConfig(Strategy.MAJORITY, loss=LossKind.cross_entropy(2)))
-    col = numeric("x", [0.0, 1.0])
-    cds = Dataset((col,), ResponseColumn(CLASS, np.array([0, 1]), ("a", "b")))
-    with pytest.raises(ValidationError):
-        train(cds, TrainConfig(Strategy.MAJORITY, loss=LossKind.sse()))
-
-
 def test_train_empty_rows_rejected():
     with pytest.raises(ValidationError):
         train(STEP, TrainConfig(Strategy.MAJORITY), rows=np.array([], dtype=np.int64))
@@ -603,6 +593,25 @@ def test_deserialize_rejects_malformed_documents():
     with pytest.raises(TreeFormatError, match="threshold is NaN"):
         deserialize(json.dumps(nan_threshold))
 
+    # values a trained tree never holds; each check is phrased to fail on NaN
+    nan, inf = float("nan"), float("inf")
+    out_of_range = [
+        (lambda d: d["root"]["left"].update(value=nan), "leaf value is NaN"),
+        (lambda d: d["root"]["left"].update(n=nan), "leaf n"),
+        (lambda d: d["root"]["left"].update(n=-1.0), "leaf n"),
+        (lambda d: d["root"].update(n=nan), "split node n"),
+        (lambda d: d["root"].update(n=-4), "split node n"),
+        (lambda d: d["root"]["right"].update(loss=nan), "leaf loss"),
+        (lambda d: d["root"]["right"].update(loss=-0.5), "leaf loss"),
+        (lambda d: d["root"].update(threshold=inf), "threshold is Infinity"),
+        (lambda d: d["root"].update(threshold=-inf), "threshold is -Infinity"),
+    ]
+    for mutate, message in out_of_range:
+        doc = json.loads(serialize(tree))
+        mutate(doc)
+        with pytest.raises(TreeFormatError, match=message):
+            deserialize(json.dumps(doc))
+
     # fields of the wrong JSON type
     cats = ("blue", "red")
     col = FeatureColumn("c", CATEGORICAL, np.array([0, 0, 1, 1]), cats)
@@ -632,6 +641,21 @@ def test_deserialize_rejects_malformed_documents():
         mutate(doc)
         with pytest.raises(TreeFormatError):
             deserialize(json.dumps(doc))
+
+
+def test_pure_fc_classification_leaf_round_trips():
+    """A pure cross-entropy leaf on fractional weights can price a hair
+    below 0 (its class weight and total weight are summed in different
+    orders); its document still reads back."""
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=60)
+    y = (x > 0).astype(int)
+    x = np.where((rng.random(60) < 0.3) & (y == 0), np.nan, x)
+    ds = Dataset((numeric("x", x),), ResponseColumn(CLASS, y, ("a", "b")))
+    tree = train(ds, TrainConfig(Strategy.FC, max_depth=1, min_samples=2))
+    assert -1e-12 < tree.root.left.train_loss < 0.0
+    text = serialize(tree)
+    assert serialize(deserialize(text)) == text
 
 
 def test_deserialize_rejects_route_kind_mismatch():
@@ -752,7 +776,7 @@ def _assert_projections_are_grown(train_ds, test_ds, source_strategy, max_depth,
         if source_strategy is Strategy.MAJORITY and strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
             continue
         grown = train(train_ds, TrainConfig(strategy, max_depth=max_depth, min_samples=min_samples))
-        projected = projections[strategy] = _project(source, strategy)
+        projected = projections[strategy] = project(source, strategy)
         assert serialize(projected) == serialize(grown)
         assert predict(projected, test_ds, censored).tobytes() == predict(grown, test_ds, censored).tobytes()
     return projections
@@ -843,6 +867,34 @@ def test_projection_of_the_source_tree_is_each_strategys_tree(n_classes):
     assert any(p.feature == 2 for p in partitions)
     assert any(p.feature == 3 and len(p.left_categories | p.right_categories) > MAX_EXHAUSTIVE_CATEGORIES
                for p in partitions)
+
+
+@pytest.mark.parametrize("source_strategy", [Strategy.TRINARY, Strategy.MAJORITY])
+def test_projection_of_a_tree_read_back(source_strategy):
+    """A source read back by deserialize keeps no fit at its split nodes;
+    it projects as the trained source does."""
+    train_ds, _ = _complete_tables(3)
+    source = train(train_ds, TrainConfig(source_strategy, max_depth=3, min_samples=2))
+    back = deserialize(serialize(source))
+    assert isinstance(back.root, Branch) and back.root.fit is None
+    for strategy in Strategy:
+        if source_strategy is Strategy.MAJORITY and strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
+            continue
+        assert serialize(project(back, strategy)) == serialize(project(source, strategy))
+
+
+def test_projection_needs_a_source_that_holds_the_target():
+    """Middle children cannot be made up from a majority tree, and an fc
+    tree's weighted sizes are not the other strategies' row counts."""
+    train_ds, _ = _complete_tables(0)
+    cfg = dict(max_depth=2, min_samples=2)
+    majority, fc = (train(train_ds, TrainConfig(s, **cfg)) for s in (Strategy.MAJORITY, Strategy.FC))
+    for target in (Strategy.TRINARY, Strategy.TRINARY_MIA):
+        with pytest.raises(ValidationError, match="majority tree cannot be projected"):
+            project(majority, target)
+    for target in Strategy:
+        with pytest.raises(ValidationError, match="fc tree cannot be projected"):
+            project(fc, target)
 
 
 def _nodes(node):
