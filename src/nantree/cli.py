@@ -9,7 +9,6 @@ nonzero with a message on stderr for configuration or input problems.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -20,7 +19,7 @@ from .bias import BiasScenario, emit_bias_csv, run_bias
 from .censor import SCENARIOS
 from .data import NantreeError, Schema, load_csv, load_features, read_schema_file
 from .split import Strategy
-from .tree import TrainConfig, deserialize, predict, render, serialize, train
+from .tree import TrainConfig, TreeFormatError, deserialize, predict, render, serialize, train
 
 
 def _parse_strategies(text: str) -> tuple[Strategy, ...]:
@@ -169,25 +168,37 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        tree = deserialize(fh.read())
+    try:
+        with open(args.tree, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TreeFormatError(f"{args.tree}: not valid UTF-8 text ({exc.reason})") from None
+    tree = deserialize(text)
     ds = load_features(args.data, tree.feature_names, tree.feature_kinds, tree.categories)
     preds = predict(tree, ds)
     if tree.loss.is_classification:
         # a document may omit the labels; class indices stand in for them
         labels = tree.response_labels or tuple(map(str, range(tree.loss.n_classes)))
-        header = ["prediction"] + [f"p_{label}" for label in labels]
-        columns = [list(map(labels.__getitem__, preds.argmax(axis=1).tolist()))]
+        header = ",".join(["prediction"] + [_csv_field(f"p_{label}") for label in labels])
+        fields = [_csv_field(label) for label in labels]
+        columns = [list(map(fields.__getitem__, preds.argmax(axis=1).tolist()))]
         columns += [list(map(repr, probs)) for probs in preds.T.tolist()]
+        rows = map(",".join, zip(*columns))
     else:
-        header = ["prediction"]
-        columns = [list(map(repr, preds.tolist()))]
+        header = "prediction"
+        rows = map(repr, preds.tolist())
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write("\r\n".join([header, *rows, ""]))
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it beside other fields: in quotes,
+    with quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _cmd_bias(args) -> int:

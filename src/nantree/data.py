@@ -222,6 +222,8 @@ def read_schema_file(path: str) -> Schema:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"schema file {path}: not valid UTF-8 text ({exc.reason})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"schema file {path}: expected a JSON object")
     target = doc.get("target", "")
@@ -244,24 +246,71 @@ def _parse_numeric(token: str, row: int, name: str) -> float:
     return value
 
 
-def _read_table(path: str) -> tuple[list[str], list[tuple[str, ...]], Sequence[int]]:
-    """Header, cell columns and file row numbers of an RFC-4180 CSV file.
+def _read_table(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
+    r"""Header, cell columns and file row numbers of an RFC-4180 CSV file.
 
     Row numbers count file records with the header as row 1; they are
     what error messages report. In a one-column file a blank line is one
     empty cell; in wider files blank lines are skipped.
+
+    The file is read as one string, and whether it holds a ``"`` selects
+    the path. A file with a ``"`` is read again by ``csv.reader``, the only path
+    that reads quoted cells, which may hold commas and line ends. A file
+    with no ``"`` has one record per line and one cell per comma: its
+    ``\r\n`` and bare ``\r`` become ``\n`` (``csv.reader`` ends a record
+    at any of them), its lines are split, and its columns are taken as
+    strided slices of one list of cells, with no list per row. Both
+    paths return the same cells and raise the same errors. A cell longer
+    than ``csv.field_size_limit()`` characters is a ParseError on either
+    path, raised before any other check.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = list(reader)
-    if not header:
-        raise ValidationError(f"{path}: empty file" if header is None else f"{path}: blank header row")
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise SchemaError(f"{path}: duplicate column {name!r} in header")
-        seen.add(name)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    if '"' in text:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return _read_records(csv.reader(fh), path)
+    if "\r" in text:  # one statement each, so at most two copies of the text are alive
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()  # the text ends with a line end, or is empty
+    limit = csv.field_size_limit()
+    if lines and max(map(len, lines)) > limit:  # a long line may still hold only short cells
+        for number, line in enumerate(lines, 1):
+            if len(line) > limit and max(map(len, line.split(","))) > limit:
+                raise ParseError(f"{path}: row {number}: field larger than field limit ({limit})")
+    first = lines.pop(0) if lines else None
+    header = _checked_header(first and first.split(","), path)  # "" is a blank header row
+    width = len(header)
+    row_numbers: Sequence[int] = range(2, len(lines) + 2)
+    if width > 1 and "" in lines:
+        row_numbers = [number for number, line in zip(row_numbers, lines) if line]
+        lines = list(filter(None, lines))
+    if not lines:
+        raise ValidationError(f"{path}: no data rows")
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        i = next(i for i, line in enumerate(lines) if line.count(",") != width - 1)
+        raise ParseError(f"{path}: row {row_numbers[i]} has {lines[i].count(',') + 1} cells, expected {width}")
+    joined = ",".join(lines)
+    del lines
+    cells = joined.split(",")
+    del joined
+    return header, [cells[j::width] for j in range(width)], row_numbers
+
+
+def _read_records(reader, path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
+    """``_read_table`` for the records of a ``csv.reader``."""
+    rows: list[list[str]] = []
+    try:
+        rows.extend(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {len(rows) + 1}: {exc}") from None
+    header = _checked_header(rows.pop(0) if rows else None, path)
     width = len(header)
     row_numbers: Sequence[int] = range(2, len(rows) + 2)
     if width == 1:
@@ -277,7 +326,19 @@ def _read_table(path: str) -> tuple[list[str], list[tuple[str, ...]], Sequence[i
     return header, list(zip(*rows)), row_numbers
 
 
-def _numeric_column(cells: tuple[str, ...], name: str, row_numbers: Sequence[int],
+def _checked_header(header: list[str] | str | None, path: str) -> list[str]:
+    """``header`` when it names at least one column and no column twice."""
+    if not header:
+        raise ValidationError(f"{path}: empty file" if header is None else f"{path}: blank header row")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise SchemaError(f"{path}: duplicate column {name!r} in header")
+        seen.add(name)
+    return header
+
+
+def _numeric_column(cells: Sequence[str], name: str, row_numbers: Sequence[int],
                     missing_tokens: frozenset[str]) -> np.ndarray:
     """float64 values of a cell column, NaN where the cell is a missing token."""
     is_missing = missing_tokens.__contains__
@@ -297,7 +358,7 @@ def _numeric_column(cells: tuple[str, ...], name: str, row_numbers: Sequence[int
     return values
 
 
-def _category_codes(cells: tuple[str, ...], categories: Sequence[str],
+def _category_codes(cells: Sequence[str], categories: Sequence[str],
                     missing_tokens: frozenset[str]) -> np.ndarray:
     """int64 codes into ``categories``; missing tokens and unknown names are -1."""
     code_of = {name: code for code, name in enumerate(categories)}

@@ -48,6 +48,9 @@ from .loss import LossKind, at_value, block_weight, eval_loss, fit_leaf, fitted,
 #: categories (multiclass only); above it, frequency-ordered prefix cuts.
 MAX_EXHAUSTIVE_CATEGORIES = 10
 
+# a midpoint lo + hi can overflow only when a value's magnitude exceeds this
+_HALF_MAX = np.finfo(np.float64).max / 2
+
 
 class Strategy(Enum):
     MAJORITY = "majority"
@@ -212,7 +215,11 @@ def _numeric_candidates(feature, vp, S_p):
     if cuts.size == 0:
         return None
     lo, hi = vs[cuts], vs[cuts + 1]
-    mids = 0.5 * (lo + hi)
+    if vs[0] < -_HALF_MAX or vs[-1] > _HALF_MAX:
+        with np.errstate(over="ignore"):  # the guard below handles the overflow
+            mids = 0.5 * (lo + hi)
+    else:
+        mids = 0.5 * (lo + hi)
     # guard against midpoints that round up to the right value, or overflow
     # to -inf below the left one
     thresholds = np.where((lo <= mids) & (mids < hi), mids, lo)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -241,6 +242,39 @@ def test_bad_values_are_clean_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("command, bad_file, content, message", [
+    ("predict", "data", b"x,y\n0.5,\xff\n", "not valid UTF-8 text"),
+    ("train", "data", b"x,y\n0.5,\xff\n", "not valid UTF-8 text"),
+    ("predict", "tree", b'{"format": "\xff"}', "not valid UTF-8 text"),
+    ("train", "schema", b'{"target": "\xff"}', "not valid UTF-8 text"),
+    ("train", "data", b"x,y\n" + b"1" * (LIMIT + 1) + b",0\n",
+     f"row 2: field larger than field limit ({LIMIT})"),
+    ("predict", "data", b'x,y\n0.5,0\n"' + b"1" * (LIMIT + 1) + b'",0\n',
+     f"row 3: field larger than field limit ({LIMIT})"),
+], ids=["predict-data-bytes", "train-data-bytes", "predict-tree-bytes", "train-schema-bytes",
+        "train-long-cell", "predict-long-quoted-cell"])
+def test_bad_input_files_are_clean_errors(tmp_path, capsys, command, bad_file, content, message):
+    paths = {"data": tmp_path / "step.csv", "tree": tmp_path / "tree.json", "schema": tmp_path / "schema.json"}
+    write_step_csv(paths["data"])
+    paths["schema"].write_text('{"target": "y"}')
+    assert main(["train", "--data", str(paths["data"]), "--target", "y", "--depth", "1",
+                 "--dump-tree", str(paths["tree"])]) == 0
+    capsys.readouterr()
+    paths[bad_file].write_bytes(content)
+    if command == "train":
+        argv = ["train", "--data", str(paths["data"]), "--schema", str(paths["schema"])]
+    else:
+        argv = ["predict", "--tree", str(paths["tree"]), "--data", str(paths["data"]),
+                "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{paths[bad_file]}: " in err and message in err
 
 
 def test_predict_with_malformed_tree_is_a_clean_error(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """CSV reading and writing: pinned output bytes, and the two readers
 (``load_csv`` for training tables, ``load_features`` for prediction input)
 agreeing cell for cell."""
+import contextlib
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nantree import censor, datasets
 from nantree.cli import main
@@ -21,6 +26,7 @@ from nantree.data import (
     Schema,
     SchemaError,
     ValidationError,
+    _read_table,
     load_csv,
     load_features,
     save_csv,
@@ -85,6 +91,20 @@ UNLABELLED_PREDICTIONS = (
     b'0,0.4325,0.26125,0.30625\r\n0,0.575,0.2875,0.1375\r\n2,0.38,0.235,0.385\r\n'
     b'0,0.44999999999999996,0.27,0.27999999999999997\r\n'
 )
+# no quotes, so read without the csv module; "plain" stands in for "a,b"
+UNQUOTED_INPUT = 'c,x,extra\nplain,0.1,zz\nplain,0.9,\n,NA,1\nunseen,0.7,2\nplain,,3\nplain,nan,4\n'
+UNQUOTED_REG_PREDICTIONS = (
+    b'prediction\r\n1.1\r\n-3.3\r\n-1.0174999999999996\r\n-1.9249999999999996\r\n'
+    b'-1.9799999999999995\r\n-1.9799999999999995\r\n'
+)
+# labels that csv.writer quotes, in the header and in the prediction column
+QUOTED_LABELS_TREE = _tree_doc({"kind": "xe", "n_classes": 3}, ["a,b", 'say "hi"', "z"],
+                               [[0.1, 0.2, 0.7], [0.25, 0.5, 0.25], [0.6, 0.3, 0.1]])
+QUOTED_LABELS_PREDICTIONS = (
+    b'prediction,"p_a,b","p_say ""hi""",p_z\r\nz,0.1,0.2,0.7\r\n"a,b",0.6,0.3,0.1\r\n'
+    b'"a,b",0.38875,0.305,0.3062500000000001\r\n"a,b",0.5125,0.35,0.1375\r\n'
+    b'"say ""hi""",0.205,0.41,0.385\r\n"a,b",0.44999999999999996,0.27,0.27999999999999997\r\n'
+)
 
 
 @pytest.mark.parametrize("ds, expected", [(REG_TABLE, REG_TABLE_BYTES), (CLASS_TABLE, CLASS_TABLE_BYTES)],
@@ -103,15 +123,20 @@ def test_save_csv_bytes_of_a_censored_table(tmp_path):
     assert digest == "53e8524153592372b8c1728451fc7a8670c7e51442f5b42321ef24d5ddf0d446"
 
 
-@pytest.mark.parametrize("doc, expected", [
-    (REG_TREE, REG_PREDICTIONS),
-    (CLASS_TREE, CLASS_PREDICTIONS),
-    (UNLABELLED_TREE, UNLABELLED_PREDICTIONS),
-], ids=["regression", "classification", "unlabelled"])
-def test_predict_output_bytes(tmp_path, capsys, doc, expected):
+@pytest.mark.parametrize("doc, text, expected", [
+    (REG_TREE, PREDICT_INPUT, REG_PREDICTIONS),
+    (CLASS_TREE, PREDICT_INPUT, CLASS_PREDICTIONS),
+    (UNLABELLED_TREE, PREDICT_INPUT, UNLABELLED_PREDICTIONS),
+    (REG_TREE, PREDICT_INPUT.replace("\n", "\r\n"), REG_PREDICTIONS),
+    (REG_TREE, UNQUOTED_INPUT, UNQUOTED_REG_PREDICTIONS),
+    (REG_TREE, UNQUOTED_INPUT.replace("\n", "\r\n"), UNQUOTED_REG_PREDICTIONS),
+    (QUOTED_LABELS_TREE, PREDICT_INPUT, QUOTED_LABELS_PREDICTIONS),
+], ids=["regression", "classification", "unlabelled", "regression-crlf", "unquoted", "unquoted-crlf",
+        "quoted-labels"])
+def test_predict_output_bytes(tmp_path, capsys, doc, text, expected):
     tree_path, data, out = tmp_path / "tree.json", tmp_path / "in.csv", tmp_path / "out.csv"
     tree_path.write_text(json.dumps(doc))
-    data.write_text(PREDICT_INPUT)
+    data.write_bytes(text.encode())
     assert main(["predict", "--tree", str(tree_path), "--data", str(data), "--out", str(out)]) == 0
     assert "wrote 6 predictions" in capsys.readouterr().out
     assert out.read_bytes() == expected
@@ -235,3 +260,107 @@ def test_readers_reject_tables_without_rows(tmp_path, text, error):
         load_csv(path, Schema(target="y"))
     with pytest.raises(ValidationError, match=error):
         load_features(path, ("x",), (NUMERIC,), {})
+
+
+# ---------------------------------------------------------------------------
+# the two paths of _read_table against a csv.reader reference
+
+
+def reference_table(path):
+    """What ``_read_table`` returns, read the plain way: every file through
+    ``csv.reader``, one list per row, columns by ``zip``. This was the
+    library's only reader before unquoted files got their own path."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = list(reader)
+    if not header:
+        raise ValidationError(f"{path}: empty file" if header is None else f"{path}: blank header row")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise SchemaError(f"{path}: duplicate column {name!r} in header")
+        seen.add(name)
+    width = len(header)
+    row_numbers = range(2, len(rows) + 2)
+    if width == 1:
+        rows = [row or [""] for row in rows]
+    elif not all(rows):
+        row_numbers = [number for number, row in zip(row_numbers, rows) if row]
+        rows = [row for row in rows if row]
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    if set(map(len, rows)) != {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ParseError(f"{path}: row {row_numbers[i]} has {len(rows[i])} cells, expected {width}")
+    return header, list(zip(*rows)), row_numbers
+
+
+def outcome(read, path):
+    try:
+        header, columns, row_numbers = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return header, [tuple(column) for column in columns], list(row_numbers)
+
+
+TOKENS = [",", '"', "\n", "\r\n", "\r", "\x0b", "\n\n", "NA", "a", "1", " "]
+LINE_ENDS = st.sampled_from(["\n", "\r\n"])
+random_texts = st.lists(st.sampled_from(TOKENS), max_size=40).map("".join)
+# well-formed tables of one or more columns, with blank lines, stray tokens
+# or a quote mixed in
+tables = st.builds(
+    lambda width, cells, end, tail: end.join(",".join(cells[i:i + width]) for i in range(0, len(cells), width)) + tail,
+    st.integers(1, 8),
+    st.lists(st.sampled_from(["", "NA", "x", "1.5", "a b", "\x0b"]), max_size=40),
+    LINE_ENDS,
+    random_texts,
+)
+
+
+@given(st.one_of(random_texts, tables))
+@example("a\r\r\n\n\n")
+@example("x,y\r\n1,2\r\n\r\n3,4")
+@example("x\r\n\r\n1\r\n")
+@settings(max_examples=400, deadline=None)
+def test_read_table_matches_csv_reader_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "reference.csv"
+    path.write_bytes(text.encode())
+    assert outcome(_read_table, str(path)) == outcome(reference_table, str(path))
+
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("text", [
+    ",".join(f"c{j}" for j in range(LIMIT // 4)) + "\n" + ",".join(["1.25"] * (LIMIT // 4)) + "\n",
+    "x,y\n" + "1" * LIMIT + ",2\n",
+], ids=["long-line-short-cells", "cell-at-the-limit"])
+@pytest.mark.parametrize("quote", [False, True], ids=["unquoted", "quoted"])
+def test_read_table_accepts_lines_and_cells_up_to_the_field_limit(tmp_path, text, quote):
+    if quote:  # quote the first column name, so csv.reader reads the file
+        text = '"' + text.replace(",", '",', 1)
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    assert outcome(_read_table, str(path)) == outcome(reference_table, str(path))
+
+
+@given(st.lists(st.text(st.sampled_from(',"\r\n a'), max_size=4), min_size=2, max_size=3, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_predict_quotes_labels_as_csv_writer_does(tmp_path_factory, labels):
+    n = len(labels)
+    leaves = [[float(k == i % n) for k in range(n)] for i in range(3)]
+    doc = _tree_doc({"kind": "xe", "n_classes": n}, labels, leaves)
+    base = tmp_path_factory.getbasetemp()
+    tree_path, data, out = base / "labels.json", base / "labels.csv", base / "labels_out.csv"
+    tree_path.write_text(json.dumps(doc))
+    data.write_text(PREDICT_INPUT)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["predict", "--tree", str(tree_path), "--data", str(data), "--out", str(out)]) == 0
+    written = out.read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(written, newline="")))
+    assert rows[0] == ["prediction"] + [f"p_{label}" for label in labels]
+    assert {row[0] for row in rows[1:]} <= set(labels)
+    again = io.StringIO()
+    csv.writer(again).writerows(rows)
+    assert written == again.getvalue()

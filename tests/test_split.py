@@ -61,7 +61,6 @@ def test_degenerate_midpoint_falls_back_to_left_value():
     assert cands[0].threshold == lo  # lo <= t < hi still separates the rows
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_midpoint_falls_back_to_left_value():
     lo, hi = -1.5e308, -1e308
     assert 0.5 * (lo + hi) == -np.inf  # the sum overflows: the midpoint falls below lo
