@@ -273,26 +273,32 @@ def emit_csv(records: list[ExperimentRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[ExperimentRecord]:
-    """Records from an :func:`emit_csv` file; a bad row raises ParseError."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValidationError(f"unexpected header {header!r}")
-        out = []
-        for row in reader:
-            try:
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(f"{len(row)} cells, expected {len(CSV_HEADER)}")
-                out.append(ExperimentRecord(
-                    dataset=row[0], strategy=row[1], scenario=row[2],
-                    q=float(row[3]), fold=int(row[4]),
-                    loss=float(row[5]), excess_loss=float(row[6]),
-                    depth=int(row[7]), wall_ms=float(row[8]),
-                ))
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
-        return out
+    """Records from an :func:`emit_csv` file; a bad row, a cell longer than
+    ``csv.field_size_limit()`` or text that is not UTF-8 raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = tuple(next(reader, ()))
+            if header != CSV_HEADER:
+                raise ValidationError(f"unexpected header {header!r}")
+            out = []
+            for row in reader:
+                try:
+                    if len(row) != len(CSV_HEADER):
+                        raise ValueError(f"{len(row)} cells, expected {len(CSV_HEADER)}")
+                    out.append(ExperimentRecord(
+                        dataset=row[0], strategy=row[1], scenario=row[2],
+                        q=float(row[3]), fold=int(row[4]),
+                        loss=float(row[5]), excess_loss=float(row[6]),
+                        depth=int(row[7]), wall_ms=float(row[8]),
+                    ))
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+            return out
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
 def aggregate_records(records: list[ExperimentRecord]) -> list[ExperimentRecord]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -83,6 +84,26 @@ class Partition:
     left_categories: frozenset[int] | None = None
     right_categories: frozenset[int] | None = None
 
+    # Hand-written because split search builds one Partition per candidate,
+    # about 1.3M per cross-validation sweep, and the generated frozen
+    # __init__ stores each field through object.__setattr__. Storing through
+    # the slots' own setters, which skip the frozen __setattr__, cuts a
+    # numeric candidate from about 1.2 to 0.7 µs. __post_init__ is called
+    # through self, never bound once, so a wrapper set on the class sees
+    # every construction: the benchmark's tracer counts candidates that way.
+    def __init__(
+        self,
+        feature: int,
+        threshold: float | None = None,
+        left_categories: frozenset[int] | None = None,
+        right_categories: frozenset[int] | None = None,
+    ) -> None:
+        _set_feature(self, feature)
+        _set_threshold(self, threshold)
+        _set_left(self, left_categories)
+        _set_right(self, right_categories)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if self.threshold is not None:
             if self.left_categories is None and self.right_categories is None:
@@ -92,8 +113,8 @@ class Partition:
             right = frozenset(map(int, self.right_categories))
             if not left or not right or left & right:
                 raise ValueError("category sets must be disjoint and non-empty")
-            object.__setattr__(self, "left_categories", left)
-            object.__setattr__(self, "right_categories", right)
+            _set_left(self, left)
+            _set_right(self, right)
             return
         raise ValueError("partition needs either a threshold or two category sets")
 
@@ -116,6 +137,13 @@ class Partition:
         side[list(self.right_categories)] = 2
         s = side[np.minimum(v, top)]
         return s == 1, s == 2
+
+
+# the setters of the decorated class's slots (see Partition.__init__)
+_set_feature = Partition.feature.__set__
+_set_threshold = Partition.threshold.__set__
+_set_left = Partition.left_categories.__set__
+_set_right = Partition.right_categories.__set__
 
 
 @dataclass(frozen=True)
@@ -223,7 +251,7 @@ def _numeric_candidates(feature, vp, S_p):
     # guard against midpoints that round up to the right value, or overflow
     # to -inf below the left one
     thresholds = np.where((lo <= mids) & (mids < hi), mids, lo)
-    partitions = [Partition(feature, t) for t in thresholds.tolist()]
+    partitions = list(map(Partition, repeat(feature), thresholds.tolist()))
     return partitions, cuts + 1, np.cumsum(S_p.T[order], axis=0)[cuts]
 
 

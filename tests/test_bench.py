@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -219,6 +220,23 @@ def test_read_records_names_the_bad_row(tmp_path):
             read_records(str(path))
     path.write_text(f"{head}\n{good}\n")
     assert read_records(str(path))[0].fold == 0
+
+
+HEAD_ROW = ",".join(CSV_HEADER).encode()
+GOOD_ROW = b"t,mia,mcar,0.5,0,1.0,0.2,2,3.5"
+
+
+@pytest.mark.parametrize("data, match", [
+    (HEAD_ROW + b"\n" + GOOD_ROW + b"\nt,mia,mcar,0.5,0,1.0,0.2,2,\xff\n", r"not valid UTF-8 text \(invalid start byte\)"),
+    (b"\xff" + HEAD_ROW + b"\n" + GOOD_ROW + b"\n", r"not valid UTF-8 text \(invalid start byte\)"),
+    (HEAD_ROW + b"\n" + GOOD_ROW + b"\n" + b"x" * 200_000 + GOOD_ROW[1:] + b"\n",
+     r"row 3: field larger than field limit \(131072\)"),
+], ids=["undecodable-row", "undecodable-header", "over-long-cell"])
+def test_read_records_bad_bytes_are_parse_errors(tmp_path, data, match):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {match}$"):
+        read_records(str(path))
 
 
 def test_mean_excess_by_strategy():

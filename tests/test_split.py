@@ -1,7 +1,12 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from nantree import (
+    Branch,
     Dataset,
     FeatureColumn,
     LossKind,
@@ -19,7 +24,7 @@ from nantree import (
 )
 from nantree import tree as tree_module
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
-from nantree.split import MissingRoute, split_rows
+from nantree.split import MAX_EXHAUSTIVE_CATEGORIES, MissingRoute, split_rows
 
 from conftest import random_problem
 from oracle import best_loss
@@ -272,6 +277,101 @@ def test_partition_validation():
             Partition(0, threshold=0.5, **sets)
     with pytest.raises(ValueError, match="either a threshold or two category sets"):
         Partition(0, left_categories=frozenset({0}))
+
+
+NUMERIC_CUT = Partition(2, 0.5)
+CATEGORY_CUT = Partition(1, left_categories=frozenset({0, 3}), right_categories=frozenset({1}))
+
+
+@pytest.mark.parametrize("partition", [NUMERIC_CUT, CATEGORY_CUT], ids=["numeric", "categorical"])
+def test_partition_is_a_frozen_value(partition):
+    for field in dataclasses.fields(Partition):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(partition, field.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(partition, field.name)
+    twin = Partition(*(getattr(partition, f.name) for f in dataclasses.fields(Partition)))
+    assert twin == partition and twin is not partition
+    assert hash(twin) == hash(partition)
+    assert len({partition, twin}) == 1
+    for copied in (copy.copy(partition), copy.deepcopy(partition), pickle.loads(pickle.dumps(partition))):
+        assert copied == partition and hash(copied) == hash(partition)
+        assert type(copied) is Partition
+    assert dataclasses.replace(partition) == partition
+    assert dataclasses.replace(partition, feature=7).feature == 7
+    with pytest.raises(ValueError, match="either a threshold or two category sets"):
+        dataclasses.replace(partition, threshold=None, left_categories=None)
+
+
+def test_partition_fields_construction_and_repr():
+    assert [f.name for f in dataclasses.fields(Partition)] == [
+        "feature", "threshold", "left_categories", "right_categories"]
+    assert Partition(2, 0.5) == Partition(feature=2, threshold=0.5) == NUMERIC_CUT
+    assert Partition(1, None, frozenset({0, 3}), frozenset({1})) == CATEGORY_CUT
+    assert Partition(right_categories={1}, left_categories={3, 0}, feature=1) == CATEGORY_CUT
+    assert Partition(2, 0.5) != Partition(2, 0.25) and Partition(2, 0.5) != Partition(3, 0.5)
+    assert repr(NUMERIC_CUT) == "Partition(feature=2, threshold=0.5, left_categories=None, right_categories=None)"
+    assert repr(CATEGORY_CUT) == (
+        "Partition(feature=1, threshold=None, left_categories=frozenset({0, 3}), right_categories=frozenset({1}))")
+    assert (NUMERIC_CUT.is_numeric, CATEGORY_CUT.is_numeric) == (True, False)
+
+
+@pytest.mark.parametrize("left, right", [
+    (np.array([0, 3]), np.array([1])),
+    ([np.int64(3), np.int32(0)], (np.uint8(1),)),
+    ([0, 3, 3], [1]),
+    (frozenset({np.int64(0), np.int64(3)}), {1}),
+], ids=["arrays", "numpy-scalars", "lists", "sets"])
+def test_partition_stores_category_sets_as_python_ints(left, right):
+    partition = Partition(1, left_categories=left, right_categories=right)
+    assert partition == CATEGORY_CUT and hash(partition) == hash(CATEGORY_CUT)
+    for cats in (partition.left_categories, partition.right_categories):
+        assert type(cats) is frozenset
+        assert all(type(c) is int for c in cats)
+
+
+def test_growth_builds_one_partition_per_scanned_candidate(monkeypatch):
+    """Depth-1 trees search the root alone (a trinary middle child inherits
+    the root's scans), so growth builds exactly the root's candidates."""
+    rng = np.random.default_rng(14)
+    n = 300
+    x = rng.normal(size=(n, 2))
+    few = rng.integers(0, 5, size=n)  # cut exhaustively
+    many = rng.integers(0, MAX_EXHAUSTIVE_CATEGORIES + 4, size=n)  # cut by prefixes
+    y = np.digitize(x[:, 0] + 0.3 * few - 0.1 * many + rng.normal(scale=0.5, size=n), [-0.5, 0.5])
+    cols = [numeric(f"x{j}", np.where(rng.random(n) < 0.2, np.nan, x[:, j])) for j in range(2)]
+    cols.append(FeatureColumn("few", CATEGORICAL, np.where(rng.random(n) < 0.2, -1, few),
+                              tuple("abcde")))
+    cols.append(FeatureColumn("many", CATEGORICAL, many,
+                              tuple(f"c{k}" for k in range(MAX_EXHAUSTIVE_CATEGORIES + 4))))
+    ds = Dataset(tuple(cols), ResponseColumn(CLASS, y, ("l0", "l1", "l2")))
+    kind = loss_for(ds)
+    assert kind.n_classes == 3
+    rows = np.arange(n)
+    per_feature = [len(enumerate_candidates(c, j, rows, ds.response.values, kind)) for j, c in enumerate(ds.columns)]
+    assert per_feature[2:] == [2 ** 4 - 1, MAX_EXHAUSTIVE_CATEGORIES + 3]  # exhaustive, then prefix cuts
+    assert min(per_feature[:2]) > 100
+
+    built = 0
+    original = Partition.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counting)
+    for strategy in (Strategy.MAJORITY, Strategy.TRINARY):
+        built = 0
+        tree = tree_module.train(ds, tree_module.TrainConfig(strategy, max_depth=1))
+        assert built == sum(per_feature), strategy
+        assert isinstance(tree.root, Branch)
+        # the trinary root grows a middle child, which splits again on the inherited scans
+        assert (tree.root.middle is not None) == (strategy is Strategy.TRINARY)
+        if strategy is Strategy.TRINARY:
+            assert isinstance(tree.root.middle, Branch)
+    monkeypatch.undo()
+    assert Partition.__post_init__ is original
 
 
 def test_unseen_category_counts_as_missing():
