@@ -31,7 +31,6 @@ growth, the others 0.0.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -39,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censor import SCENARIOS, CensorSpec, apply_scenario
-from .data import Dataset, FoldAssignment, ParseError, ValidationError, stratified_kfold
+from .data import (Dataset, FoldAssignment, ParseError, ValidationError, check_seed, read_rows,
+                   stratified_kfold, write_rows)
 from .split import Strategy
 from .tree import TrainConfig, Tree, evaluate, project, train, truncate
 
@@ -96,6 +96,7 @@ class ExperimentConfig:
         for q in self.q_grid:
             if not 0.0 <= q <= 0.9:
                 raise ValidationError("censoring levels must lie in [0, 0.9]")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -260,45 +261,37 @@ def emit_csv(records: list[ExperimentRecord], path: str) -> None:
     """Write records with the fixed header; floats use their shortest
     round-tripping representation, so identical runs give identical bytes
     (wall_ms aside)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.dataset, r.strategy, r.scenario,
-                repr(float(r.q)), r.fold,
-                repr(float(r.loss)), repr(float(r.excess_loss)),
-                r.depth, repr(float(r.wall_ms)),
-            ])
+    write_rows(path, CSV_HEADER, (
+        [r.dataset, r.strategy, r.scenario,
+         repr(float(r.q)), r.fold,
+         repr(float(r.loss)), repr(float(r.excess_loss)),
+         r.depth, repr(float(r.wall_ms))]
+        for r in records
+    ))
 
 
 def read_records(path: str) -> list[ExperimentRecord]:
     """Records from an :func:`emit_csv` file; a bad row, a cell longer than
-    ``csv.field_size_limit()`` or text that is not UTF-8 raises ParseError."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header != CSV_HEADER:
-                raise ValidationError(f"unexpected header {header!r}")
-            out = []
-            for row in reader:
-                try:
-                    if len(row) != len(CSV_HEADER):
-                        raise ValueError(f"{len(row)} cells, expected {len(CSV_HEADER)}")
-                    out.append(ExperimentRecord(
-                        dataset=row[0], strategy=row[1], scenario=row[2],
-                        q=float(row[3]), fold=int(row[4]),
-                        loss=float(row[5]), excess_loss=float(row[6]),
-                        depth=int(row[7]), wall_ms=float(row[8]),
-                    ))
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
-            return out
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+    ``csv.field_size_limit()`` or text that is not UTF-8 raises ParseError.
+    Its row number counts records, the header being row 1."""
+    rows = read_rows(path)
+    header = tuple(next(rows, ()))
+    if header != CSV_HEADER:
+        raise ValidationError(f"unexpected header {header!r}")
+    out = []
+    for number, row in enumerate(rows, 2):
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{len(row)} cells, expected {len(CSV_HEADER)}")
+            out.append(ExperimentRecord(
+                dataset=row[0], strategy=row[1], scenario=row[2],
+                q=float(row[3]), fold=int(row[4]),
+                loss=float(row[5]), excess_loss=float(row[6]),
+                depth=int(row[7]), wall_ms=float(row[8]),
+            ))
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {number}: {exc}") from None
+    return out
 
 
 def aggregate_records(records: list[ExperimentRecord]) -> list[ExperimentRecord]:

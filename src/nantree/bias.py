@@ -11,13 +11,12 @@ compared against closed-form bias ceilings.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ValidationError
+from .data import ValidationError, check_seed, write_rows
 from .split import Strategy
 
 BIAS_STRATEGIES = (Strategy.MAJORITY, Strategy.MIA, Strategy.FC, Strategy.TRINARY)
@@ -41,10 +40,13 @@ class BiasScenario:
             raise ValidationError("p must lie strictly inside (0, 1)")
         if not 0.0 <= self.q < 1.0:
             raise ValidationError("q must lie in [0, 1)")
-        if self.sigma < 0.0:
-            raise ValidationError("sigma must be nonnegative")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValidationError("a and b must be finite")
+        if not 0.0 <= self.sigma < math.inf:  # NaN fails too
+            raise ValidationError("sigma must be finite and nonnegative")
         if self.n_samples < 2 or self.replications < 2:
             raise ValidationError("need at least 2 samples and 2 replications")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -184,14 +186,11 @@ def run_bias(sc: BiasScenario, strategies: tuple[Strategy, ...] = BIAS_STRATEGIE
 
 
 def emit_bias_csv(results: list[StrategyBias], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BIAS_CSV_HEADER)
-        for r in results:
-            writer.writerow([
-                r.strategy,
-                repr(float(r.mean_a_hat)),
-                repr(float(r.se_a_hat)),
-                "" if r.kappa_hat is None else repr(float(r.kappa_hat)),
-                repr(float(r.bound)),
-            ])
+    write_rows(path, BIAS_CSV_HEADER, (
+        [r.strategy,
+         repr(float(r.mean_a_hat)),
+         repr(float(r.se_a_hat)),
+         "" if r.kappa_hat is None else repr(float(r.kappa_hat)),
+         repr(float(r.bound))]
+        for r in results
+    ))

@@ -6,14 +6,20 @@ censors only the test side, and ``im`` (informative missingness) censors
 deterministically from the top of each feature. Responses are never
 censored. Every censored feature column loses exactly round(q * n_rows)
 cells (given a fully observed input column).
+
+MCAR and IM differ only in the order in which a column's present cells
+go missing: one blanking step takes the first round(q * n_rows) cells of
+a seeded random choice (MCAR) or of a ranking by value or category
+frequency (IM).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, Dataset, FeatureColumn, ValidationError
+from .data import CATEGORICAL, Dataset, FeatureColumn, ValidationError, check_seed
 
 MCAR = "mcar"
 MCAR_TEST = "mcar_test"
@@ -33,91 +39,53 @@ class CensorSpec:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         if not 0.0 <= self.q <= 0.9:
             raise ValidationError("q must lie in [0, 0.9]")
+        check_seed(self.seed)
 
 
-def _n_censor(q: float, n: int) -> int:
-    return int(round(q * n))
-
-
-def _blank(column: FeatureColumn, idx: np.ndarray) -> FeatureColumn:
-    values = column.values.copy()
-    if column.kind == CATEGORICAL:
-        values[idx] = -1
-    else:
-        values[idx] = np.nan
-    return FeatureColumn(column.name, column.kind, values, column.categories)
+def _blank(ds: Dataset, q: float, order: Callable[..., np.ndarray]) -> Dataset:
+    """``ds`` with the first min(round(q * n_rows), present) cells of
+    ``order(j, column, present, m)`` blanked in each feature column ``j``;
+    ``present`` holds the column's present rows, ascending, and ``m`` is
+    that count. A column with nothing to blank is kept as it is."""
+    if not 0.0 <= q <= 1.0:
+        raise ValidationError("q must lie in [0, 1]")
+    columns = []
+    for j, col in enumerate(ds.columns):
+        present = np.flatnonzero(col.present_mask())
+        m = min(int(round(q * ds.n_rows)), present.size)
+        if m:
+            values = col.values.copy()
+            values[order(j, col, present, m)[:m]] = -1 if col.kind == CATEGORICAL else np.nan
+            col = FeatureColumn(col.name, col.kind, values, col.categories)
+        columns.append(col)
+    return Dataset(tuple(columns), ds.response)
 
 
 def censor_mcar(ds: Dataset, q: float, seed: int) -> Dataset:
     """Censor exactly round(q*n) present cells per feature, uniformly at
     random, with an independent stream per (seed, column index)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError("q must lie in [0, 1]")
-    columns = []
-    for j, col in enumerate(ds.columns):
-        m = _n_censor(q, ds.n_rows)
-        present = np.flatnonzero(col.present_mask())
-        m = min(m, present.size)
-        if m == 0:
-            columns.append(col)
-            continue
-        rng = np.random.default_rng([seed, j])
-        chosen = rng.choice(present, size=m, replace=False)
-        columns.append(_blank(col, chosen))
-    return Dataset(tuple(columns), ds.response)
+    check_seed(seed)
+    return _blank(ds, q, lambda j, col, present, m:
+                   np.random.default_rng([seed, j]).choice(present, size=m, replace=False))
 
 
-def _censor_im_numeric(col: FeatureColumn, m: int) -> FeatureColumn:
-    present = np.flatnonzero(col.present_mask())
-    m = min(m, present.size)
-    if m == 0:
-        return col
+def _im_order(j: int, col: FeatureColumn, present: np.ndarray, m: int) -> np.ndarray:
+    """Present rows by descending value (numeric) or by category, most
+    frequent first and ties by name (categorical); then by row."""
     values = col.values[present]
-    # top m values by rank; ties broken by row index (lower index first)
-    order = np.lexsort((present, -values))
-    return _blank(col, present[order[:m]])
-
-
-def _censor_im_categorical(col: FeatureColumn, m: int) -> FeatureColumn:
-    present = np.flatnonzero(col.present_mask())
-    m = min(m, present.size)
-    if m == 0:
-        return col
-    codes = col.values[present]
-    counts = np.bincount(codes, minlength=len(col.categories))
-    observed = np.flatnonzero(counts > 0)
-    # whole categories in descending frequency (ties by name), the last one
-    # partially, lowest row indices first
-    names = np.array(col.categories, dtype=object)[observed]
-    order = observed[np.lexsort((names, -counts[observed]))]
-    chosen: list[np.ndarray] = []
-    remaining = m
-    for cat in order:
-        rows_of_cat = present[codes == cat]  # ascending row index
-        if remaining >= rows_of_cat.size:
-            chosen.append(rows_of_cat)
-            remaining -= rows_of_cat.size
-        else:
-            chosen.append(rows_of_cat[:remaining])
-            remaining = 0
-        if remaining == 0:
-            break
-    return _blank(col, np.concatenate(chosen))
+    if col.kind == CATEGORICAL:
+        counts = np.bincount(values, minlength=len(col.categories))
+        by_rank = np.lexsort((np.array(col.categories, dtype=object), -counts))
+        key = np.argsort(by_rank)[values]  # the inverse permutation: each code's rank
+    else:
+        key = -values
+    return present[np.lexsort((present, key))]
 
 
 def censor_im(ds: Dataset, q: float) -> Dataset:
     """Informative censoring: the largest values (numeric) or the most
     frequent categories (categorical) go missing first. Deterministic."""
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError("q must lie in [0, 1]")
-    columns = []
-    for col in ds.columns:
-        m = _n_censor(q, ds.n_rows)
-        if col.kind == CATEGORICAL:
-            columns.append(_censor_im_categorical(col, m))
-        else:
-            columns.append(_censor_im_numeric(col, m))
-    return Dataset(tuple(columns), ds.response)
+    return _blank(ds, q, _im_order)
 
 
 def _derive_seed(seed: int, tag: int) -> int:

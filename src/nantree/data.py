@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Mapping, Sequence
+import numbers
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
 
@@ -172,6 +173,13 @@ def row_index(rows, n_rows: int) -> np.ndarray:
     return rows.astype(np.int64, copy=False)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValidationError unless ``seed`` is a nonnegative integer, as
+    numpy's generators need; every public function that takes a seed checks it here."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, not {seed!r}")
+
+
 @dataclass(frozen=True)
 class FoldAssignment:
     fold_of_row: np.ndarray
@@ -270,8 +278,7 @@ def _read_table(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     if '"' in text:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return _read_records(csv.reader(fh), path)
+        return _read_records(path)
     if "\r" in text:  # one statement each, so at most two copies of the text are alive
         text = text.replace("\r\n", "\n")
         text = text.replace("\r", "\n")
@@ -303,13 +310,36 @@ def _read_table(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int
     return header, [cells[j::width] for j in range(width)], row_numbers
 
 
-def _read_records(reader, path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
-    """``_read_table`` for the records of a ``csv.reader``."""
-    rows: list[list[str]] = []
+def read_rows(path: str) -> Iterator[list[str]]:
+    """The records of an RFC-4180 CSV file, read as they are iterated.
+
+    Text that is not UTF-8 and a malformed record, such as one with a cell
+    longer than ``csv.field_size_limit()`` characters, raise ParseError;
+    its row number counts records, the first being row 1.
+    """
+    number = 0
     try:
-        rows.extend(reader)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for number, row in enumerate(csv.reader(fh), 1):
+                yield row
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
-        raise ParseError(f"{path}: row {len(rows) + 1}: {exc}") from None
+        raise ParseError(f"{path}: row {number + 1}: {exc}") from None
+
+
+def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    r"""Write ``header`` and ``rows`` as a CSV file through ``csv.writer``:
+    ``\r\n`` line ends, and quotes only where a cell needs them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_records(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
+    """``_read_table`` through :func:`read_rows`."""
+    rows = list(read_rows(path))
     header = _checked_header(rows.pop(0) if rows else None, path)
     width = len(header)
     row_numbers: Sequence[int] = range(2, len(rows) + 2)
@@ -338,10 +368,9 @@ def _checked_header(header: list[str] | str | None, path: str) -> list[str]:
     return header
 
 
-def _numeric_column(cells: Sequence[str], name: str, row_numbers: Sequence[int],
-                    missing_tokens: frozenset[str]) -> np.ndarray:
+def _numeric_column(cells: Sequence[str], name: str, row_numbers: Sequence[int]) -> np.ndarray:
     """float64 values of a cell column, NaN where the cell is a missing token."""
-    is_missing = missing_tokens.__contains__
+    is_missing = DEFAULT_MISSING_TOKENS.__contains__
     present = ~np.fromiter(map(is_missing, cells), dtype=bool, count=len(cells))
     try:
         parsed = np.fromiter(map(float, filterfalse(is_missing, cells)), dtype=np.float64,
@@ -358,18 +387,25 @@ def _numeric_column(cells: Sequence[str], name: str, row_numbers: Sequence[int],
     return values
 
 
-def _category_codes(cells: Sequence[str], categories: Sequence[str],
-                    missing_tokens: frozenset[str]) -> np.ndarray:
-    """int64 codes into ``categories``; missing tokens and unknown names are -1."""
-    code_of = {name: code for code, name in enumerate(categories)}
-    code_of.update(dict.fromkeys(missing_tokens, -1))
-    return np.fromiter(map(code_of.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
+def _column(name: str, kind: str, cells: Sequence[str], row_numbers: Sequence[int],
+            categories: Sequence[str] | None = None) -> FeatureColumn:
+    """A typed column of cells: missing tokens are missing, and so are names
+    outside ``categories`` in a categorical one. Without ``categories``, a
+    categorical column's are the sorted names in its cells."""
+    if kind != CATEGORICAL:
+        return FeatureColumn(name, kind, _numeric_column(cells, name, row_numbers))
+    if categories is None:
+        categories = sorted(set(cells).difference(DEFAULT_MISSING_TOKENS))
+    code_of = {category: code for code, category in enumerate(categories)}
+    code_of.update(dict.fromkeys(DEFAULT_MISSING_TOKENS, -1))
+    codes = np.fromiter(map(code_of.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
+    return FeatureColumn(name, CATEGORICAL, codes, tuple(categories))
 
 
-def load_csv(path: str, schema: Schema, missing_tokens: frozenset[str] = DEFAULT_MISSING_TOKENS) -> Dataset:
+def load_csv(path: str, schema: Schema) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a typed Dataset.
 
-    Cells equal to one of ``missing_tokens`` become Missing. A missing
+    Cells in ``DEFAULT_MISSING_TOKENS`` become Missing. A missing
     response cell is an error: responses must always be observed. In a
     one-column file a blank line is one empty cell; in wider files blank
     lines are skipped. Error messages count rows as file records, the
@@ -384,28 +420,19 @@ def load_csv(path: str, schema: Schema, missing_tokens: frozenset[str] = DEFAULT
     if schema.kinds.get(schema.target) is not None:
         raise SchemaError(f"{path}: target {schema.target!r} must not appear in feature kinds")
 
-    columns = []
-    for name, column in zip(header, cells):
-        if name == schema.target:
-            continue
-        if schema.kinds.get(name, NUMERIC) == NUMERIC:
-            columns.append(FeatureColumn(name, NUMERIC, _numeric_column(column, name, row_numbers, missing_tokens)))
-        else:
-            names = sorted(set(column).difference(missing_tokens))
-            codes = _category_codes(column, names, missing_tokens)
-            columns.append(FeatureColumn(name, CATEGORICAL, codes, tuple(names)))
-
+    columns = tuple(_column(name, schema.kinds.get(name, NUMERIC), column, row_numbers)
+                    for name, column in zip(header, cells) if name != schema.target)
     raw_target = cells[header.index(schema.target)]
-    if any(map(missing_tokens.__contains__, raw_target)):
-        i = next(i for i, token in enumerate(raw_target) if token in missing_tokens)
+    if any(map(DEFAULT_MISSING_TOKENS.__contains__, raw_target)):
+        i = next(i for i, token in enumerate(raw_target) if token in DEFAULT_MISSING_TOKENS)
         raise ValidationError(f"{path}: row {row_numbers[i]}: missing response value")
+    # the cells hold no missing token, so the column is the target's values or labels
     if schema.task == REGRESSION:
-        response = ResponseColumn(REAL, _numeric_column(raw_target, schema.target, row_numbers, frozenset()))
+        response = ResponseColumn(REAL, _numeric_column(raw_target, schema.target, row_numbers))
     else:
-        labels = sorted(set(raw_target))
-        response = ResponseColumn(CLASS, _category_codes(raw_target, labels, frozenset()), tuple(labels))
-
-    return Dataset(tuple(columns), response)
+        target = _column(schema.target, CATEGORICAL, raw_target, row_numbers)
+        response = ResponseColumn(CLASS, target.values, target.categories)
+    return Dataset(columns, response)
 
 
 def load_features(path: str, names: Sequence[str], kinds: Sequence[str],
@@ -424,14 +451,7 @@ def load_features(path: str, names: Sequence[str], kinds: Sequence[str],
     for j, (name, kind) in enumerate(zip(names, kinds)):
         if name not in position:
             raise SchemaError(f"{path}: feature column {name!r} not in header")
-        column = cells[position[name]]
-        if kind == CATEGORICAL:
-            cats = tuple(categories.get(j, ()))
-            codes = _category_codes(column, cats, DEFAULT_MISSING_TOKENS)
-            columns.append(FeatureColumn(name, CATEGORICAL, codes, cats))
-        else:
-            values = _numeric_column(column, name, row_numbers, DEFAULT_MISSING_TOKENS)
-            columns.append(FeatureColumn(name, kind, values))
+        columns.append(_column(name, kind, cells[position[name]], row_numbers, categories.get(j, ())))
     return Dataset(tuple(columns), ResponseColumn(REAL, np.zeros(len(row_numbers))))
 
 
@@ -448,10 +468,7 @@ def save_csv(ds: Dataset, path: str) -> None:
         columns.append(_float_cells(ds.response.values))
     else:
         columns.append(list(map(ds.response.labels.__getitem__, ds.response.values.tolist())))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in ds.columns] + [_target_name(ds)])
-        writer.writerows(zip(*columns))
+    write_rows(path, [c.name for c in ds.columns] + [_target_name(ds)], zip(*columns))
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
@@ -492,6 +509,7 @@ def stratified_kfold(ds: Dataset, k: int, seed: int) -> FoldAssignment:
         raise ValidationError("need at least 2 folds")
     if k > ds.n_rows:
         raise ValidationError(f"cannot make {k} folds from {ds.n_rows} rows")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     fold_of_row = np.empty(ds.n_rows, dtype=np.int64)
     if ds.response.kind == REAL:

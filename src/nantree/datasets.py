@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, FeatureColumn, NUMERIC, REAL, ResponseColumn
+from .data import Dataset, FeatureColumn, NUMERIC, REAL, ResponseColumn, check_seed
 
 #: Default seed for the bundled benchmark table; fixed so every run sees
 #: the same data.
@@ -23,6 +23,7 @@ def tree_structured_data(
     lost to censoring one feature can be recovered from its proxy. The
     response is 8*[x1>.5] + 4*[x2>.5] + 2*[x3>.5] plus Gaussian noise.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     x = rng.random((n_rows, 3))
     z = x + rng.normal(0.0, proxy_noise, size=(n_rows, 3))
@@ -41,6 +42,7 @@ def tree_structured_data(
 
 def step_data(n_rows: int = 60, seed: int = 7, noise: float = 0.0) -> Dataset:
     """A single-threshold step response; a depth-1 tree fits it exactly."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     x = rng.random(n_rows)
     y = np.where(x > 0.5, 10.0, 0.0) + (rng.normal(0.0, noise, n_rows) if noise else 0.0)

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -197,6 +198,20 @@ def test_csv_round_trip(tmp_path):
         assert rec.excess_loss == orig.excess_loss
         assert rec.depth == orig.depth
         assert rec.misclass is None
+
+
+def test_emit_csv_bytes(tmp_path):
+    # a dataset name with a comma, quotes and a line break is quoted, quotes doubled
+    name = 'tree,"6"\nb'
+    records = [ExperimentRecord(name, "trinary_mia", "mcar_test", 0.3, 2, 1.25, -0.1, 3, 12.5),
+               ExperimentRecord(name, "fc", "im", 0.1, AGGREGATE_FOLD, 0.1, math.inf, 3, 0.0)]
+    path = tmp_path / "bench.csv"
+    emit_csv(records, str(path))
+    assert path.read_bytes() == (
+        b"dataset,strategy,scenario,q,fold,loss,excess_loss,depth,wall_ms\r\n"
+        b'"tree,""6""\nb",trinary_mia,mcar_test,0.3,2,1.25,-0.1,3,12.5\r\n'
+        b'"tree,""6""\nb",fc,im,0.1,-1,0.1,inf,3,0.0\r\n'
+    )
 
 
 def test_read_records_rejects_foreign_header(tmp_path):

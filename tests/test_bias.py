@@ -159,3 +159,24 @@ def test_emit_bias_csv(tmp_path):
     )
     # numeric fields round-trip through repr
     assert float(by_strategy["trinary"][4]) == SMALL.a
+
+
+def test_emit_bias_csv_bytes(tmp_path):
+    results = [StrategyBias('a,"b"\r\nc', 0.25, 0.01, 0.9, 0.02, 0.5, 0.125, 0),
+               StrategyBias("fc", 0.1, 1e-05, 1.0, 0.0, None, 0.15, 3)]
+    path = tmp_path / "bias.csv"
+    emit_bias_csv(results, str(path))
+    assert path.read_bytes() == (
+        b"strategy,mean_a_hat,se,kappa_hat,bound\r\n"
+        b'"a,""b""\r\nc",0.25,0.01,0.5,0.125\r\n'
+        b"fc,0.1,1e-05,,0.15\r\n"
+    )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", math.nan), ("a", -math.inf), ("b", math.inf), ("b", math.nan),
+    ("sigma", math.nan), ("sigma", math.inf),
+])
+def test_scenario_rejects_non_finite_values(field, value):
+    with pytest.raises(ValidationError, match=f"{field if field == 'sigma' else 'a and b'} must be finite"):
+        BiasScenario(**{field: value})

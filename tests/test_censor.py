@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,52 @@ def test_censor_rejects_bad_q():
         censor_mcar(ds, -0.1, seed=0)
     with pytest.raises(ValidationError):
         censor_im(ds, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# frozen digests of censored tables
+
+
+PINNED_QS = (0.0, 0.1, 0.37, 0.5, 0.9, 1.0)
+PINNED = [
+    "18f0a3a452a8552bcba31d4cdee09440",
+    "7c855a2bff24fd576835f52d3ad5a7d1",
+    "5424b00cfc08a261bd8024dbe9c9082c",
+    "0cb75e985ada6375b1529aab1fceafc6",
+]
+
+
+def pinned_table(seed, n=37):
+    """A mixed table with numeric value ties, cells missing before
+    censoring, and a categorical column whose categories ``b`` and ``c``
+    tie on frequency and ``e`` is never used. With 37 rows, q = 0.37
+    blanks all 9 ``a`` cells and then 5 of the 8 ``b`` cells."""
+    rng = np.random.default_rng(seed)
+    ties = rng.integers(0, 4, n).astype(float)
+    ties[rng.random(n) < 0.2] = np.nan
+    smooth = rng.normal(size=n)
+    smooth[rng.random(n) < 0.1] = np.nan
+    tied = rng.permutation(np.repeat([0, 1, 2, 3, -1], [9, 8, 8, 7, 5]))
+    mixed = rng.integers(-1, 5, n)
+    return Dataset((
+        FeatureColumn("ties", NUMERIC, ties),
+        FeatureColumn("smooth", NUMERIC, smooth),
+        FeatureColumn("tied", CATEGORICAL, tied, ("a", "b", "c", "d", "e")),
+        FeatureColumn("mixed", CATEGORICAL, mixed, ("p", "q", "r", "s", "t")),
+    ), ResponseColumn(REAL, rng.normal(size=n)))
+
+
+def censored_digest(seed):
+    """One hash of censor_mcar and censor_im on ``pinned_table(seed)`` at every q."""
+    ds = pinned_table(seed)
+    h = hashlib.sha256()
+    for q in PINNED_QS:
+        for out in (censor_mcar(ds, q, seed=seed + 10), censor_im(ds, q)):
+            for col in out.columns:
+                h.update(col.values.tobytes())
+    return h.hexdigest()[:32]
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED)))
+def test_censored_tables_match_pinned_digests(seed):
+    assert censored_digest(seed) == PINNED[seed]

@@ -244,6 +244,24 @@ def test_bad_values_are_clean_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--folds", "2", "--q-grid", "0,0.5", "--seed", "-1"],
+    ["bias", "--reps", "3", "--n", "5", "--seed", "-1"],
+    ["bias", "--reps", "3", "--n", "5", "--sigma", "nan"],
+    ["bias", "--reps", "3", "--n", "5", "--a", "nan"],
+    ["bias", "--reps", "3", "--n", "5", "--b", "inf"],
+], ids=["run-seed", "bias-seed", "bias-sigma", "bias-a", "bias-b"])
+def test_negative_seed_and_non_finite_bias_values_are_clean_errors(tmp_path, capsys, argv):
+    if argv[0] == "run":
+        data = tmp_path / "step.csv"
+        write_step_csv(data)
+        argv = argv + ["--data", str(data), "--target", "y", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 LIMIT = csv.field_size_limit()
 
 

@@ -2,17 +2,24 @@ import numpy as np
 import pytest
 
 from nantree import (
+    BiasScenario,
+    CensorSpec,
     Dataset,
+    ExperimentConfig,
     FeatureColumn,
     ParseError,
     ResponseColumn,
     Schema,
     SchemaError,
     ValidationError,
+    apply_scenario,
+    censor_mcar,
     load_csv,
     save_csv,
     schema_for,
+    step_data,
     stratified_kfold,
+    tree_structured_data,
 )
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL, read_schema_file
 
@@ -200,3 +207,18 @@ def test_kfold_small_class_never_empties_fold():
     for seed in range(10):
         folds = stratified_kfold(ds, 4, seed=seed)
         assert all(len(folds.test_rows(f)) > 0 for f in range(4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ExperimentConfig(datasets=(("step", step_data()),), seed=-1),
+    lambda: BiasScenario(seed=-1),
+    lambda: apply_scenario(step_data(), step_data(), CensorSpec("mcar", 0.3, seed=-1)),
+    lambda: censor_mcar(step_data(), 0.3, seed=-1),
+    lambda: stratified_kfold(step_data(), 3, seed=-1),
+    lambda: tree_structured_data(50, seed=-1),
+    lambda: step_data(seed=-1),
+], ids=["ExperimentConfig", "BiasScenario", "CensorSpec", "censor_mcar", "stratified_kfold",
+        "tree_structured_data", "step_data"])
+def test_negative_seed_is_a_validation_error(call):
+    with pytest.raises(ValidationError, match=r"^seed must be a nonnegative integer, not -1$"):
+        call()

@@ -26,3 +26,19 @@ def test_no_module_imports_a_private_name_of_a_sibling():
         if name.startswith("_")
     ]
     assert private == []
+
+
+def _imports_csv(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "csv" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "csv":
+            return True
+    return False
+
+
+def test_only_data_imports_csv():
+    """CSV syntax, its error rules included, lives in one module."""
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if _imports_csv(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == ["data.py"]
