@@ -38,6 +38,11 @@ def _parse_strategies(text: str) -> tuple[Strategy, ...]:
     return tuple(out)
 
 
+#: A start:stop:step range may give at most this many levels; the count is
+#: checked before any level is built.
+MAX_RANGE_LEVELS = 1000
+
+
 def _parse_q_grid(text: str) -> tuple[float, ...]:
     """Either a comma list ("0,0.3,0.5") or a start:stop:step range with
     inclusive endpoints ("0:0.9:0.1"); a range has no level above ``stop``
@@ -50,8 +55,10 @@ def _parse_q_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (_q_number(p, text) for p in parts)
         if step <= 0 or stop < start:
             raise NantreeError(f"bad q grid {text!r}")
-        n = math.floor((stop - start) / step + 1e-9)
-        return tuple(round(start + i * step, 10) for i in range(n + 1))
+        last = (stop - start) / step + 1e-9  # the last level's index; inf for a tiny step
+        if last >= MAX_RANGE_LEVELS:
+            raise NantreeError(f"bad q grid {text!r}: a range gives at most {MAX_RANGE_LEVELS} levels")
+        return tuple(round(start + i * step, 10) for i in range(math.floor(last) + 1))
     return tuple(round(_q_number(p, text), 10) for p in text.split(","))
 
 
@@ -97,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list; hyphens and underscores are interchangeable")
     p.add_argument("--scenario", default="mcar", choices=list(SCENARIOS))
     p.add_argument("--q-grid", default="0:0.9:0.1",
-                   help="censoring levels, as start:stop:step or a comma list")
+                   help=f"censoring levels, as start:stop:step (at most {MAX_RANGE_LEVELS} levels) "
+                        "or a comma list")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--max-depth", type=int, default=5,
                    help="largest depth tried when tuning the tree depth")

@@ -33,9 +33,14 @@ blocks:
 Only :mod:`loss` knows what the statistics mean. When a feature has no
 missing rows at a node, all strategy objectives coincide and are computed
 once, so they are equal bit for bit.
+
+A categorical feature's cuts depend only on its category sequence, so a
+scan builds them the first time it meets the sequence and keeps them in a
+``cuts`` dict: growth passes one per tree, each public call a fresh one.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -84,13 +89,15 @@ class Partition:
     left_categories: frozenset[int] | None = None
     right_categories: frozenset[int] | None = None
 
-    # Hand-written because split search builds one Partition per candidate,
-    # about 1.3M per cross-validation sweep, and the generated frozen
-    # __init__ stores each field through object.__setattr__. Storing through
-    # the slots' own setters, which skip the frozen __setattr__, cuts a
-    # numeric candidate from about 1.2 to 0.7 µs. __post_init__ is called
-    # through self, never bound once, so a wrapper set on the class sees
-    # every construction: the benchmark's tracer counts candidates that way.
+    # Hand-written because split search builds one Partition per numeric
+    # candidate at each node, about 1.3M per cross-validation sweep (a tree
+    # builds a categorical feature's cuts once per category sequence), and
+    # the generated frozen __init__ stores each field through
+    # object.__setattr__. Storing through the slots' own setters, which skip
+    # the frozen __setattr__, cuts a numeric candidate from about 1.2 to
+    # 0.7 µs. __post_init__ is called through self, never bound once, so a
+    # wrapper set on the class sees every construction: the benchmark's
+    # tracer counts candidates that way.
     def __init__(
         self,
         feature: int,
@@ -208,7 +215,7 @@ class _Table:
     ``S_present`` and ``S_miss`` cover the rows observed and missing on
     the feature."""
 
-    partitions: list[Partition]
+    partitions: Sequence[Partition]  # a tuple when shared through ``cuts``
     n_left: np.ndarray          # observed row counts in the left block
     n_present: int
     n_missing: int
@@ -218,7 +225,7 @@ class _Table:
 
 
 def _candidate_table(column: FeatureColumn, feature: int, rows: np.ndarray, S: np.ndarray,
-                     kind: LossKind) -> _Table | None:
+                     kind: LossKind, cuts: dict) -> _Table | None:
     v = column.values[rows]
     present = v >= 0 if column.kind == CATEGORICAL else ~np.isnan(v)
     vp = v[present]
@@ -226,7 +233,7 @@ def _candidate_table(column: FeatureColumn, feature: int, rows: np.ndarray, S: n
     # (S[:, mask] would not)
     S_p = np.compress(present, S, axis=1)
     if column.kind == CATEGORICAL:
-        built = _categorical_candidates(feature, vp, S_p, kind, len(column.categories))
+        built = _categorical_candidates(feature, vp, S_p, kind, len(column.categories), cuts)
     else:
         built = _numeric_candidates(feature, vp, S_p)
     if built is None:
@@ -255,7 +262,7 @@ def _numeric_candidates(feature, vp, S_p):
     return partitions, cuts + 1, np.cumsum(S_p.T[order], axis=0)[cuts]
 
 
-def _categorical_candidates(feature, vp, S_p, kind, n_categories):
+def _categorical_candidates(feature, vp, S_p, kind, n_categories, cuts):
     counts = np.bincount(vp, minlength=n_categories)
     observed = np.flatnonzero(counts > 0)
     if observed.size < 2:
@@ -263,16 +270,23 @@ def _categorical_candidates(feature, vp, S_p, kind, n_categories):
     # per-category statistics, one row per category
     cat = np.stack([np.bincount(vp, weights=stat, minlength=n_categories) for stat in S_p], axis=1)
 
+    # cuts are keyed by (feature, observed codes) when exhaustive, (feature,
+    # ordered codes) for prefixes, and shared read-only by every node
     multiclass = kind.n_classes > 2
     if multiclass and observed.size <= MAX_EXHAUSTIVE_CATEGORIES:
-        m = observed.size
-        n_cand = 2 ** (m - 1) - 1
-        b = np.arange(n_cand, dtype=np.uint32)
-        bits = ((b[:, None] >> np.arange(m - 1, dtype=np.uint32)) & 1).astype(bool)
-        left_mask = np.concatenate([np.ones((n_cand, 1), dtype=bool), bits], axis=1)
-        lefts = [frozenset(observed[row].tolist()) for row in left_mask]
-        n_left = left_mask.astype(np.int64) @ counts[observed]
-        lm = left_mask.astype(np.float64)
+        key = (feature, observed.tobytes())
+        if key not in cuts:
+            m = observed.size
+            n_cand = 2 ** (m - 1) - 1
+            b = np.arange(n_cand, dtype=np.uint32)
+            bits = ((b[:, None] >> np.arange(m - 1, dtype=np.uint32)) & 1).astype(bool)
+            left_mask = np.concatenate([np.ones((n_cand, 1), dtype=bool), bits], axis=1)
+            mask, lm = left_mask.astype(np.int64), left_mask.astype(np.float64)
+            mask.flags.writeable = lm.flags.writeable = False
+            lefts = [frozenset(observed[row].tolist()) for row in left_mask]
+            cuts[key] = mask, lm, _bipartitions(feature, observed, lefts)
+        mask, lm, partitions = cuts[key]
+        n_left = mask @ counts[observed]
         S_left = lm @ cat[observed]
         # the weights by a matrix-vector product, which BLAS sums in its own
         # order; the fc weight floor reads them
@@ -289,12 +303,20 @@ def _categorical_candidates(feature, vp, S_p, kind, n_categories):
             metric = cat[observed, 2 if kind.is_classification else 1] / cat[observed, 0]
             order = np.lexsort((observed, metric))
         ordered = observed[order]
-        lefts = [frozenset(ordered[:i].tolist()) for i in range(1, ordered.size)]
+        key = (feature, ordered.tobytes())
+        if key not in cuts:
+            lefts = [frozenset(ordered[:i].tolist()) for i in range(1, ordered.size)]
+            cuts[key] = _bipartitions(feature, observed, lefts)
+        partitions = cuts[key]
         n_left = np.cumsum(counts[ordered])[:-1]
         S_left = np.cumsum(cat[ordered], axis=0)[:-1]
-    all_obs = frozenset(observed.tolist())
-    partitions = [Partition(feature, left_categories=left, right_categories=all_obs - left) for left in lefts]
     return partitions, n_left, S_left
+
+
+def _bipartitions(feature, observed, lefts) -> tuple[Partition, ...]:
+    """The partitions of the ``observed`` categories with left blocks ``lefts``."""
+    all_obs = frozenset(observed.tolist())
+    return tuple(Partition(feature, left_categories=left, right_categories=all_obs - left) for left in lefts)
 
 
 def enumerate_candidates(
@@ -318,8 +340,8 @@ def enumerate_candidates(
     y = np.asarray(y)
     if y.shape != rows.shape:
         raise ValidationError("y must hold one response per row")
-    table = _candidate_table(column, feature, rows, row_stats(y, row_weights(rows, weights), kind), kind)
-    return table.partitions if table is not None else []
+    table = _candidate_table(column, feature, rows, row_stats(y, row_weights(rows, weights), kind), kind, {})
+    return list(table.partitions) if table is not None else []
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +539,7 @@ class _Entry:
     route: MissingRoute
 
 
-def _pick(losses: np.ndarray, route, partitions: list[Partition]) -> _Entry | None:
+def _pick(losses: np.ndarray, route, partitions: Sequence[Partition]) -> _Entry | None:
     """The first lowest of ``losses`` (inf where infeasible) with its
     partition, or None when none is finite; its missing route is ``route``,
     or ``route(i)`` for candidate ``i`` when ``route`` is a function."""
@@ -529,8 +551,9 @@ def _pick(losses: np.ndarray, route, partitions: list[Partition]) -> _Entry | No
     return _Entry(float(losses[i]), partitions[i], route(i) if callable(route) else route)
 
 
-def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value) -> dict[Strategy, _Entry | None] | None:
-    table = _candidate_table(ds.columns[feature], feature, rows, S, kind)
+def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value,
+                  cuts) -> dict[Strategy, _Entry | None] | None:
+    table = _candidate_table(ds.columns[feature], feature, rows, S, kind, cuts)
     if table is None:
         return None
     mc, mw = cfg.min_child, cfg.min_child_weight
@@ -583,17 +606,19 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value) -> dict[S
     return entries
 
 
-def scan_features(ds, rows, features, strategy, kind, cfg, w,
-                  node_value) -> dict[int, dict[Strategy, _Entry | None]]:
+def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value,
+                  cuts: dict) -> dict[int, dict[Strategy, _Entry | None]]:
     """Scan ``features`` at the node of ``rows`` (weights ``w``, leaf value
     ``node_value``): each feature's best feasible entry (loss, partition
-    and missing route) per objective of ``strategy``. Growth calls this and
-    :func:`select_best`; neither is re-exported from the package."""
+    and missing route) per objective of ``strategy``. ``cuts`` holds the
+    categorical cut lists already built for this loss; growth passes one
+    dict per tree. Growth calls this and :func:`select_best`; neither is
+    re-exported from the package."""
     styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
     S = row_stats(ds.response.values[rows], w, kind)
     scans = {}
     for feature in sorted(features):
-        scan = _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value)
+        scan = _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value, cuts)
         if scan is not None:
             scans[feature] = scan
     return scans
@@ -648,7 +673,7 @@ def best_split(
         raise ValueError("trinary strategies do not take row weights")
     if node_value is None:
         node_value = fit_leaf(ds.response.values[rows], kind, w)
-    scans = scan_features(ds, rows, features, strategy, kind, config, w, node_value)
+    scans = scan_features(ds, rows, features, strategy, kind, config, w, node_value, {})
     choice = select_best(scans, strategy)
     if choice is None:
         return None

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nantree import NantreeError, read_records, serialize
-from nantree.cli import _parse_q_grid, _parse_strategies, main
+from nantree.cli import MAX_RANGE_LEVELS, _parse_q_grid, _parse_strategies, main
 from nantree.split import Strategy
 
 from conftest import middle_chain_tree
@@ -55,6 +56,28 @@ def test_parse_q_grid_forms():
     for text in ("abc", "0:x:0.1", "0,inf", "0:nan:0.1"):
         with pytest.raises(NantreeError, match="not a finite number"):
             _parse_q_grid(text)
+
+
+def test_q_grid_range_level_count_is_capped():
+    assert len(_parse_q_grid(f"0:0.9:{0.9 / (MAX_RANGE_LEVELS - 1)!r}")) == MAX_RANGE_LEVELS
+    for text in (f"0:0.9:{0.9 / MAX_RANGE_LEVELS!r}", "0:0.5:5e-324"):
+        with pytest.raises(NantreeError, match=f"at most {MAX_RANGE_LEVELS} levels"):
+            _parse_q_grid(text)
+
+
+@pytest.mark.parametrize("grid", ["0:0.5:1e-12", "0:0.9:1e-9"])
+def test_huge_q_grid_range_is_a_quick_clean_error(tmp_path, capsys, grid):
+    # the level count is checked before any level is built
+    data = tmp_path / "step.csv"
+    write_step_csv(data)
+    start = time.perf_counter()
+    rc = main(["run", "--data", str(data), "--target", "y", "--q-grid", grid, "--out", str(tmp_path / "out.csv")])
+    assert time.perf_counter() - start < 5.0
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"at most {MAX_RANGE_LEVELS} levels" in captured.err
+    assert captured.out == "" and not (tmp_path / "out.csv").exists()
 
 
 def test_run_subcommand(tmp_path, capsys):

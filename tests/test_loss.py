@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nantree import LossKind, eval_loss, fit_leaf
-from nantree.loss import LOG_CLAMP
+from nantree.loss import LOG_CLAMP, row_stats
 
 from oracle import fit_value, sse_fit, xe_fit
 
@@ -70,6 +70,19 @@ def test_empty_sample():
 def test_label_out_of_range_rejected():
     with pytest.raises(ValueError):
         fit_leaf(np.array([0, 2]), XE2)
+
+
+@pytest.mark.parametrize("bad", [-1, 2, -3, 7, -0.5])
+def test_every_label_check_names_the_range(bad):
+    # the checks ride on bincount and class indexing; the message stays one
+    y = np.array([0, 1, bad, 1])
+    w = np.full(4, 0.5)
+    half = np.array([0.5, 0.5])
+    for call in (lambda: fit_leaf(y, XE2), lambda: fit_leaf(y, XE2, w),
+                 lambda: eval_loss(y, half, XE2), lambda: eval_loss(y, half, XE2, w),
+                 lambda: row_stats(y, w, XE2)):
+        with pytest.raises(ValueError, match=r"^class label outside 0\.\.1$"):
+            call()
 
 
 def test_nonpositive_total_weight_rejected():

@@ -374,6 +374,107 @@ def test_growth_builds_one_partition_per_scanned_candidate(monkeypatch):
     assert Partition.__post_init__ is original
 
 
+def _record_builds(monkeypatch) -> list:
+    """Each Partition built from now on, as (feature, category set), the
+    set None for a numeric one."""
+    built = []
+    original = Partition.__post_init__
+
+    def recording(self):
+        original(self)
+        built.append((self.feature, None if self.is_numeric else self.left_categories | self.right_categories))
+
+    monkeypatch.setattr(Partition, "__post_init__", recording)
+    return built
+
+
+def _n_cuts(n_categories, kind):
+    exhaustive = kind.n_classes > 2 and n_categories <= MAX_EXHAUSTIVE_CATEGORIES
+    return 2 ** (n_categories - 1) - 1 if exhaustive else n_categories - 1
+
+
+def _unit_table(classify, few=True, n_units=80, seed=3):
+    """Units of 12 rows that share their numeric cells (x1 missing in some
+    units) and their response. Inside a unit, row k has category k of
+    ``many`` and k % 4 of ``few``. A numeric split keeps units whole, so a
+    node sees every category of both, each as often and with the same
+    response sums; a categorical split leaves its children categories that
+    again weigh alike on ``many``."""
+    rng = np.random.default_rng(seed)
+    size = 12
+    x = rng.normal(size=(n_units, 2))
+    x[rng.random(n_units) < 0.15, 1] = np.nan
+    signal = x[:, 0] + 0.5 * np.nan_to_num(x[:, 1]) + rng.normal(scale=0.3, size=n_units)
+    k = np.tile(np.arange(size), n_units)
+    cols = [numeric(f"x{j}", np.repeat(x[:, j], size)) for j in range(2)]
+    if few:
+        cols.append(FeatureColumn("few", CATEGORICAL, k % 4, tuple("abcd")))
+    cols.append(FeatureColumn("many", CATEGORICAL, k, tuple(f"c{j}" for j in range(size))))
+    if classify:
+        response = ResponseColumn(CLASS, np.repeat(np.digitize(signal, [-0.5, 0.5]), size), ("l0", "l1", "l2"))
+    else:
+        response = ResponseColumn(REAL, np.repeat(signal, size))
+    return Dataset(tuple(cols), response)
+
+
+def _split_features(node):
+    stack, found = [node], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Branch):
+            found.append(node.spec.partition.feature)
+            stack.extend(c for c in (node.left, node.right, node.middle) if c is not None)
+    return found
+
+
+@pytest.mark.parametrize("classify", [True, False], ids=["3-class", "sse"])
+@pytest.mark.parametrize("strategy", [Strategy.MAJORITY, Strategy.TRINARY])
+def test_growth_builds_each_categorical_cut_list_once_per_tree(monkeypatch, classify, strategy):
+    """Deep trees meet the same category sequences at many nodes, and build
+    each one's cuts once: exhaustive cuts (three classes, at most
+    MAX_EXHAUSTIVE_CATEGORIES categories) by category set, prefix cuts (sse,
+    or three classes over more categories) by category order. On this
+    table a category set has one order, so each set seen gives one list."""
+    # under sse, few's prefix order could depend on rounding once a split on
+    # many weighs its categories unequally, so only many is categorical there
+    ds = _unit_table(classify, few=classify)
+    kind = loss_for(ds)
+    categorical = [j for j, c in enumerate(ds.columns) if c.kind == CATEGORICAL]
+    built = _record_builds(monkeypatch)
+    tree = tree_module.train(ds, tree_module.TrainConfig(strategy, max_depth=4, min_samples=7))
+    split_on = _split_features(tree.root)
+    assert len(split_on) > 8
+    sets = {b for b in built if b[1] is not None}
+    assert sum(b[1] is not None for b in built) == sum(_n_cuts(len(cats), kind) for _, cats in sets)
+    if strategy is Strategy.MAJORITY:
+        # no categorical split, so every node sees all categories: one list per feature
+        assert not set(split_on) & set(categorical)
+        assert sets == {(j, frozenset(range(len(ds.columns[j].categories)))) for j in categorical}
+    else:
+        # a middle chain ends on the categorical features, whose children see fewer categories
+        assert set(split_on) & set(categorical)
+        assert len(sets) > len(categorical)
+
+
+def test_public_calls_build_every_candidate_each_time(monkeypatch):
+    """enumerate_candidates and best_split keep no cut list between calls."""
+    ds = _unit_table(classify=True)
+    kind = loss_for(ds)
+    rows = np.arange(ds.n_rows)
+    features = range(ds.n_features)
+    built = _record_builds(monkeypatch)
+    for _ in range(2):
+        del built[:]
+        per_feature = [len(enumerate_candidates(c, j, rows, ds.response.values, kind))
+                       for j, c in enumerate(ds.columns)]
+        assert len(built) == sum(per_feature)
+        assert per_feature[2:] == [2 ** 3 - 1, 11]  # exhaustive, then prefix cuts
+    for _ in range(2):
+        del built[:]
+        assert best_split(ds, rows, features, Strategy.TRINARY, kind) is not None
+        assert len(built) == sum(per_feature)
+
+
 def test_unseen_category_counts_as_missing():
     # node rows never show category "z"; a row carrying it routes like missing
     cats = ("a", "b", "z")
