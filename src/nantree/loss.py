@@ -70,30 +70,11 @@ def row_weights(y: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     return w
 
 
-# Labels are range-checked where they are used, at no extra pass for the
-# upper bound: fit_leaf's bincount grows past K classes (and refuses a
-# negative label), and an index past the last class is an IndexError.
-def _label_error(kind: LossKind) -> ValueError:
-    return ValueError(f"class label outside 0..{kind.n_classes - 1}")
-
-
-def _labels(y: np.ndarray, kind: LossKind) -> np.ndarray:
-    """``y`` as int64 class labels, checked to be non-negative."""
-    if y.size and y.min() < 0:
-        raise _label_error(kind)
+def _check_labels(y: np.ndarray, kind: LossKind) -> np.ndarray:
+    y = np.asarray(y)
+    if y.size and (y.min() < 0 or y.max() >= kind.n_classes):
+        raise ValueError(f"class label outside 0..{kind.n_classes - 1}")
     return y.astype(np.int64, copy=False)
-
-
-def _class_counts(y: np.ndarray, kind: LossKind, w: np.ndarray | None) -> np.ndarray:
-    # the cast would turn a float label in (-1, 0) into 0, so floats take the bound test
-    labels = _labels(y, kind) if y.dtype.kind == "f" else y.astype(np.int64, copy=False)
-    try:
-        counts = np.bincount(labels, weights=w, minlength=kind.n_classes)
-    except ValueError:  # a negative label
-        raise _label_error(kind) from None
-    if counts.size > kind.n_classes:
-        raise _label_error(kind)
-    return counts
 
 
 def fit_leaf(y: np.ndarray, kind: LossKind, weights: np.ndarray | None = None):
@@ -105,14 +86,16 @@ def fit_leaf(y: np.ndarray, kind: LossKind, weights: np.ndarray | None = None):
     if weights is None:
         # the float64 sums the weighted form takes, for any sample dtype
         if kind.is_classification:
-            return _class_counts(y, kind, None) / y.size
+            return np.bincount(_check_labels(y, kind), minlength=kind.n_classes) / y.size
         return float(np.asarray(y, dtype=np.float64).sum() / y.size)
     w = row_weights(y, weights)
     total = w.sum()
     if total <= 0:
         raise ValueError("total weight must be positive")
     if kind.is_classification:
-        return _class_counts(y, kind, w) / total
+        y = _check_labels(y, kind)
+        counts = np.bincount(y, weights=w, minlength=kind.n_classes)
+        return counts / total
     return float((w * y).sum() / total)
 
 
@@ -123,15 +106,11 @@ def eval_loss(y: np.ndarray, value, kind: LossKind, weights: np.ndarray | None =
         return 0.0
     w = None if weights is None else row_weights(y, weights)
     if kind.is_classification:
-        y = _labels(y, kind)
+        y = _check_labels(y, kind)
         probs = np.asarray(value, dtype=np.float64)
         if probs.shape != (kind.n_classes,):
             raise ValueError(f"leaf value must have {kind.n_classes} probabilities")
-        try:
-            p = probs[y]
-        except IndexError:
-            raise _label_error(kind) from None
-        log_p = np.log(np.maximum(p, LOG_CLAMP))
+        log_p = np.log(np.maximum(probs[y], LOG_CLAMP))
         return float(-(log_p if w is None else w * log_p).sum())
     resid = y - float(value)
     return float((np.square(resid, dtype=np.float64) if w is None else w * resid * resid).sum())
@@ -143,13 +122,10 @@ def row_stats(y: np.ndarray, w: np.ndarray, kind: LossKind) -> np.ndarray:
     row's class and zero in the other K - 1 class rows for cross-entropy.
     A block of rows is priced from the sum of its columns."""
     if kind.is_classification:
-        y = _labels(np.asarray(y), kind)
+        y = _check_labels(y, kind)
         S = np.zeros((1 + kind.n_classes, len(y)))
         S[0] = w
-        try:
-            S[1 + y, np.arange(len(y))] = w
-        except IndexError:
-            raise _label_error(kind) from None
+        S[1 + y, np.arange(len(y))] = w
         return S
     wy = w * y
     return np.stack([w, wy, wy * y])

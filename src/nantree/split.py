@@ -34,9 +34,11 @@ Only :mod:`loss` knows what the statistics mean. When a feature has no
 missing rows at a node, all strategy objectives coincide and are computed
 once, so they are equal bit for bit.
 
-A categorical feature's cuts depend only on its category sequence, so a
-scan builds them the first time it meets the sequence and keeps them in a
-``cuts`` dict: growth passes one per tree, each public call a fresh one.
+A multiclass feature's exhaustive cuts depend only on its observed
+categories, so a scan builds them the first time it meets the category set
+and keeps them in a ``cuts`` dict: growth passes one per tree, each public
+call a fresh one. Prefix cuts follow the node's category order and are
+built at each node.
 """
 from __future__ import annotations
 
@@ -89,10 +91,10 @@ class Partition:
     left_categories: frozenset[int] | None = None
     right_categories: frozenset[int] | None = None
 
-    # Hand-written because split search builds one Partition per numeric
-    # candidate at each node, about 1.3M per cross-validation sweep (a tree
-    # builds a categorical feature's cuts once per category sequence), and
-    # the generated frozen __init__ stores each field through
+    # Hand-written because split search builds one Partition per candidate
+    # at each node, about 1.3M per cross-validation sweep (a tree builds a
+    # feature's exhaustive categorical cuts once per category set), and the
+    # generated frozen __init__ stores each field through
     # object.__setattr__. Storing through the slots' own setters, which skip
     # the frozen __setattr__, cuts a numeric candidate from about 1.2 to
     # 0.7 µs. __post_init__ is called through self, never bound once, so a
@@ -270,8 +272,8 @@ def _categorical_candidates(feature, vp, S_p, kind, n_categories, cuts):
     # per-category statistics, one row per category
     cat = np.stack([np.bincount(vp, weights=stat, minlength=n_categories) for stat in S_p], axis=1)
 
-    # cuts are keyed by (feature, observed codes) when exhaustive, (feature,
-    # ordered codes) for prefixes, and shared read-only by every node
+    # exhaustive cuts are kept in ``cuts`` under (feature, observed codes)
+    # and shared read-only by every node; prefix cuts are built per node
     multiclass = kind.n_classes > 2
     if multiclass and observed.size <= MAX_EXHAUSTIVE_CATEGORIES:
         key = (feature, observed.tobytes())
@@ -303,11 +305,8 @@ def _categorical_candidates(feature, vp, S_p, kind, n_categories, cuts):
             metric = cat[observed, 2 if kind.is_classification else 1] / cat[observed, 0]
             order = np.lexsort((observed, metric))
         ordered = observed[order]
-        key = (feature, ordered.tobytes())
-        if key not in cuts:
-            lefts = [frozenset(ordered[:i].tolist()) for i in range(1, ordered.size)]
-            cuts[key] = _bipartitions(feature, observed, lefts)
-        partitions = cuts[key]
+        lefts = [frozenset(ordered[:i].tolist()) for i in range(1, ordered.size)]
+        partitions = _bipartitions(feature, observed, lefts)
         n_left = np.cumsum(counts[ordered])[:-1]
         S_left = np.cumsum(cat[ordered], axis=0)[:-1]
     return partitions, n_left, S_left
@@ -611,9 +610,9 @@ def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value,
     """Scan ``features`` at the node of ``rows`` (weights ``w``, leaf value
     ``node_value``): each feature's best feasible entry (loss, partition
     and missing route) per objective of ``strategy``. ``cuts`` holds the
-    categorical cut lists already built for this loss; growth passes one
-    dict per tree. Growth calls this and :func:`select_best`; neither is
-    re-exported from the package."""
+    exhaustive categorical cut lists already built for this loss; growth
+    passes one dict per tree. Growth calls this and :func:`select_best`;
+    neither is re-exported from the package."""
     styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
     S = row_stats(ds.response.values[rows], w, kind)
     scans = {}

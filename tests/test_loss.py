@@ -74,7 +74,7 @@ def test_label_out_of_range_rejected():
 
 @pytest.mark.parametrize("bad", [-1, 2, -3, 7, -0.5])
 def test_every_label_check_names_the_range(bad):
-    # the checks ride on bincount and class indexing; the message stays one
+    # every public path that reads class labels gives the one message
     y = np.array([0, 1, bad, 1])
     w = np.full(4, 0.5)
     half = np.array([0.5, 0.5])

@@ -22,6 +22,7 @@ from nantree import (
     score_fractional,
     score_trinary,
 )
+from nantree import split as split_module
 from nantree import tree as tree_module
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
 from nantree.split import MAX_EXHAUSTIVE_CATEGORIES, MissingRoute, split_rows
@@ -393,13 +394,11 @@ def _n_cuts(n_categories, kind):
     return 2 ** (n_categories - 1) - 1 if exhaustive else n_categories - 1
 
 
-def _unit_table(classify, few=True, n_units=80, seed=3):
+def _unit_table(classify, n_units=80, seed=3):
     """Units of 12 rows that share their numeric cells (x1 missing in some
     units) and their response. Inside a unit, row k has category k of
     ``many`` and k % 4 of ``few``. A numeric split keeps units whole, so a
-    node sees every category of both, each as often and with the same
-    response sums; a categorical split leaves its children categories that
-    again weigh alike on ``many``."""
+    node sees every category of both."""
     rng = np.random.default_rng(seed)
     size = 12
     x = rng.normal(size=(n_units, 2))
@@ -407,8 +406,7 @@ def _unit_table(classify, few=True, n_units=80, seed=3):
     signal = x[:, 0] + 0.5 * np.nan_to_num(x[:, 1]) + rng.normal(scale=0.3, size=n_units)
     k = np.tile(np.arange(size), n_units)
     cols = [numeric(f"x{j}", np.repeat(x[:, j], size)) for j in range(2)]
-    if few:
-        cols.append(FeatureColumn("few", CATEGORICAL, k % 4, tuple("abcd")))
+    cols.append(FeatureColumn("few", CATEGORICAL, k % 4, tuple("abcd")))
     cols.append(FeatureColumn("many", CATEGORICAL, k, tuple(f"c{j}" for j in range(size))))
     if classify:
         response = ResponseColumn(CLASS, np.repeat(np.digitize(signal, [-0.5, 0.5]), size), ("l0", "l1", "l2"))
@@ -429,31 +427,36 @@ def _split_features(node):
 
 @pytest.mark.parametrize("classify", [True, False], ids=["3-class", "sse"])
 @pytest.mark.parametrize("strategy", [Strategy.MAJORITY, Strategy.TRINARY])
-def test_growth_builds_each_categorical_cut_list_once_per_tree(monkeypatch, classify, strategy):
-    """Deep trees meet the same category sequences at many nodes, and build
-    each one's cuts once: exhaustive cuts (three classes, at most
-    MAX_EXHAUSTIVE_CATEGORIES categories) by category set, prefix cuts (sse,
-    or three classes over more categories) by category order. On this
-    table a category set has one order, so each set seen gives one list."""
-    # under sse, few's prefix order could depend on rounding once a split on
-    # many weighs its categories unequally, so only many is categorical there
-    ds = _unit_table(classify, few=classify)
+def test_growth_builds_each_exhaustive_cut_list_once_per_tree(monkeypatch, classify, strategy):
+    """Deep trees meet the same category sets at many nodes. Exhaustive
+    cuts (three classes, at most MAX_EXHAUSTIVE_CATEGORIES categories) are
+    built once per (feature, category set) in a tree; prefix cuts (sse, or
+    three classes over more categories) at every node that scans them."""
+    ds = _unit_table(classify)
     kind = loss_for(ds)
-    categorical = [j for j, c in enumerate(ds.columns) if c.kind == CATEGORICAL]
     built = _record_builds(monkeypatch)
+    scanned = []  # (feature, observed categories) of each categorical scan
+    original = split_module._categorical_candidates
+
+    def recording(feature, vp, *args):
+        scanned.append((feature, frozenset(np.unique(vp).tolist())))
+        return original(feature, vp, *args)
+
+    monkeypatch.setattr(split_module, "_categorical_candidates", recording)
     tree = tree_module.train(ds, tree_module.TrainConfig(strategy, max_depth=4, min_samples=7))
-    split_on = _split_features(tree.root)
-    assert len(split_on) > 8
-    sets = {b for b in built if b[1] is not None}
-    assert sum(b[1] is not None for b in built) == sum(_n_cuts(len(cats), kind) for _, cats in sets)
-    if strategy is Strategy.MAJORITY:
-        # no categorical split, so every node sees all categories: one list per feature
-        assert not set(split_on) & set(categorical)
-        assert sets == {(j, frozenset(range(len(ds.columns[j].categories)))) for j in categorical}
-    else:
-        # a middle chain ends on the categorical features, whose children see fewer categories
-        assert set(split_on) & set(categorical)
-        assert len(sets) > len(categorical)
+    assert len(_split_features(tree.root)) > 8
+
+    def exhaustive(cats):
+        return kind.n_classes > 2 and len(cats) <= MAX_EXHAUSTIVE_CATEGORIES
+
+    once = {s for s in scanned if exhaustive(s[1])}
+    per_node = [s for s in scanned if not exhaustive(s[1])]
+    expected = sum(_n_cuts(len(cats), kind) for _, cats in [*once, *per_node] if len(cats) > 1)
+    assert sum(b[1] is not None for b in built) == expected
+    assert len(per_node) > len(set(per_node))  # prefix cuts are rebuilt
+    if classify:
+        # the 4-category feature is exhaustive and met at many nodes
+        assert len(scanned) - len(per_node) > 2 * len(once) > 0
 
 
 def test_public_calls_build_every_candidate_each_time(monkeypatch):
