@@ -215,44 +215,23 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     runs.setdefault((strategy, q), []).append((loss, misclass, wall_ms, train_ms))
 
         for strategy in cfg.strategies:
-            base = runs[(strategy, 0.0)]
+            base_losses = [run[0] for run in runs[(strategy, 0.0)]]
             for q in cfg.q_grid:
                 fold_runs = runs[(strategy, q)]
-                for f, (loss, misclass, wall_ms, train_ms) in enumerate(fold_runs):
+                losses, misclasses, walls, trains = zip(*fold_runs)
+                # the aggregate row: the folds' runs summed, misclassification weighted by test size
+                summed = (sum(losses), None if misclasses[0] is None else
+                          float(sum(m * n for m, n in zip(misclasses, test_sizes)) / sum(test_sizes)),
+                          sum(walls), sum(trains))
+                for fold, (loss, misclass, wall_ms, train_ms), base in zip(
+                        [*range(cfg.folds), AGGREGATE_FOLD],
+                        [*fold_runs, summed],
+                        [*base_losses, sum(base_losses)]):
                     records.append(ExperimentRecord(
-                        dataset=name,
-                        strategy=strategy.value,
-                        scenario=cfg.scenario,
-                        q=q,
-                        fold=f,
-                        loss=loss,
-                        excess_loss=_excess(loss, base[f][0]),
-                        depth=depth,
-                        wall_ms=wall_ms,
-                        misclass=misclass,
-                        train_ms=train_ms,
+                        dataset=name, strategy=strategy.value, scenario=cfg.scenario, q=q, fold=fold,
+                        loss=loss, excess_loss=_excess(loss, base), depth=depth,
+                        wall_ms=wall_ms, misclass=misclass, train_ms=train_ms,
                     ))
-                total = sum(r[0] for r in fold_runs)
-                total_base = sum(r[0] for r in base)
-                if fold_runs[0][1] is None:
-                    agg_misclass = None
-                else:
-                    agg_misclass = float(
-                        sum(r[1] * n for r, n in zip(fold_runs, test_sizes)) / sum(test_sizes)
-                    )
-                records.append(ExperimentRecord(
-                    dataset=name,
-                    strategy=strategy.value,
-                    scenario=cfg.scenario,
-                    q=q,
-                    fold=AGGREGATE_FOLD,
-                    loss=total,
-                    excess_loss=_excess(total, total_base),
-                    depth=depth,
-                    wall_ms=sum(r[2] for r in fold_runs),
-                    misclass=agg_misclass,
-                    train_ms=sum(r[3] for r in fold_runs),
-                ))
     records.sort(key=lambda r: (r.dataset, r.strategy, r.q, r.fold))
     return records
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ValidationError, check_seed, write_rows
-from .split import Strategy
+from .split import MissingRoute, Strategy, majority_route
 
 BIAS_STRATEGIES = (Strategy.MAJORITY, Strategy.MIA, Strategy.FC, Strategy.TRINARY)
 
@@ -126,26 +126,19 @@ def simulate(sc: BiasScenario, strategy: Strategy) -> StrategyBias:
         if n_lo <= n_ro:
             majority_right += 1
 
-        if strategy is Strategy.MAJORITY:
-            if n_lo > n_ro:
-                a_hat = float(np.concatenate([y_lo, y_m]).mean())
-                b_hat = float(y_ro.mean())
-            else:
-                a_hat = float(y_lo.mean())
-                b_hat = float(np.concatenate([y_ro, y_m]).mean())
-        elif strategy is Strategy.MIA:
-            left_total = _sse(np.concatenate([y_lo, y_m])) + _sse(y_ro)
-            right_total = _sse(y_lo) + _sse(np.concatenate([y_ro, y_m]))
-            if left_total == right_total:
-                go_left = n_lo > n_ro
-            else:
-                go_left = left_total < right_total
-            if go_left:
-                a_hat = float(np.concatenate([y_lo, y_m]).mean())
-                b_hat = float(y_ro.mean())
-            else:
-                a_hat = float(y_lo.mean())
-                b_hat = float(np.concatenate([y_ro, y_m]).mean())
+        if strategy in (Strategy.MAJORITY, Strategy.MIA):
+            # the missing block joins one side whole; mia moves it off the
+            # majority side only when the other side prices lower
+            with_left = (np.concatenate([y_lo, y_m]), y_ro)
+            with_right = (y_lo, np.concatenate([y_ro, y_m]))
+            route = majority_route(n_lo, n_ro)
+            if strategy is Strategy.MIA:
+                left_total = _sse(with_left[0]) + _sse(with_left[1])
+                right_total = _sse(with_right[0]) + _sse(with_right[1])
+                if left_total != right_total:
+                    route = MissingRoute.LEFT if left_total < right_total else MissingRoute.RIGHT
+            y_left, y_right = with_left if route is MissingRoute.LEFT else with_right
+            a_hat, b_hat = float(y_left.mean()), float(y_right.mean())
         elif strategy is Strategy.FC:
             alpha = n_lo / (n_lo + n_ro)
             n_m = y_m.size

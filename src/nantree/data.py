@@ -50,14 +50,24 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def first_repeat(names: Iterable[str]) -> str | None:
+    """The first name in ``names`` that an earlier one equals, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 @dataclass(frozen=True)
 class FeatureColumn:
     """One typed feature column.
 
     ``values`` is float64 with NaN for missing (numeric) or int64 codes
-    with -1 for missing (categorical). ``categories`` maps codes to names
-    and is sorted; it may contain names that no longer occur in ``values``
-    (e.g. after censoring or row subsetting).
+    with -1 for missing (categorical). ``categories`` maps codes to names,
+    is sorted and names no category twice; it may contain names that no
+    longer occur in ``values`` (e.g. after censoring or row subsetting).
     """
 
     name: str
@@ -78,6 +88,8 @@ class FeatureColumn:
         else:
             if values.size and (values.min() < -1 or values.max() >= len(self.categories)):
                 raise ValidationError(f"column {self.name!r} has codes outside the category list")
+            if len(set(self.categories)) != len(self.categories):
+                raise ValidationError(f"column {self.name!r} repeats category {first_repeat(self.categories)!r}")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "categories", tuple(self.categories))
 
@@ -93,7 +105,8 @@ class FeatureColumn:
 
 @dataclass(frozen=True)
 class ResponseColumn:
-    """The target column. Real-valued or a class label in 0..K-1."""
+    """The target column. Real-valued or a class label in 0..K-1; no two
+    labels are equal."""
 
     kind: str
     values: np.ndarray
@@ -114,6 +127,8 @@ class ResponseColumn:
                 raise ValidationError("classification needs at least two labels")
             if values.size and (values.min() < 0 or values.max() >= len(self.labels)):
                 raise ValidationError("response has labels outside the label list")
+            if len(set(self.labels)) != len(self.labels):
+                raise ValidationError(f"response repeats label {first_repeat(self.labels)!r}")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -360,11 +375,9 @@ def _checked_header(header: list[str] | str | None, path: str) -> list[str]:
     """``header`` when it names at least one column and no column twice."""
     if not header:
         raise ValidationError(f"{path}: empty file" if header is None else f"{path}: blank header row")
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise SchemaError(f"{path}: duplicate column {name!r} in header")
-        seen.add(name)
+    name = first_repeat(header)
+    if name is not None:
+        raise SchemaError(f"{path}: duplicate column {name!r} in header")
     return header
 
 
@@ -456,7 +469,17 @@ def load_features(path: str, names: Sequence[str], kinds: Sequence[str],
 
 
 def save_csv(ds: Dataset, path: str) -> None:
-    """Write a Dataset back to CSV; loading it with the same schema is lossless."""
+    """Write a Dataset back to CSV; loading it with the same schema is lossless.
+
+    A category or label spelled like a missing token would read back as
+    missing, so it is a ValidationError, raised before the file is opened.
+    """
+    target = _target_name(ds)
+    for name, names in [(c.name, c.categories) for c in ds.columns] + [(target, ds.response.labels)]:
+        clash = DEFAULT_MISSING_TOKENS.intersection(names)
+        if clash:
+            raise ValidationError(f"column {name!r}: cannot write the name {min(clash)!r}, "
+                                  "which reads back as a missing cell")
     columns = []
     for col in ds.columns:
         if col.kind == NUMERIC:
@@ -468,7 +491,7 @@ def save_csv(ds: Dataset, path: str) -> None:
         columns.append(_float_cells(ds.response.values))
     else:
         columns.append(list(map(ds.response.labels.__getitem__, ds.response.values.tolist())))
-    write_rows(path, [c.name for c in ds.columns] + [_target_name(ds)], zip(*columns))
+    write_rows(path, [c.name for c in ds.columns] + [target], zip(*columns))
 
 
 def _float_cells(values: np.ndarray) -> list[str]:

@@ -21,13 +21,14 @@ once per node (:func:`split.scan_features`).
 from __future__ import annotations
 
 import json
+import operator
 import reprlib
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .data import CATEGORICAL, CLASS, Dataset, NUMERIC, REAL, ValidationError, row_index
+from .data import CATEGORICAL, CLASS, Dataset, NUMERIC, REAL, ValidationError, first_repeat, row_index
 from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf, loss_for, row_weights
 from .split import (
     MissingRoute,
@@ -249,12 +250,14 @@ def project(tree: Tree, strategy: Strategy) -> Tree:
 # prediction
 
 def _route_cell(spec: SplitSpec, cell) -> str:
+    """The side ``cell`` goes; a cell that is not a number (numeric split)
+    or not an integer (categorical split) raises TypeError or ValueError."""
     p = spec.partition
     if p.is_numeric:
         if np.isnan(cell):
             return "missing"
         return "left" if cell <= p.threshold else "right"
-    code = int(cell)
+    code = operator.index(cell)
     if code in p.left_categories:
         return "left"
     if code in p.right_categories:
@@ -265,7 +268,9 @@ def _route_cell(spec: SplitSpec, cell) -> str:
 
 def predict_row(tree: Tree, cells):
     """Predict one row given per-feature cells (float with NaN for missing
-    numerics, int code with -1 for missing categoricals)."""
+    numerics, int code with -1 for missing categoricals). A cell of another
+    type that reaches a split, such as NaN, a string or 1.5 for a
+    categorical feature, is a ValidationError."""
     if len(cells) != len(tree.feature_names):
         raise ValidationError(f"row has {len(cells)} cells, tree expects {len(tree.feature_names)}")
 
@@ -283,7 +288,13 @@ def predict_row(tree: Tree, cells):
                 mixed = mixed / mixed.sum()  # renormalise the class probabilities
             values.append(mixed)
             continue
-        side = _route_cell(node.spec, cells[node.spec.partition.feature])
+        feature = node.spec.partition.feature
+        try:
+            side = _route_cell(node.spec, cells[feature])
+        except (TypeError, ValueError):
+            need = "a number" if node.spec.partition.is_numeric else "an integer category code"
+            raise ValidationError(f"feature {tree.feature_names[feature]!r} needs {need}, "
+                                  f"not {reprlib.repr(cells[feature])}") from None
         route = node.spec.route
         if side == "left" or (side == "missing" and route is MissingRoute.LEFT):
             stack.append(node.left)
@@ -573,9 +584,13 @@ def _size(raw, what: str, slack: float = 0.0) -> float:
     return x
 
 
-def _strings(raw, what: str) -> tuple[str, ...]:
+def _names(raw, what: str) -> tuple[str, ...]:
+    """An array of distinct strings."""
     if type(raw) is not list or not all(type(item) is str for item in raw):
         raise TreeFormatError(f"{what} must be an array of strings, not {reprlib.repr(raw)}")
+    name = first_repeat(raw)
+    if name is not None:
+        raise TreeFormatError(f"{what} list {reprlib.repr(name)} twice")
     return tuple(raw)
 
 
@@ -708,7 +723,7 @@ def deserialize(text: str) -> Tree:
             raise TreeFormatError(f"unknown feature kind {fk!r}")
         kinds.append(fk)
         if fk == CATEGORICAL:
-            categories[j] = _strings(f.get("categories", []), f"categories of feature {name!r}")
+            categories[j] = _names(f.get("categories", []), f"categories of feature {name!r}")
     if len(set(names)) != len(names):
         raise TreeFormatError("duplicate feature names")
     name_to_feature = {n: j for j, n in enumerate(names)}
@@ -716,7 +731,7 @@ def deserialize(text: str) -> Tree:
 
     response = _object(doc.get("response", {}), "response")
     response_kind = response.get("kind", CLASS if kind.is_classification else REAL)
-    labels = _strings(response.get("labels", []), "response labels")
+    labels = _names(response.get("labels", []), "response labels")
     if kind.is_classification and len(labels) not in (0, kind.n_classes):
         raise TreeFormatError("label list does not match the class count")
 

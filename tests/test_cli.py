@@ -335,6 +335,24 @@ def test_predict_with_malformed_tree_is_a_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_predict_with_repeated_category_names_is_a_clean_error(tmp_path, capsys):
+    data = tmp_path / "c.csv"
+    data.write_text("c,y\nblue,0\nblue,0\nred,1\nred,1\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"target": "y", "columns": {"c": "categorical"}}')
+    tree_path = tmp_path / "tree.json"
+    assert main(["train", "--data", str(data), "--schema", str(schema), "--depth", "1",
+                 "--min-samples", "1", "--dump-tree", str(tree_path)]) == 0
+    doc = json.loads(tree_path.read_text())
+    doc["features"][0]["categories"] = ["blue", "red", "red"]
+    tree_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["predict", "--tree", str(tree_path), "--data", str(data), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: categories of feature 'c' list 'red' twice\n"
+
+
 def test_predict_with_too_deep_tree_is_a_clean_error(tmp_path, capsys):
     data = tmp_path / "x.csv"
     data.write_text("x\n0.5\n")

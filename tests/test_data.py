@@ -222,3 +222,29 @@ def test_kfold_small_class_never_empties_fold():
 def test_negative_seed_is_a_validation_error(call):
     with pytest.raises(ValidationError, match=r"^seed must be a nonnegative integer, not -1$"):
         call()
+
+
+def test_repeated_category_or_label_names_are_rejected():
+    # a tree trained on such a column would write a document deserialize rejects
+    with pytest.raises(ValidationError, match="column 'c' repeats category 'a'"):
+        FeatureColumn("c", CATEGORICAL, np.array([0, 1, 2, 0]), ("a", "a", "b"))
+    with pytest.raises(ValidationError, match="response repeats label 'no'"):
+        ResponseColumn(CLASS, np.array([0, 1, 2]), ("no", "yes", "no"))
+    FeatureColumn("c", NUMERIC, np.array([1.0]))  # numeric columns have no names to repeat
+
+
+@pytest.mark.parametrize("token", ["", "NA", "nan"])
+@pytest.mark.parametrize("where", ["category", "label"])
+def test_save_csv_rejects_names_that_read_back_as_missing(tmp_path, token, where):
+    names = tuple(sorted(("b", token)))
+    codes = np.array([0, 1, 0, 1])
+    if where == "category":
+        ds = Dataset((FeatureColumn("c", CATEGORICAL, codes, names),), ResponseColumn(REAL, np.zeros(4)))
+        column = "c"
+    else:
+        ds = Dataset((FeatureColumn("x", NUMERIC, np.arange(4.0)),), ResponseColumn(CLASS, codes, names))
+        column = "y"
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValidationError, match=f"column {column!r}: cannot write the name {token!r}"):
+        save_csv(ds, str(path))
+    assert not path.exists()

@@ -689,6 +689,19 @@ def test_deserialize_rejects_unknown_category():
         deserialize(json.dumps(doc))
 
 
+def test_deserialize_rejects_repeated_names():
+    col = FeatureColumn("c", CATEGORICAL, np.array([0, 0, 1, 1]), ("blue", "red"))
+    ds = Dataset((col,), ResponseColumn(CLASS, np.array([0, 0, 1, 1]), ("no", "yes")))
+    doc = json.loads(serialize(train(ds, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))))
+    doc["features"][0]["categories"] = ["blue", "red", "blue"]
+    with pytest.raises(TreeFormatError, match="categories of feature 'c' list 'blue' twice"):
+        deserialize(json.dumps(doc))
+    doc["features"][0]["categories"] = ["blue", "red"]
+    doc["response"]["labels"] = ["no", "no"]
+    with pytest.raises(TreeFormatError, match="response labels list 'no' twice"):
+        deserialize(json.dumps(doc))
+
+
 def _mixed_tables(n_classes, seed=0, train_missing=0.3):
     """Train and test tables over two numeric and two categorical features,
     30% MCAR in the test table and ``train_missing`` in the training one;
@@ -951,6 +964,26 @@ def test_bad_row_indices_rejected(rows):
         predict(tree, STEP, rows)
     with pytest.raises(ValidationError, match="row"):
         evaluate(tree, STEP, rows)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_predict_row_rejects_cells_of_the_wrong_type(strategy):
+    y = ResponseColumn(REAL, np.array([0.0, 0.0, 10.0, 10.0, 5.0]))
+    cfg = TrainConfig(strategy, max_depth=2, min_samples=1)
+    x_tree = train(Dataset((numeric("x", [1.0, 2.0, 3.0, 4.0, np.nan]),), y), cfg)
+    ds = Dataset((FeatureColumn("g", CATEGORICAL, np.array([0, 0, 1, 1, -1]), ("lo", "hi")),), y)
+    g_tree = train(ds, cfg)
+    for tree, cells, name, cell in [
+        (x_tree, ["2.5"], "x", "'2.5'"),
+        (x_tree, [None], "x", "None"),
+        (g_tree, [float("nan")], "g", "nan"),
+        (g_tree, ["hi"], "g", "'hi'"),
+        (g_tree, [1.5], "g", "1.5"),
+    ]:
+        with pytest.raises(ValidationError, match=rf"feature '{name}' needs .*, not {cell}$"):
+            predict_row(tree, cells)
+    # integer codes of any integer type route as before
+    assert predict_row(g_tree, [np.int64(1)]) == predict_row(g_tree, [1]) == predict(g_tree, ds)[2]
 
 
 def test_predict_row_rejects_wrong_cell_count():
