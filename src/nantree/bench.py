@@ -39,7 +39,7 @@ import numpy as np
 
 from .censor import SCENARIOS, CensorSpec, apply_scenario
 from .data import (Dataset, FoldAssignment, ParseError, ValidationError, check_seed, read_rows,
-                   stratified_kfold, write_rows)
+                   stratified_kfold, write_columns)
 from .split import Strategy
 from .tree import TrainConfig, Tree, evaluate, project, train, truncate
 
@@ -48,13 +48,7 @@ CSV_HEADER = ("dataset", "strategy", "scenario", "q", "fold", "loss", "excess_lo
 #: fold index used for the per-(strategy, q) aggregate rows
 AGGREGATE_FOLD = -1
 
-ALL_STRATEGIES = (
-    Strategy.MAJORITY,
-    Strategy.MIA,
-    Strategy.FC,
-    Strategy.TRINARY,
-    Strategy.TRINARY_MIA,
-)
+ALL_STRATEGIES = tuple(Strategy)
 
 
 def default_q_grid() -> tuple[float, ...]:
@@ -240,13 +234,10 @@ def emit_csv(records: list[ExperimentRecord], path: str) -> None:
     """Write records with the fixed header; floats use their shortest
     round-tripping representation, so identical runs give identical bytes
     (wall_ms aside)."""
-    write_rows(path, CSV_HEADER, (
-        [r.dataset, r.strategy, r.scenario,
-         repr(float(r.q)), r.fold,
-         repr(float(r.loss)), repr(float(r.excess_loss)),
-         r.depth, repr(float(r.wall_ms))]
-        for r in records
-    ))
+    floats = ("q", "loss", "excess_loss", "wall_ms")
+    write_columns(path, CSV_HEADER, [
+        [repr(float(getattr(r, name))) for r in records] if name in floats else
+        [str(getattr(r, name)) for r in records] for name in CSV_HEADER])
 
 
 def read_records(path: str) -> list[ExperimentRecord]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ValidationError, check_seed, write_rows
+from .data import ValidationError, check_seed, write_columns
 from .split import MissingRoute, Strategy, majority_route
 
 BIAS_STRATEGIES = (Strategy.MAJORITY, Strategy.MIA, Strategy.FC, Strategy.TRINARY)
@@ -179,11 +179,6 @@ def run_bias(sc: BiasScenario, strategies: tuple[Strategy, ...] = BIAS_STRATEGIE
 
 
 def emit_bias_csv(results: list[StrategyBias], path: str) -> None:
-    write_rows(path, BIAS_CSV_HEADER, (
-        [r.strategy,
-         repr(float(r.mean_a_hat)),
-         repr(float(r.se_a_hat)),
-         "" if r.kappa_hat is None else repr(float(r.kappa_hat)),
-         repr(float(r.bound))]
-        for r in results
-    ))
+    numbers = [[getattr(r, name) for r in results] for name in ("mean_a_hat", "se_a_hat", "kappa_hat", "bound")]
+    write_columns(path, BIAS_CSV_HEADER, [[r.strategy for r in results]] +
+                  [["" if v is None else repr(float(v)) for v in column] for column in numbers])

@@ -17,7 +17,7 @@ from dataclasses import replace
 from .bench import ExperimentConfig, default_q_grid, emit_csv, run_experiment
 from .bias import BiasScenario, emit_bias_csv, run_bias
 from .censor import SCENARIOS
-from .data import NantreeError, Schema, load_csv, load_features, read_schema_file
+from .data import NantreeError, Schema, load_csv, load_features, read_schema_file, write_columns
 from .split import Strategy
 from .tree import TrainConfig, TreeFormatError, deserialize, predict, render, serialize, train
 
@@ -187,26 +187,14 @@ def _cmd_predict(args) -> int:
     if tree.loss.is_classification:
         # a document may omit the labels; class indices stand in for them
         labels = tree.response_labels or tuple(map(str, range(tree.loss.n_classes)))
-        header = ",".join(["prediction"] + [_csv_field(f"p_{label}") for label in labels])
-        fields = [_csv_field(label) for label in labels]
-        columns = [list(map(fields.__getitem__, preds.argmax(axis=1).tolist()))]
+        header = ["prediction"] + [f"p_{label}" for label in labels]
+        columns = [list(map(labels.__getitem__, preds.argmax(axis=1).tolist()))]
         columns += [list(map(repr, probs)) for probs in preds.T.tolist()]
-        rows = map(",".join, zip(*columns))
     else:
-        header = "prediction"
-        rows = map(repr, preds.tolist())
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join([header, *rows, ""]))
+        header, columns = ["prediction"], [list(map(repr, preds.tolist()))]
+    write_columns(args.out, header, columns)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it beside other fields: in quotes,
-    with quotes doubled, when it holds a comma, a quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _cmd_bias(args) -> int:
@@ -231,10 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NantreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NantreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 
 import numpy as np
 
@@ -27,6 +28,9 @@ CLASSIFICATION = "classification"
 
 #: Cell tokens that are read as a missing value.
 DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "nan"})
+
+#: Characters that put a written CSV cell in quotes.
+_SPECIAL = re.compile('[,"\r\n]')
 
 
 class NantreeError(ValueError):
@@ -60,6 +64,17 @@ def first_repeat(names: Iterable[str]) -> str | None:
     return None
 
 
+def _column_values(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a contiguous ``dtype`` array; codes (int64) given as
+    floats must be whole numbers, else a ValidationError names ``what``."""
+    values = np.asarray(values)
+    if dtype is np.int64 and values.dtype.kind == "f":
+        whole = (np.abs(values) < 2.0 ** 63) & (values == np.trunc(values))
+        if not whole.all():
+            raise ValidationError(f"{what}: code {values[~whole][0]} is not an int64 integer")
+    return np.ascontiguousarray(values, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class FeatureColumn:
     """One typed feature column.
@@ -79,7 +94,7 @@ class FeatureColumn:
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise ValidationError(f"unknown column kind {self.kind!r}")
         dtype = np.float64 if self.kind == NUMERIC else np.int64
-        values = np.ascontiguousarray(self.values, dtype=dtype)
+        values = _column_values(self.values, dtype, f"column {self.name!r}")
         if values.ndim != 1:
             raise ValidationError(f"column {self.name!r} must be 1-d")
         if self.kind == NUMERIC:
@@ -116,7 +131,7 @@ class ResponseColumn:
         if self.kind not in (REAL, CLASS):
             raise ValidationError(f"unknown response kind {self.kind!r}")
         dtype = np.float64 if self.kind == REAL else np.int64
-        values = np.ascontiguousarray(self.values, dtype=dtype)
+        values = _column_values(self.values, dtype, "response")
         if values.ndim != 1:
             raise ValidationError("response must be 1-d")
         if self.kind == REAL:
@@ -343,13 +358,31 @@ def read_rows(path: str) -> Iterator[list[str]]:
         raise ParseError(f"{path}: row {number + 1}: {exc}") from None
 
 
-def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    r"""Write ``header`` and ``rows`` as a CSV file through ``csv.writer``:
-    ``\r\n`` line ends, and quotes only where a cell needs them."""
+def write_columns(path: str, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    r"""Write string cells, given column by column under ``header``, as the
+    ``csv`` module's writer does: ``\r\n`` line ends, and a cell in quotes,
+    its quotes doubled, only when it holds ``,``, ``"``, ``\r`` or ``\n`` or
+    is empty and alone in its row. Text that is not UTF-8 is a
+    ValidationError, raised before the file is opened; lines are written a
+    chunk at a time, so the file's text is never held whole."""
+    alone = len(header) == 1
+    fields = []
+    for cells in [header, *columns]:
+        text = "".join(cells)  # one scan of the column finds whether any cell needs quotes
+        try:
+            text.isascii() or text.encode("utf-8")  # ASCII text needs no copy to check
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"{path}: cannot write {exc.object[exc.start:exc.end]!r}, "
+                                  "which is not UTF-8 text") from None
+        if any(c in text for c in ',"\r\n') or (alone and "" in cells):
+            cells = ['"' + c.replace('"', '""') + '"' if _SPECIAL.search(c) or (alone and not c) else c
+                     for c in cells]
+        fields.append(cells)
+        del text  # hold one column's text at a time
+    lines = chain([",".join(fields.pop(0))], fields[0] if len(fields) == 1 else map(",".join, zip(*fields)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for chunk in iter(lambda: list(islice(lines, 4096)), []):
+            fh.write("\r\n".join(chunk) + "\r\n")
 
 
 def _read_records(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
@@ -491,7 +524,7 @@ def save_csv(ds: Dataset, path: str) -> None:
         columns.append(_float_cells(ds.response.values))
     else:
         columns.append(list(map(ds.response.labels.__getitem__, ds.response.values.tolist())))
-    write_rows(path, [c.name for c in ds.columns] + [target], zip(*columns))
+    write_columns(path, [c.name for c in ds.columns] + [target], columns)
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
@@ -544,8 +577,6 @@ def stratified_kfold(ds: Dataset, k: int, seed: int) -> FoldAssignment:
             rows = np.flatnonzero(ds.response.values == c)
             if rows.size == 0:
                 raise ValidationError(f"class {ds.response.labels[c]!r} has no rows")
-            rows = rng.permutation(rows)
-            for r in rows:
-                fold_of_row[r] = slot % k
-                slot += 1
+            fold_of_row[rng.permutation(rows)] = np.arange(slot, slot + rows.size) % k
+            slot += rows.size
     return FoldAssignment(fold_of_row, k)

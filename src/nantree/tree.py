@@ -308,24 +308,23 @@ def predict_row(tree: Tree, cells):
     return values[0]
 
 
-def _code_remap(tree: Tree, ds: Dataset) -> list[np.ndarray | None]:
-    """Per-feature code remap from ``ds`` codes to the tree's training
-    dictionary; names unseen in training map to missing."""
-    remaps: list[np.ndarray | None] = []
+def _tree_columns(tree: Tree, ds: Dataset) -> list[np.ndarray]:
+    """The feature values of ``ds`` in the tree's codes: a categorical
+    column's codes are remapped to the tree's training dictionary, and
+    names unseen in training map to missing."""
+    cols = []
     for j, (name, kind) in enumerate(zip(tree.feature_names, tree.feature_kinds)):
         col = ds.columns[j]
         if col.name != name or col.kind != kind:
             raise ValidationError(f"feature {j} is {col.name!r}/{col.kind}, tree expects {name!r}/{kind}")
-        if kind != CATEGORICAL:
-            remaps.append(None)
-            continue
         trained = tree.categories.get(j, ())
-        if col.categories == trained:
-            remaps.append(None)  # identical dictionaries: no remap needed
+        if col.categories == trained:  # numeric, or identical dictionaries: no remap needed
+            cols.append(col.values)
             continue
         code_of = {c: i for i, c in enumerate(trained)}
-        remaps.append(np.array([code_of.get(c, -1) for c in col.categories], dtype=np.int64))
-    return remaps
+        remap = np.array([code_of.get(c, -1) for c in col.categories], dtype=np.int64)
+        cols.append(np.where(col.values >= 0, remap[np.maximum(col.values, 0)], -1))
+    return cols
 
 
 def _fill(root, cols: list[np.ndarray], rows: np.ndarray, out: np.ndarray) -> None:
@@ -381,14 +380,7 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
     if ds.n_features != len(tree.feature_names):
         raise ValidationError("dataset and tree have different feature counts")
     rows = row_index(rows, ds.n_rows)
-    remaps = _code_remap(tree, ds)
-    cols = []
-    for j, col in enumerate(ds.columns):
-        v = col.values
-        remap = remaps[j]
-        if remap is not None:
-            v = np.where(v >= 0, remap[np.maximum(v, 0)], -1)
-        cols.append(v)
+    cols = _tree_columns(tree, ds)
     if tree.loss.is_classification:
         out = np.empty((len(rows), tree.loss.n_classes))
     else:

@@ -1,11 +1,12 @@
-"""CSV reading and writing: pinned output bytes, and the two readers
-(``load_csv`` for training tables, ``load_features`` for prediction input)
-agreeing cell for cell."""
+"""CSV reading and writing: pinned output bytes, the one writer against
+``csv.writer``, and the two readers (``load_csv`` for training tables,
+``load_features`` for prediction input) agreeing cell for cell."""
 import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nantree import censor, datasets
+from nantree.bench import ExperimentRecord, emit_csv
 from nantree.cli import main
 from nantree.data import (
     CATEGORICAL,
@@ -30,6 +32,7 @@ from nantree.data import (
     load_csv,
     load_features,
     save_csv,
+    write_columns,
 )
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,88 @@ def test_predict_output_bytes(tmp_path, capsys, doc, text, expected):
     assert main(["predict", "--tree", str(tree_path), "--data", str(data), "--out", str(out)]) == 0
     assert "wrote 6 predictions" in capsys.readouterr().out
     assert out.read_bytes() == expected
+
+
+# ---------------------------------------------------------------------------
+# the one writer: csv.writer's bytes, and nothing written for text that is not UTF-8
+
+CELLS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "\x00"]), max_size=4)
+
+
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(CELLS, min_size=width, max_size=width),
+    st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=5))))
+@example(([""], [[""], ["a"], [""]]))  # an empty cell alone in its row is quoted
+@example((["a", ""], [["", ""], ['"', "\r\n"]]))
+@settings(max_examples=300, deadline=None)
+def test_write_columns_writes_csv_writer_bytes(tmp_path_factory, table):
+    header, rows = table
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    path = tmp_path_factory.getbasetemp() / "columns.csv"
+    write_columns(str(path), header, [[row[j] for row in rows] for j in range(len(header))])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+LONE = "\ud800"  # a lone surrogate: a Python string, but not UTF-8 text
+
+
+def _write_record(path):
+    emit_csv([ExperimentRecord(LONE, "mia", "mcar", 0.0, 0, 1.0, 0.0, 1, 2.0)], path)
+
+
+def _save_surrogate_table(path):
+    save_csv(Dataset((FeatureColumn("c", CATEGORICAL, np.array([0, 1]), (LONE, "b")),),
+                     ResponseColumn(REAL, np.array([1.0, 2.0]))), path)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("write", [_save_surrogate_table, _write_record,
+                                   lambda path: write_columns(path, ["x"], [["1", LONE]])],
+                         ids=["save_csv", "emit_csv", "write_columns"])
+def test_text_that_is_not_utf8_is_refused_before_the_file_is_opened(tmp_path, write, existing):
+    path = tmp_path / "out.csv"
+    if existing:
+        path.write_bytes(b"old bytes\r\n")
+    with pytest.raises(ValidationError, match=r"cannot write '\\ud800', which is not UTF-8 text"):
+        write(str(path))
+    assert path.read_bytes() == b"old bytes\r\n" if existing else not path.exists()
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not UTF-8 text" in captured.err
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_predict_refuses_a_label_that_is_not_utf8(tmp_path, capsys, existing):
+    tree_path, data, out = tmp_path / "tree.json", tmp_path / "in.csv", tmp_path / "out.csv"
+    tree_path.write_text(json.dumps(_tree_doc({"kind": "xe", "n_classes": 3}, ["no", LONE, "z"], CLASS_LEAVES)))
+    data.write_text(PREDICT_INPUT)
+    if existing:
+        out.write_bytes(b"old bytes\r\n")
+    assert main(["predict", "--tree", str(tree_path), "--data", str(data), "--out", str(out)]) == 1
+    _one_error_line(capsys)
+    assert out.read_bytes() == b"old bytes\r\n" if existing else not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_run_refuses_a_data_file_name_that_is_not_utf8(tmp_path, capsys, existing):
+    # the file name becomes the dataset name written in the records
+    data = os.path.join(os.fsencode(tmp_path), b"caf\xe9.csv")
+    with open(data, "wb") as fh:
+        fh.write(b"x,y\n" + b"".join(b"%d,%d\n" % (i, i % 2) for i in range(8)))
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_bytes(b"old bytes\r\n")
+    argv = ["run", "--data", os.fsdecode(data), "--target", "y", "--strategies", "majority",
+            "--q-grid", "0", "--folds", "2", "--max-depth", "1", "--out", str(out)]
+    assert main(argv) == 1
+    _one_error_line(capsys)
+    assert out.read_bytes() == b"old bytes\r\n" if existing else not out.exists()
 
 
 # ---------------------------------------------------------------------------

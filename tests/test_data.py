@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,19 @@ def test_save_csv_rejects_names_that_read_back_as_missing(tmp_path, token, where
     with pytest.raises(ValidationError, match=f"column {column!r}: cannot write the name {token!r}"):
         save_csv(ds, str(path))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("codes, bad", [([0.0, 1.5, 1.9], "1.5"), ([0.0, np.nan], "nan"),
+                                        ([0.0, np.inf], "inf"), ([0.0, 1e20], "1e+20")])
+def test_float_codes_must_be_integers(codes, bad):
+    with pytest.raises(ValidationError, match=re.escape(f"column 'g': code {bad} is not an int64 integer")):
+        FeatureColumn("g", CATEGORICAL, np.array(codes), ("a", "b"))
+    with pytest.raises(ValidationError, match=re.escape(f"response: code {bad} is not an int64 integer")):
+        ResponseColumn(CLASS, np.array(codes), ("a", "b"))
+
+
+def test_integral_float_codes_are_accepted():
+    col = FeatureColumn("g", CATEGORICAL, np.array([0.0, 1.0, -1.0]), ("a", "b"))
+    assert col.values.dtype == np.int64 and col.values.tolist() == [0, 1, -1]
+    response = ResponseColumn(CLASS, np.array([1.0, 0.0]), ("a", "b"))
+    assert response.values.dtype == np.int64 and response.values.tolist() == [1, 0]

@@ -148,6 +148,24 @@ def test_score_trinary_frozen():
     assert list(scored.middle_rows) == [4]
 
 
+def test_score_binary_rejects_other_routes():
+    for route in (MissingRoute.MIDDLE, MissingRoute.FRACTIONAL):
+        with pytest.raises(ValueError, match="score_binary routes missing rows left or right"):
+            score_binary(fixed_node(), ALL, Partition(0, threshold=1.5), route, SSE)
+
+
+def test_infeasible_trinary_split_scores_none():
+    # the right of 2.5 holds one observed row
+    assert score_trinary(fixed_node(), ALL, Partition(0, threshold=2.5), SSE, min_child=2) is None
+
+
+def test_fractional_split_with_an_unobserved_side_is_none():
+    # no observed row lies right of 3.5, so there are no fractions to send missing rows by
+    part = Partition(0, threshold=3.5)
+    assert split_rows(fixed_node(), ALL, part, MissingRoute.FRACTIONAL) is None
+    assert score_fractional(fixed_node(), ALL, part, SSE, min_child_weight=0.0) is None
+
+
 def test_score_fractional_frozen():
     ds = fixed_node()
     scored = score_fractional(ds, ALL, Partition(0, threshold=2.5), SSE)

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -118,6 +119,17 @@ def test_trinary_render_exact():
         "d1   left: leaf δ=0.0 (n=2)",
         "d1   right: leaf δ=10.0 (n=2)",
         "d0   missing: leaf δ=5.0 (n=6)",
+    ])
+
+
+def test_fc_render_exact():
+    # one observed row left of the cut and two right: the missing row goes both ways
+    ds = regression([numeric("x", [1.0, 3.0, 4.0, np.nan])], [0.0, 10.0, 10.0, 4.0])
+    tree = train(ds, TrainConfig(Strategy.FC, max_depth=1, min_samples=1))
+    assert render(tree) == "\n".join([
+        "d0 split x <= 2.0 (n=4, missing->both w=(0.333333, 0.666667))",
+        "d1   left: leaf δ=1.0 (n=1.33333)",
+        "d1   right: leaf δ=8.5 (n=2.66667)",
     ])
 
 
@@ -641,6 +653,44 @@ def test_deserialize_rejects_malformed_documents():
         mutate(doc)
         with pytest.raises(TreeFormatError):
             deserialize(json.dumps(doc))
+
+
+# (source tree, edit to its document, the TreeFormatError message)
+MALFORMED_DOCUMENTS = {
+    "leaf value length": ("class", lambda d: _set_first_leaf_probs(d, [1.0]),
+                          "leaf value must be a list of 2 probabilities"),
+    "node kind": ("step", lambda d: d["root"].update(kind="quaternary"), "unknown node kind 'quaternary'"),
+    "no threshold": ("step", lambda d: d["root"].pop("threshold"),
+                     "feature 'x' is numeric but the node has no threshold"),
+    "missing route": ("step", lambda d: d["root"].update(missing="sideways"), "unknown missing route 'sideways'"),
+    "negative weight": ("fc", lambda d: d["root"].update(w_left=1.5, w_right=-0.5),
+                        "fractional weights must be non-negative"),
+    "trinary without middle": ("trinary", lambda d: d["root"].pop("middle"),
+                               "trinary nodes need a middle child; binary nodes must not have one"),
+    "binary with middle": ("step", lambda d: d["root"].update(middle=d["root"]["left"]),
+                           "trinary nodes need a middle child; binary nodes must not have one"),
+    "loss kind": ("step", lambda d: d["loss"].update(kind="hinge"), "unknown loss 'hinge'"),
+    "feature kind": ("step", lambda d: d["features"][0].update(kind="ordinal"), "unknown feature kind 'ordinal'"),
+    "duplicate features": ("step", lambda d: d["features"].append(dict(d["features"][0])),
+                           "duplicate feature names"),
+    "label count": ("class", lambda d: d["response"].update(labels=["a", "b", "c"]),
+                    "label list does not match the class count"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_DOCUMENTS)
+def test_deserialize_names_what_is_malformed(case):
+    source, edit, message = MALFORMED_DOCUMENTS[case]
+    tree = {
+        "step": lambda: train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1)),
+        "class": _classification_tree,
+        "fc": lambda: train(TRI_DS, TrainConfig(Strategy.FC, max_depth=1, min_samples=1)),
+        "trinary": lambda: train(TRI_DS, TrainConfig(Strategy.TRINARY, max_depth=1, min_samples=1)),
+    }[source]()
+    doc = json.loads(serialize(tree))
+    edit(doc)
+    with pytest.raises(TreeFormatError, match=re.escape(message)):
+        deserialize(json.dumps(doc))
 
 
 def test_pure_fc_classification_leaf_round_trips():
