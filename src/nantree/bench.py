@@ -73,6 +73,11 @@ class ExperimentConfig:
             raise ValidationError("no datasets configured")
         if len({name for name, _ in self.datasets}) != len(self.datasets):
             raise ValidationError("dataset names must not repeat")
+        for name, _ in self.datasets:
+            try:
+                name.encode("utf-8")  # the records carry it, so check before the sweep
+            except UnicodeEncodeError:
+                raise ValidationError(f"dataset name {name!r} is not UTF-8 text") from None
         if self.depth_grid_max < 1:
             raise ValidationError("depth grid must reach at least 1")
         if self.folds < 2:

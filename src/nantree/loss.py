@@ -12,6 +12,15 @@ The split scan prices blocks of rows from their sufficient statistics:
 the sum over its rows (:func:`sum_stats` for a block's direct total), and
 :func:`fitted`, :func:`at_value` and :func:`block_weight` read block
 vectors. These are the only split-scan code that knows the loss.
+
+Where every row weighs 1, a cross-entropy block's statistics are whole
+counts, its row count and then its class counts, each at most the node's
+row count n: float sums of ones and zeros below 2**53 are exact.
+:func:`fitted_counts` then reads the ``x·log x`` terms from a table of
+0..n (:func:`xlogx_table`) instead of taking two logs per block. Each
+entry is what :func:`fitted`'s expression gives for that count, the row
+count equals the class sum :func:`fitted` takes, and both add a block's K
+class terms in one order along one axis, so the two agree bit for bit.
 """
 from __future__ import annotations
 
@@ -153,6 +162,21 @@ def block_weight(S: np.ndarray, kind: LossKind) -> np.ndarray:
 def _xlogx(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     return a * np.log(np.where(a > 0, a, 1.0))
+
+
+def xlogx_table(n: int) -> np.ndarray:
+    """``x·log x`` at x = 0, 1, ..., n, as :func:`fitted` computes it."""
+    return _xlogx(np.arange(n + 1))
+
+
+def fitted_counts(S: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """:func:`fitted` under cross-entropy, bit for bit, for blocks of
+    unit-weight rows, statistics along the last axis: the weight is the
+    block's row count and each class weight its class's count, whole
+    numbers of at most ``len(table) - 1``, where ``table`` is
+    :func:`xlogx_table`."""
+    t = table[S.astype(np.intp)]
+    return np.maximum(t[..., 0] - t[..., 1:].sum(axis=-1), 0.0)
 
 
 def fitted(S: np.ndarray, kind: LossKind) -> np.ndarray:

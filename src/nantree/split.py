@@ -34,23 +34,36 @@ Only :mod:`loss` knows what the statistics mean. When a feature has no
 missing rows at a node, all strategy objectives coincide and are computed
 once, so they are equal bit for bit.
 
-A multiclass feature's exhaustive cuts depend only on its observed
-categories, so a scan builds them the first time it meets the category set
-and keeps them in a ``cuts`` dict: growth passes one per tree, each public
-call a fresh one. Prefix cuts follow the node's category order and are
-built at each node.
+Under cross-entropy, a node whose row weights are all 1 has whole class
+counts in every block, unscaled, of at most its row count: sums of ones
+and zeros are exact in floats. Its blocks are then priced by
+:func:`loss.fitted_counts`, which reads ``x·log x`` from a table instead
+of taking logs per candidate and gives :func:`loss.fitted`'s bits. The
+choice reads the node's weights, never the strategy: a weighted mia or
+majority node has fractional blocks, and fc's α-scaled blocks are
+fractional at every node, so those go through ``fitted``.
+
+A scan keeps what outlives a node in a ``memo`` dict: growth passes one
+per tree, each public call a fresh one. A multiclass feature's exhaustive
+cuts depend only on its observed categories, so they are built the first
+time a scan meets the category set; prefix cuts follow the node's
+category order and are built at each node. The ``x·log x`` table is built
+at the first unit-weight node, the root in growth, for its row count,
+which bounds every later node's.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
 from .data import CATEGORICAL, Dataset, FeatureColumn, ValidationError, row_index
-from .loss import LossKind, at_value, block_weight, eval_loss, fit_leaf, fitted, row_stats, row_weights, sum_stats
+from .loss import (LossKind, at_value, block_weight, eval_loss, fit_leaf, fitted, fitted_counts, row_stats,
+                   row_weights, sum_stats, xlogx_table)
 
 #: Exhaustive category bipartitions are enumerated up to this many observed
 #: categories (multiclass only); above it, frequency-ordered prefix cuts.
@@ -217,7 +230,7 @@ class _Table:
     ``S_present`` and ``S_miss`` cover the rows observed and missing on
     the feature."""
 
-    partitions: Sequence[Partition]  # a tuple when shared through ``cuts``
+    partitions: Sequence[Partition]  # a tuple when shared through ``memo``
     n_left: np.ndarray          # observed row counts in the left block
     n_present: int
     n_missing: int
@@ -227,7 +240,7 @@ class _Table:
 
 
 def _candidate_table(column: FeatureColumn, feature: int, rows: np.ndarray, S: np.ndarray,
-                     kind: LossKind, cuts: dict) -> _Table | None:
+                     kind: LossKind, memo: dict) -> _Table | None:
     v = column.values[rows]
     present = v >= 0 if column.kind == CATEGORICAL else ~np.isnan(v)
     vp = v[present]
@@ -235,7 +248,7 @@ def _candidate_table(column: FeatureColumn, feature: int, rows: np.ndarray, S: n
     # (S[:, mask] would not)
     S_p = np.compress(present, S, axis=1)
     if column.kind == CATEGORICAL:
-        built = _categorical_candidates(feature, vp, S_p, kind, len(column.categories), cuts)
+        built = _categorical_candidates(feature, vp, S_p, kind, len(column.categories), memo)
     else:
         built = _numeric_candidates(feature, vp, S_p)
     if built is None:
@@ -264,7 +277,7 @@ def _numeric_candidates(feature, vp, S_p):
     return partitions, cuts + 1, np.cumsum(S_p.T[order], axis=0)[cuts]
 
 
-def _categorical_candidates(feature, vp, S_p, kind, n_categories, cuts):
+def _categorical_candidates(feature, vp, S_p, kind, n_categories, memo):
     counts = np.bincount(vp, minlength=n_categories)
     observed = np.flatnonzero(counts > 0)
     if observed.size < 2:
@@ -272,12 +285,12 @@ def _categorical_candidates(feature, vp, S_p, kind, n_categories, cuts):
     # per-category statistics, one row per category
     cat = np.stack([np.bincount(vp, weights=stat, minlength=n_categories) for stat in S_p], axis=1)
 
-    # exhaustive cuts are kept in ``cuts`` under (feature, observed codes)
+    # exhaustive cuts are kept in ``memo`` under (feature, observed codes)
     # and shared read-only by every node; prefix cuts are built per node
     multiclass = kind.n_classes > 2
     if multiclass and observed.size <= MAX_EXHAUSTIVE_CATEGORIES:
         key = (feature, observed.tobytes())
-        if key not in cuts:
+        if key not in memo:
             m = observed.size
             n_cand = 2 ** (m - 1) - 1
             b = np.arange(n_cand, dtype=np.uint32)
@@ -286,8 +299,8 @@ def _categorical_candidates(feature, vp, S_p, kind, n_categories, cuts):
             mask, lm = left_mask.astype(np.int64), left_mask.astype(np.float64)
             mask.flags.writeable = lm.flags.writeable = False
             lefts = [frozenset(observed[row].tolist()) for row in left_mask]
-            cuts[key] = mask, lm, _bipartitions(feature, observed, lefts)
-        mask, lm, partitions = cuts[key]
+            memo[key] = mask, lm, _bipartitions(feature, observed, lefts)
+        mask, lm, partitions = memo[key]
         n_left = mask @ counts[observed]
         S_left = lm @ cat[observed]
         # the weights by a matrix-vector product, which BLAS sums in its own
@@ -550,9 +563,9 @@ def _pick(losses: np.ndarray, route, partitions: Sequence[Partition]) -> _Entry 
     return _Entry(float(losses[i]), partitions[i], route(i) if callable(route) else route)
 
 
-def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value,
-                  cuts) -> dict[Strategy, _Entry | None] | None:
-    table = _candidate_table(ds.columns[feature], feature, rows, S, kind, cuts)
+def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value, memo,
+                  price) -> dict[Strategy, _Entry | None] | None:
+    table = _candidate_table(ds.columns[feature], feature, rows, S, kind, memo)
     if table is None:
         return None
     mc, mw = cfg.min_child, cfg.min_child_weight
@@ -561,7 +574,7 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value,
     n_m = table.n_missing
     S_l, S_m = table.S_left, table.S_miss
     S_r = table.S_present - S_l
-    f_l, f_r = fitted(S_l, kind), fitted(S_r, kind)
+    f_l, f_r = price(S_l), price(S_r)
     count_ok = (n_l >= mc) & (n_r >= mc)
     partitions = table.partitions
 
@@ -582,8 +595,8 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value,
     entries: dict[Strategy, _Entry | None] = {}
     if Strategy.MAJORITY in styles or Strategy.MIA in styles:
         # mia and majority merge the missing block into one child
-        ml = np.where((n_l + n_m >= mc) & (n_r >= mc), fitted(S_l + S_m, kind) + f_r, np.inf)
-        mr = np.where((n_l >= mc) & (n_r + n_m >= mc), f_l + fitted(S_r + S_m, kind), np.inf)
+        ml = np.where((n_l + n_m >= mc) & (n_r >= mc), price(S_l + S_m) + f_r, np.inf)
+        mr = np.where((n_l >= mc) & (n_r + n_m >= mc), f_l + price(S_r + S_m), np.inf)
     if Strategy.MAJORITY in styles:
         entries[Strategy.MAJORITY] = _pick(np.where(n_l > n_r, ml, mr), majority, partitions)
     if Strategy.MIA in styles:
@@ -596,7 +609,8 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value,
         loss = f_l + f_r + at_value(S_m, node_value, kind)
         entries[Strategy.TRINARY] = _pick(np.where(count_ok, loss, np.inf), MissingRoute.MIDDLE, partitions)
     if Strategy.FC in styles:
-        # fc adds the missing block to both children, scaled by the observed fractions
+        # fc adds the missing block to both children, scaled by the observed
+        # fractions: fractional blocks, which only ``fitted`` prices
         alpha = (n_l / table.n_present)[:, None]
         S_lf, S_rf = S_l + alpha * S_m, S_r + (1.0 - alpha) * S_m
         feasible = (block_weight(S_lf, kind) >= mw) & (block_weight(S_rf, kind) >= mw)
@@ -606,18 +620,27 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value,
 
 
 def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value,
-                  cuts: dict) -> dict[int, dict[Strategy, _Entry | None]]:
+                  memo: dict) -> dict[int, dict[Strategy, _Entry | None]]:
     """Scan ``features`` at the node of ``rows`` (weights ``w``, leaf value
     ``node_value``): each feature's best feasible entry (loss, partition
-    and missing route) per objective of ``strategy``. ``cuts`` holds the
-    exhaustive categorical cut lists already built for this loss; growth
-    passes one dict per tree. Growth calls this and :func:`select_best`;
-    neither is re-exported from the package."""
+    and missing route) per objective of ``strategy``. ``memo`` holds the
+    exhaustive categorical cut lists and the ``x·log x`` table already
+    built for this loss; growth passes one dict per tree, whose first scan
+    is its root. Growth calls this and :func:`select_best`; neither is
+    re-exported from the package."""
     styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
     S = row_stats(ds.response.values[rows], w, kind)
+    if kind.is_classification and (w == 1.0).all():
+        # whole counts of at most rows.size, which no later node of a tree exceeds
+        table = memo.get("xlogx")
+        if table is None:
+            table = memo["xlogx"] = xlogx_table(rows.size)
+        price = partial(fitted_counts, table=table)
+    else:
+        price = partial(fitted, kind=kind)
     scans = {}
     for feature in sorted(features):
-        scan = _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value, cuts)
+        scan = _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value, memo, price)
         if scan is not None:
             scans[feature] = scan
     return scans

@@ -15,8 +15,9 @@ Because a middle child sees the same rows as its parent, it takes the
 parent's leaf (one ``Leaf`` object serves as both) and per-feature scan
 results rather than recomputing them; only the excluded feature is
 dropped. This is an exact reuse, not an approximation. Likewise each tree
-builds a feature's exhaustive categorical cuts once per category set, not
-once per node (:func:`split.scan_features`).
+builds a feature's exhaustive categorical cuts once per category set, and
+cross-entropy's ``x·log x`` table once, not once per node
+(:func:`split.scan_features`).
 """
 from __future__ import annotations
 
@@ -120,7 +121,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
     scfg = cfg.split_config
     is_fc = cfg.strategy is Strategy.FC
     floor = 2.0 * scfg.min_child_weight if is_fc else 2 * scfg.min_child
-    cuts: dict = {}  # exhaustive categorical cut lists, built once per tree (split.scan_features)
+    memo: dict = {}  # categorical cut lists and the x·log x table, built once per tree (split.scan_features)
     done: list = []  # finished subtrees; a pending split rebuilds from them
     # pending nodes (rows, weights, depth, available features, inherited
     # scans and leaf) and splits (spec, leaf); only fc nodes carry weights
@@ -145,7 +146,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
                 scans = {f: inherited[f] for f in sorted(available) if f in inherited}
             else:
                 scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg,
-                                      row_weights(node_rows, w), leaf.value, cuts)
+                                      row_weights(node_rows, w), leaf.value, memo)
             choice = select_best(scans, cfg.strategy)
         if choice is None:
             done.append(leaf)

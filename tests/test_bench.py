@@ -80,6 +80,7 @@ def test_config_validation():
     (dict(folds=0), "at least 2 folds"),
     (dict(min_samples=0), "min_samples"),
     (dict(datasets=(("a", step_data(n_rows=20)),) * 2), "dataset names must not repeat"),
+    (dict(datasets=(("caf\udce9", step_data(n_rows=20)),)), "is not UTF-8 text"),
 ])
 def test_config_rejects_bad_grids(overrides, message):
     with pytest.raises(ValidationError, match=message):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nantree import censor, datasets
+from nantree import bench, censor, datasets
 from nantree.bench import ExperimentRecord, emit_csv
 from nantree.cli import main
 from nantree.data import (
@@ -212,8 +212,12 @@ def test_predict_refuses_a_label_that_is_not_utf8(tmp_path, capsys, existing):
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_run_refuses_a_data_file_name_that_is_not_utf8(tmp_path, capsys, existing):
-    # the file name becomes the dataset name written in the records
+def test_run_refuses_a_data_file_name_that_is_not_utf8(tmp_path, capsys, monkeypatch, existing):
+    # the file name becomes the dataset name written in the records, and
+    # is refused before the sweep grows a tree
+    trained = []
+    grow = bench.train
+    monkeypatch.setattr(bench, "train", lambda *args: trained.append(args) or grow(*args))
     data = os.path.join(os.fsencode(tmp_path), b"caf\xe9.csv")
     with open(data, "wb") as fh:
         fh.write(b"x,y\n" + b"".join(b"%d,%d\n" % (i, i % 2) for i in range(8)))
@@ -224,6 +228,7 @@ def test_run_refuses_a_data_file_name_that_is_not_utf8(tmp_path, capsys, existin
             "--q-grid", "0", "--folds", "2", "--max-depth", "1", "--out", str(out)]
     assert main(argv) == 1
     _one_error_line(capsys)
+    assert trained == []
     assert out.read_bytes() == b"old bytes\r\n" if existing else not out.exists()
 
 

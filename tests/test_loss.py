@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nantree import LossKind, eval_loss, fit_leaf
-from nantree.loss import LOG_CLAMP, row_stats
+from nantree.loss import LOG_CLAMP, fitted, fitted_counts, row_stats, xlogx_table
 
 from oracle import fit_value, sse_fit, xe_fit
 
@@ -144,6 +144,35 @@ def test_integer_weights_match_repetition(y, reps):
     assert fit_leaf(arr, SSE, w) == pytest.approx(fit_leaf(repeated, SSE), rel=1e-12, abs=1e-12)
     v = fit_leaf(arr, SSE, w)
     assert eval_loss(arr, v, SSE, w) == pytest.approx(eval_loss(repeated, v, SSE), rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _count_blocks(draw):
+    """A node of at most 5000 unit-weight rows and K in {2, 3, 5}
+    classes, some possibly empty: its statistics and blocks that
+    candidates cut from them, as the scan forms them (left, right, the
+    missing block, each observed block merged with it, and an empty one)."""
+    k = draw(st.sampled_from([2, 3, 5]))
+    totals = draw(st.lists(st.integers(0, 5000 // k), min_size=k, max_size=k))
+    miss = [draw(st.integers(0, t)) for t in totals]
+    observed = [t - m for t, m in zip(totals, miss)]
+    lefts = draw(st.lists(st.tuples(*(st.integers(0, o) for o in observed)), min_size=1, max_size=20))
+    C_l = np.array(lefts, dtype=np.int64).reshape(-1, k)
+    C_r = np.array(observed) - C_l
+    C_m = np.broadcast_to(np.array(miss), C_l.shape)
+    C = np.concatenate([C_l, C_r, C_m, C_l + C_m, C_r + C_m, np.zeros((1, k), dtype=np.int64)])
+    S = np.concatenate([C.sum(axis=1, keepdims=True), C], axis=1).astype(np.float64)
+    return k, sum(totals), S
+
+
+@given(blocks=_count_blocks())
+@settings(max_examples=300, deadline=None)
+def test_count_price_matches_fitted_bit_for_bit(blocks):
+    k, n, S = blocks
+    table = xlogx_table(n)
+    kind = LossKind.cross_entropy(k)
+    assert fitted_counts(S, table).tobytes() == fitted(S, kind).tobytes()
+    assert fitted_counts(S[0], table).tobytes() == fitted(S[0], kind).tobytes()  # one block alone
 
 
 def test_matches_oracle_forms():

@@ -10,6 +10,9 @@ features with few and with more than ``MAX_EXHAUSTIVE_CATEGORIES``
 observed categories, and fc trees, whose children below the root carry
 fractional row weights under both losses.
 
+One larger three-class problem, unweighted, pins trees whose node counts
+run past the 160 rows of the others, up to its 1200 rows.
+
 Rounding rarely moves those trees. Small cross-entropy fc nodes get a
 second, targeted set: there fractional weights make candidate ties and
 the child-weight floor hang on the last bit of a sum. Each of those
@@ -109,6 +112,39 @@ def _digest(index):
 @pytest.mark.parametrize("index", range(18))
 def test_trees_and_weighted_winners_match_frozen_digests(index):
     assert _digest(index) == PINNED[index]
+
+
+#: trinary, trinary_mia and mia trees of :func:`_large_problem`
+LARGE = "8aaee93296ade3e78e72de19ee8ac28d"
+
+
+def _large_problem():
+    """1200 rows, three balanced classes, two numeric features and one
+    five-level categorical, each 10-25% MCAR."""
+    rng = np.random.default_rng([7, 1000])
+    n = 1200
+    coarse = rng.integers(0, 8, size=n).astype(float)
+    fine = np.round(rng.normal(size=n), 2)
+    few = rng.integers(0, 5, size=n)
+    signal = coarse / 2 - fine + few % 3 + rng.normal(scale=0.7, size=n)
+    miss = rng.random((n, 3)) < (0.1, 0.25, 0.2)
+    cols = (
+        FeatureColumn("coarse", NUMERIC, np.where(miss[:, 0], np.nan, coarse)),
+        FeatureColumn("fine", NUMERIC, np.where(miss[:, 1], np.nan, fine)),
+        FeatureColumn("few", CATEGORICAL, np.where(miss[:, 2], -1, few), tuple("abcde")),
+    )
+    edges = np.quantile(signal, [1 / 3, 2 / 3])
+    return Dataset(cols, ResponseColumn(CLASS, np.searchsorted(edges, signal), ("l0", "l1", "l2")))
+
+
+def test_large_unweighted_trees_match_frozen_digest():
+    ds = _large_problem()
+    h = hashlib.sha256()
+    for strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA, Strategy.MIA):
+        tree = train(ds, TrainConfig(strategy, max_depth=5, min_samples=3))
+        h.update(serialize(tree).encode())
+        h.update(predict(tree, ds).tobytes())
+    assert h.hexdigest()[:32] == LARGE
 
 
 def _small_problem(index):

@@ -17,6 +17,7 @@ from nantree import (
     ValidationError,
     best_split,
     enumerate_candidates,
+    fit_leaf,
     loss_for,
     score_binary,
     score_fractional,
@@ -494,6 +495,97 @@ def test_public_calls_build_every_candidate_each_time(monkeypatch):
         del built[:]
         assert best_split(ds, rows, features, Strategy.TRINARY, kind) is not None
         assert len(built) == sum(per_feature)
+
+
+def _three_class_node(seed=11, n=40):
+    """A numeric and a four-level categorical feature, each about 25%
+    MCAR, and three classes: the Dataset and the oracle's cell lists."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=n), 1)
+    x[rng.random(n) < 0.25] = np.nan
+    g = np.where(rng.random(n) < 0.25, -1, rng.integers(0, 4, size=n))
+    y = rng.integers(0, 3, size=n)
+    cats = ("a", "b", "c", "d")
+    ds = Dataset((numeric("x", x), FeatureColumn("g", CATEGORICAL, g, cats)),
+                 ResponseColumn(CLASS, y, ("l0", "l1", "l2")))
+    cells = [[None if np.isnan(v) else float(v) for v in x], [None if c < 0 else cats[c] for c in g]]
+    return ds, cells, y.tolist()
+
+
+def _record_pricing(monkeypatch) -> dict:
+    """Blocks priced from now on, by loss.fitted and by loss.fitted_counts."""
+    calls = {"fitted": 0, "counts": 0}
+    fitted, counts = split_module.fitted, split_module.fitted_counts
+
+    def by_fitted(S, kind):
+        calls["fitted"] += 1
+        return fitted(S, kind)
+
+    def by_counts(S, table):
+        calls["counts"] += 1
+        return counts(S, table)
+
+    monkeypatch.setattr(split_module, "fitted", by_fitted)
+    monkeypatch.setattr(split_module, "fitted_counts", by_counts)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", [Strategy.MAJORITY, Strategy.MIA, Strategy.FC])
+def test_a_node_with_a_fractional_weight_is_priced_by_fitted(monkeypatch, strategy):
+    """The count path is chosen by the node's weights, not its strategy:
+    one weight of 0.5 makes fractional blocks, which only loss.fitted
+    prices, and the scan's own best price matches the oracle's."""
+    ds, cells, y = _three_class_node()
+    kind = loss_for(ds)
+    rows = np.arange(ds.n_rows)
+    weights = np.ones(ds.n_rows)
+    weights[7] = 0.5
+    cfg = SplitConfig(min_child=2, min_child_weight=2.0)
+    expected = best_loss(cells, y, 3, strategy.value, min_child=2, min_child_weight=2.0, weights=weights.tolist())
+    calls = _record_pricing(monkeypatch)
+    got = best_split(ds, rows, [0, 1], strategy, kind, cfg, weights=weights)
+    assert got.total_loss == pytest.approx(expected, rel=1e-12)
+    scans = split_module.scan_features(ds, rows, [0, 1], strategy, kind, cfg, weights,
+                                       fit_leaf(ds.response.values, kind, weights), {})
+    assert min(scan[strategy].loss for scan in scans.values()) == pytest.approx(expected, rel=1e-12)
+    assert calls["counts"] == 0 and calls["fitted"] > 0
+
+
+@pytest.mark.parametrize("strategy", [Strategy.MAJORITY, Strategy.MIA, Strategy.FC])
+def test_unit_weights_are_priced_from_counts_as_no_weights_are(monkeypatch, strategy):
+    ds, cells, y = _three_class_node()
+    kind = loss_for(ds)
+    rows = np.arange(ds.n_rows)
+    cfg = SplitConfig(min_child=2, min_child_weight=2.0)
+    calls = _record_pricing(monkeypatch)
+    plain = best_split(ds, rows, [0, 1], strategy, kind, cfg)
+    assert calls["counts"] > 0
+    # fc's α-scaled blocks are fractional even here
+    assert (calls["fitted"] > 0) == (strategy is Strategy.FC)
+    unit = best_split(ds, rows, [0, 1], strategy, kind, cfg, weights=np.ones(ds.n_rows))
+    assert (unit.partition, unit.route, unit.total_loss) == (plain.partition, plain.route, plain.total_loss)
+    assert np.array_equal(unit.left_rows, plain.left_rows) and np.array_equal(unit.right_rows, plain.right_rows)
+    expected = best_loss(cells, y, 3, strategy.value, min_child=2, min_child_weight=2.0)
+    assert plain.total_loss == pytest.approx(expected, rel=1e-12)
+
+
+def test_growth_builds_one_count_table_per_tree_for_the_root(monkeypatch):
+    ds = _unit_table(classify=True)
+    sizes = []
+    original = split_module.xlogx_table
+
+    def recording(n):
+        sizes.append(n)
+        return original(n)
+
+    monkeypatch.setattr(split_module, "xlogx_table", recording)
+    rows = np.arange(0, ds.n_rows, 2)
+    for strategy in (Strategy.TRINARY, Strategy.MIA, Strategy.FC):
+        del sizes[:]
+        tree_module.train(ds, tree_module.TrainConfig(strategy, max_depth=3, min_samples=7), rows)
+        assert sizes == [rows.size]
+    tree_module.train(_unit_table(classify=False), tree_module.TrainConfig(Strategy.MIA, max_depth=3))
+    assert sizes == [rows.size]  # none for SSE
 
 
 def test_unseen_category_counts_as_missing():
