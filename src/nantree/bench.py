@@ -40,7 +40,7 @@ import numpy as np
 from .censor import SCENARIOS, CensorSpec, apply_scenario
 from .data import (Dataset, FoldAssignment, ParseError, ValidationError, check_seed, read_rows,
                    stratified_kfold, write_columns)
-from .split import Strategy
+from .split import Strategy, check_strategy
 from .tree import TrainConfig, Tree, evaluate, project, train, truncate
 
 CSV_HEADER = ("dataset", "strategy", "scenario", "q", "fold", "loss", "excess_loss", "depth", "wall_ms")
@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ValidationError("min_samples must be at least 1")
         if not self.strategies:
             raise ValidationError("no strategies configured")
+        for strategy in self.strategies:
+            check_strategy(strategy)
         if len(set(self.strategies)) != len(self.strategies):
             raise ValidationError("strategies must not repeat")
         if not self.q_grid:

@@ -81,6 +81,14 @@ class Strategy(Enum):
     TRINARY_MIA = "trinary_mia"
 
 
+def check_strategy(strategy) -> None:
+    """A ValidationError naming the valid values unless ``strategy`` is a
+    :class:`Strategy` member."""
+    if not isinstance(strategy, Strategy):
+        valid = ", ".join(s.value for s in Strategy)
+        raise ValidationError(f"unknown strategy {strategy!r} (valid: {valid})")
+
+
 class MissingRoute(Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -144,21 +152,28 @@ class Partition:
     def is_numeric(self) -> bool:
         return self.threshold is not None
 
-    def sides(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of the cells of this feature in ``v`` (floats with NaN for
-        missing, or category codes with -1 for missing) that go left and
-        right. A cell in neither is missing here: NaN, -1, or a category in
-        neither set, such as one this node never observed."""
+    def sides(self, v: np.ndarray, route: MissingRoute) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masks ``(left, right, missing)`` of the cells of this feature in
+        ``v`` (floats with NaN for missing, or category codes with -1 for
+        missing). A cell is missing here when it is NaN, -1, or a category
+        in neither set, such as one this node never observed; a LEFT or
+        RIGHT ``route`` also sends the missing cells to that side."""
         if self.is_numeric:
-            left = v <= self.threshold
-            return left, ~(left | np.isnan(v))
-        # codes past the last slot clip onto it and -1 wraps onto it: both read 0
-        top = max(self.left_categories | self.right_categories) + 1
-        side = np.zeros(top + 1, dtype=np.int8)
-        side[list(self.left_categories)] = 1
-        side[list(self.right_categories)] = 2
-        s = side[np.minimum(v, top)]
-        return s == 1, s == 2
+            left, missing = v <= self.threshold, np.isnan(v)
+            right = ~(left | missing)
+        else:
+            # codes past the last slot clip onto it and -1 wraps onto it: both read 0
+            top = max(self.left_categories | self.right_categories) + 1
+            side = np.zeros(top + 1, dtype=np.int8)
+            side[list(self.left_categories)] = 1
+            side[list(self.right_categories)] = 2
+            s = side[np.minimum(v, top)]
+            left, right, missing = s == 1, s == 2, s == 0
+        if route is MissingRoute.LEFT:
+            left |= missing
+        elif route is MissingRoute.RIGHT:
+            right |= missing
+        return left, right, missing
 
 
 # the setters of the decorated class's slots (see Partition.__init__)
@@ -364,17 +379,17 @@ class ChildRows:
     """The rows a split sends to its children, without their losses.
 
     ``left_rows``/``right_rows`` are the row index sets the children train
-    on, with weights ``left_weights``/``right_weights``; fractional
-    children also take the missing rows, their weights scaled by
-    ``frac_left`` and ``1 - frac_left``. ``middle_rows`` holds the missing
-    rows of a middle-routed split and is empty for the other routes.
+    on, with weights ``left_weights``/``right_weights`` (None when
+    unweighted); fractional children also take the missing rows, their
+    weights scaled by ``frac_left`` and ``1 - frac_left``. ``middle_rows``
+    holds the missing rows of a middle-routed split, else it is empty.
     """
 
     left_rows: np.ndarray
     right_rows: np.ndarray
     middle_rows: np.ndarray
-    left_weights: np.ndarray
-    right_weights: np.ndarray
+    left_weights: np.ndarray | None
+    right_weights: np.ndarray | None
     frac_left: float | None = None
 
 
@@ -399,12 +414,12 @@ def split_rows(
     for the fractional route, a child whose total weight is below
     ``min_child_weight``. A fractional split with no observed rows on a
     side has no fractions and is None either way; the fractions come from
-    unweighted observed row counts.
+    unweighted observed row counts. Other routes' children take slices of
+    ``weights``, or None without; fractional children are always weighted.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    w = row_weights(rows, weights)
-    left, right = partition.sides(ds.columns[partition.feature].values[rows])
-    missing = ~(left | right)
+    w = None if weights is None else row_weights(rows, weights)
+    left, right, missing = partition.sides(ds.columns[partition.feature].values[rows], route)
     if route is MissingRoute.FRACTIONAL:
         n_lo = int(left.sum())
         n_ro = int(right.sum())
@@ -412,6 +427,7 @@ def split_rows(
             return None
         frac_left = n_lo / (n_lo + n_ro)
         frac_right = 1.0 - frac_left
+        w = np.ones(len(rows)) if w is None else w
         miss_rows, miss_w = rows[missing], w[missing]
         left_w = np.concatenate([w[left], miss_w * frac_left])
         right_w = np.concatenate([w[right], miss_w * frac_right])
@@ -425,18 +441,14 @@ def split_rows(
             right_weights=right_w,
             frac_left=frac_left,
         )
-    if route is MissingRoute.LEFT:
-        left = left | missing
-    elif route is MissingRoute.RIGHT:
-        right = right | missing
     if min_child is not None and min(left.sum(), right.sum()) < max(min_child, 1):
         return None
     return ChildRows(
         left_rows=rows[left],
         right_rows=rows[right],
         middle_rows=rows[missing] if route is MissingRoute.MIDDLE else rows[:0],
-        left_weights=w[left],
-        right_weights=w[right],
+        left_weights=None if w is None else w[left],
+        right_weights=None if w is None else w[right],
     )
 
 

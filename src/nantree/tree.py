@@ -4,6 +4,8 @@ This module alone builds tree nodes. :func:`train` grows them depth-first
 in one explicit-stack loop, under the loss the response calls for; split
 nodes keep the leaf fitted at them, so :func:`truncate` only cuts, and
 :func:`project` recasts a tree grown on complete data for another strategy.
+Growth never tests the strategy: rows carry weights only below a
+fractional split, and a node's size, its total row weight, is a float.
 Under the trinary strategies an internal node may carry a third child for
 missing values: that child is trained on the node's *entire* row set at
 the *same* depth, with the split feature removed from the available set,
@@ -36,6 +38,7 @@ from .split import (
     Partition,
     SplitConfig,
     Strategy,
+    check_strategy,
     majority_route,
     scan_features,
     select_best,
@@ -52,6 +55,7 @@ class TrainConfig:
     min_samples: int = 5
 
     def __post_init__(self) -> None:
+        check_strategy(self.strategy)
         if self.max_depth < 0:
             raise ValidationError("max_depth must be non-negative")
         if self.min_samples < 1:
@@ -107,7 +111,8 @@ class Tree:
 
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
     """Grow a tree on ``rows`` of ``ds`` (all rows by default). Each node is
-    fitted as a leaf, sized by total weight under fc, else by row count; a
+    fitted as a leaf and sized by its total row weight, a float; weights
+    are None, and the size the row count, but below a fractional split. A
     middle child takes its parent's leaf, fitted on the same rows. A node
     stays a leaf when the depth budget is exhausted, its training loss is
     zero, it is too small to split, or no feasible candidate exists on the
@@ -119,13 +124,11 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         raise ValidationError("cannot train on an empty row set")
 
     scfg = cfg.split_config
-    is_fc = cfg.strategy is Strategy.FC
-    floor = 2.0 * scfg.min_child_weight if is_fc else 2 * scfg.min_child
     memo: dict = {}  # categorical cut lists and the x·log x table, built once per tree (split.scan_features)
     done: list = []  # finished subtrees; a pending split rebuilds from them
     # pending nodes (rows, weights, depth, available features, inherited
-    # scans and leaf) and splits (spec, leaf); only fc nodes carry weights
-    stack: list = [(rows, np.ones(len(rows)) if is_fc else None, 0, frozenset(range(ds.n_features)), None, None)]
+    # scans and leaf) and splits (spec, leaf); weights only below fc splits
+    stack: list = [(rows, None, 0, frozenset(range(ds.n_features)), None, None)]
     while stack:
         item = stack.pop()
         if type(item[0]) is SplitSpec:
@@ -138,10 +141,10 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         if leaf is None:
             y = ds.response.values[node_rows]
             value = fit_leaf(y, kind, w)
-            leaf = Leaf(value=value, n_samples=float(w.sum()) if is_fc else len(node_rows),
+            leaf = Leaf(value=value, n_samples=float(len(node_rows) if w is None else w.sum()),
                         train_loss=eval_loss(y, value, kind, w))
         choice = None
-        if depth < cfg.max_depth and leaf.train_loss != 0.0 and available and leaf.n_samples >= floor:
+        if depth < cfg.max_depth and leaf.train_loss != 0.0 and available and leaf.n_samples >= 2 * cfg.min_samples:
             if inherited is not None:
                 scans = {f: inherited[f] for f in sorted(available) if f in inherited}
             else:
@@ -155,16 +158,14 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         # the scan decided the split's feasibility, and every candidate has
         # observed rows on both sides: the rows are only routed
         children = split_rows(ds, node_rows, partition, route, None, None, w)
-        spec = SplitSpec(partition, route, w_left=children.frac_left,
-                         w_right=1.0 - children.frac_left if is_fc else None)
-        stack.append((spec, leaf))
+        frac = children.frac_left
+        stack.append((SplitSpec(partition, route, frac, None if frac is None else 1.0 - frac), leaf))
         if route is MissingRoute.MIDDLE:
             # the middle child has these rows, unweighted: it inherits this
             # leaf and these scans, less the split feature
             stack.append((node_rows, None, depth, available - {partition.feature}, scans, leaf))
-        # fc splits are always fractional, and only their children carry row weights
-        stack.append((children.right_rows, children.right_weights if is_fc else None, depth + 1, available, None, None))
-        stack.append((children.left_rows, children.left_weights if is_fc else None, depth + 1, available, None, None))
+        stack.append((children.right_rows, children.right_weights, depth + 1, available, None, None))
+        stack.append((children.left_rows, children.left_weights, depth + 1, available, None, None))
     return Tree(
         root=done[0],
         strategy=cfg.strategy,
@@ -215,8 +216,8 @@ def project(tree: Tree, strategy: Strategy) -> Tree:
     There all strategies make the same splits: the trinary ones grow
     ``tree`` itself, so it must be trinary; the others grow it without
     middle children, with missing rows routed by :func:`split.majority_route`
-    (majority and mia) or to both children by the observed fractions (fc,
-    whose node sizes are row weights, so floats). Any other source raises
+    (majority and mia) or to both children by the observed fractions (fc),
+    keeping every leaf, fit and node size. Any other source raises
     ValidationError. A split node without a fit (read back by
     :func:`deserialize`) keeps none."""
     trinary = (Strategy.TRINARY, Strategy.TRINARY_MIA)
@@ -224,26 +225,23 @@ def project(tree: Tree, strategy: Strategy) -> Tree:
         raise ValidationError(f"a {tree.strategy.value} tree cannot be projected onto {strategy.value}")
     if strategy in trinary:
         return replace(tree, strategy=strategy)
-    is_fc = strategy is Strategy.FC
     done: list = []  # projected subtrees; a pending split node rebuilds from them
     stack: list = [(tree.root, False)]  # (node, whether its children are done)
     while stack:
         node, pending = stack.pop()
         if isinstance(node, Leaf):
-            done.append(replace(node, n_samples=float(node.n_samples)) if is_fc else node)
+            done.append(node)
         elif not pending:
             stack += [(node, True), (node.right, False), (node.left, False)]
         else:
             right, left = done.pop(), done.pop()
             n_l, n_r = node.left.n_samples, node.right.n_samples
-            if is_fc:
+            if strategy is Strategy.FC:
                 w_left = n_l / (n_l + n_r)
                 spec = SplitSpec(node.spec.partition, MissingRoute.FRACTIONAL, w_left, 1.0 - w_left)
-                fit = None if node.fit is None else replace(node.fit, n_samples=float(node.fit.n_samples))
-                done.append(Branch(spec, left, right, None, float(node.n_samples), fit))
             else:
                 spec = SplitSpec(node.spec.partition, majority_route(n_l, n_r))
-                done.append(Branch(spec, left, right, None, node.n_samples, node.fit))
+            done.append(Branch(spec, left, right, None, node.n_samples, node.fit))
     return replace(tree, root=done[0], strategy=strategy)
 
 
@@ -348,12 +346,7 @@ def _fill(root, cols: list[np.ndarray], rows: np.ndarray, out: np.ndarray) -> No
             out[at] = mixed
             continue
         spec = node.spec
-        left, right = spec.partition.sides(cols[spec.partition.feature][rows])
-        missing = ~(left | right)
-        if spec.route is MissingRoute.LEFT:
-            left |= missing
-        elif spec.route is MissingRoute.RIGHT:
-            right |= missing
+        left, right, missing = spec.partition.sides(cols[spec.partition.feature][rows], spec.route)
         if right.any():
             stack.append((node.right, rows[right], out, at[right]))
         if left.any():
@@ -393,7 +386,17 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
 def evaluate(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> tuple[float, float | None]:
     """Total test loss of the tree on rows of ``ds``; for classification
     also the misclassification rate (argmax, lowest class on ties). On no
-    rows both are 0.0."""
+    rows both are 0.0. A response the tree does not predict (another kind,
+    class count or, when the tree keeps them, label list) raises
+    ValidationError."""
+    response = ds.response
+    want = f"{tree.loss.n_classes}-class" if tree.loss.is_classification else REAL
+    got = f"{response.n_classes}-class" if response.kind == CLASS else REAL
+    if got != want:
+        raise ValidationError(f"the tree predicts a {want} response, the data holds a {got} one")
+    if tree.response_labels and response.labels != tree.response_labels:
+        raise ValidationError(f"the tree's class labels {tree.response_labels!r} are not "
+                              f"the data's {response.labels!r}")
     rows = row_index(rows, ds.n_rows)
     preds = predict(tree, ds, rows)
     y = ds.response.values[rows]

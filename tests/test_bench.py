@@ -81,6 +81,8 @@ def test_config_validation():
     (dict(min_samples=0), "min_samples"),
     (dict(datasets=(("a", step_data(n_rows=20)),) * 2), "dataset names must not repeat"),
     (dict(datasets=(("caf\udce9", step_data(n_rows=20)),)), "is not UTF-8 text"),
+    (dict(strategies=("majority",)), r"unknown strategy 'majority' \(valid: majority, mia, fc, trinary, trinary_mia\)"),
+    (dict(strategies=(Strategy.MIA, "fc")), "unknown strategy 'fc'"),
 ])
 def test_config_rejects_bad_grids(overrides, message):
     with pytest.raises(ValidationError, match=message):

@@ -116,6 +116,30 @@ def test_multiclass_exhaustive_candidates():
     assert len(seen) == 7
 
 
+#: (partition, cells, where each cell goes: Left, Right or Missing here);
+#: the categorical feature has codes 0..3, of which the node saw 0, 2, 3
+SIDES_TABLE = [
+    (Partition(0, 1.5), np.array([1.0, 1.5, 2.0, np.nan, -np.inf, np.inf]), "LLRMLR"),
+    # -1 is missing, 1 a category the node never saw, 4 and 99 codes past the last
+    (Partition(0, left_categories={0, 3}, right_categories={2}), np.array([0, 3, 2, -1, 1, 4, 99]), "LLRMMMM"),
+]
+
+
+@pytest.mark.parametrize("route", list(MissingRoute), ids=lambda r: r.value)
+@pytest.mark.parametrize("partition, cells, where", SIDES_TABLE, ids=["numeric", "categorical"])
+def test_partition_sides_folds_missing_cells_by_route(partition, cells, where, route):
+    """A left or right route sends the missing cells to its side as well;
+    the missing mask is the same under every route."""
+    at = np.array(list(where))
+    missing = at == "M"
+    want = ((at == "L") | (missing & (route is MissingRoute.LEFT)),
+            (at == "R") | (missing & (route is MissingRoute.RIGHT)),
+            missing)
+    got = partition.sides(cells, route)
+    assert [mask.dtype for mask in got] == [np.dtype(bool)] * 3
+    assert [mask.tolist() for mask in got] == [mask.tolist() for mask in want]
+
+
 def test_score_binary_frozen():
     ds = fixed_node()
     part = Partition(0, threshold=1.5)
@@ -737,7 +761,9 @@ def _routed_one_by_one(ds, rows, partition, route, weights):
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_growth_split_rows_match_scorers(strategy, n_classes, monkeypatch):
     """Growth splits each winner by rows only; the public scorer on the same
-    winner gives the same row arrays, fc weights and fraction."""
+    winner gives the same row arrays, fc weights and fraction. Unweighted
+    left, right and middle children get no weight arrays; fractional and
+    weighted children get the weights routed one cell at a time."""
     calls = []
 
     def spy(*args):
@@ -756,16 +782,21 @@ def test_growth_split_rows_match_scorers(strategy, n_classes, monkeypatch):
     assert any(unseen)
     for _, rows, partition, route, min_child, min_child_weight, weights in calls:
         # the node's rows, then the whole table, where categories the node
-        # never saw route as missing
-        for rows, weights in ((rows, weights), (np.arange(ds.n_rows), None)):
+        # never saw route as missing, then the node's rows weighted
+        everywhere = np.arange(ds.n_rows)
+        for rows, weights in ((rows, weights), (everywhere, None), (rows, np.linspace(0.5, 2.0, len(rows)))):
             args = (ds, rows, partition, route, min_child, min_child_weight, weights)
             children = split_rows(*args)
             _assert_same_children(children, _score_like(*args))
             if children is not None:
-                got = (children.left_rows, children.right_rows, children.middle_rows,
-                       children.left_weights, children.right_weights)
+                got = (children.left_rows, children.right_rows, children.middle_rows)
                 want = _routed_one_by_one(ds, rows, partition, route, weights)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+                if weights is None and route is not MissingRoute.FRACTIONAL:
+                    assert children.left_weights is None and children.right_weights is None
+                else:
+                    assert children.left_weights.tobytes() == want[3].tobytes()
+                    assert children.right_weights.tobytes() == want[4].tobytes()
 
 
 def test_fc_feasibility_at_the_weight_floor_comes_from_the_scan(monkeypatch):

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ def test_config_validation():
         SplitConfig(min_child=0)
     with pytest.raises(ValidationError, match="min_child_weight"):
         SplitConfig(min_child_weight=0.0)
+    # a strategy's value or name is not the member: growth would find no
+    # objective for it and grow a one-leaf tree that serialize cannot write
+    valid = ", ".join(s.value for s in Strategy)
+    for strategy in ("majority", "MIA", None, 0):
+        with pytest.raises(ValidationError, match=re.escape(f"unknown strategy {strategy!r} (valid: {valid})")):
+            TrainConfig(strategy)
 
 
 def test_max_depth_zero_gives_single_leaf():
@@ -309,6 +316,35 @@ def test_evaluate_clamps_unseen_class():
     # the left leaf never saw class b: probability clamps instead of inf
     assert loss == pytest.approx(-math.log(LOG_CLAMP), rel=1e-12)
     assert misclass == 1.0
+
+
+def _two_class_step():
+    col = numeric("x", [0.0, 1.0, 2.0, 3.0])
+    return Dataset((col,), ResponseColumn(CLASS, np.array([0, 0, 1, 1]), ("a", "b")))
+
+
+def test_evaluate_refuses_a_response_the_tree_does_not_predict():
+    """A class tree on a real response, a real tree on class codes, a tree
+    on a table with more classes or other labels: each is a
+    ValidationError, not an IndexError or a squared error on codes."""
+    class_tree = train(_two_class_step(), TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+    real_tree = train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+    x = numeric("x", [0.0, 1.0, 2.0])
+    real = regression([x], [0.0, 1.0, 2.0])
+    three = Dataset((x,), ResponseColumn(CLASS, np.array([0, 1, 2]), ("a", "b", "c")))
+    swapped = Dataset((x,), ResponseColumn(CLASS, np.array([0, 1, 1]), ("b", "a")))
+    cases = [
+        (class_tree, real, "predicts a 2-class response, the data holds a real one"),
+        (class_tree, three, "predicts a 2-class response, the data holds a 3-class one"),
+        (real_tree, Dataset((x,), three.response), "predicts a real response, the data holds a 3-class one"),
+        (class_tree, swapped, r"class labels \('a', 'b'\) are not the data's \('b', 'a'\)"),
+    ]
+    for tree, ds, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            evaluate(tree, ds)
+    # a tree that keeps no labels checks the class count only
+    relabelled = Dataset((x,), ResponseColumn(CLASS, swapped.response.values, ("a", "b")))
+    assert evaluate(replace(class_tree, response_labels=()), swapped) == evaluate(class_tree, relabelled)
 
 
 @pytest.mark.filterwarnings("error")
@@ -828,21 +864,30 @@ def _censored_rows(ds):
     return np.flatnonzero(~np.all([col.present_mask() for col in ds.columns], axis=0))
 
 
+def _sizes(root):
+    """The size of each node of a trained tree, and of each split node's fit."""
+    for node in _nodes(root):
+        yield node.n_samples
+        if isinstance(node, Branch):
+            yield node.fit.n_samples
+
+
 def _assert_projections_are_grown(train_ds, test_ds, source_strategy, max_depth, min_samples):
     """Each strategy's tree projected from the source grown on ``train_ds``
     serializes and predicts ``test_ds`` (rows with missing cells) as the
-    tree it grows itself; returns the projections."""
+    tree it grows itself; returns the projections and the grown trees."""
     source = train(train_ds, TrainConfig(source_strategy, max_depth=max_depth, min_samples=min_samples))
     censored = _censored_rows(test_ds)
-    projections = {}
+    projections, grown_trees = {}, {}
     for strategy in Strategy:
         if source_strategy is Strategy.MAJORITY and strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
             continue
-        grown = train(train_ds, TrainConfig(strategy, max_depth=max_depth, min_samples=min_samples))
+        grown = grown_trees[strategy] = train(train_ds, TrainConfig(strategy, max_depth=max_depth,
+                                                                    min_samples=min_samples))
         projected = projections[strategy] = project(source, strategy)
         assert serialize(projected) == serialize(grown)
         assert predict(projected, test_ds, censored).tobytes() == predict(grown, test_ds, censored).tobytes()
-    return projections
+    return projections, grown_trees
 
 
 @pytest.mark.parametrize("n_classes", [0, 3])
@@ -909,12 +954,15 @@ def test_projection_of_the_source_tree_is_each_strategys_tree(n_classes):
     train_ds, test_ds = _complete_tables(n_classes)
     branches = []
     for min_samples, max_depth in [(1, 5), (2, 4), (3, 3), (4, 5), (5, 2), (1, 1), (5, 0)]:
-        from_trinary = _assert_projections_are_grown(train_ds, test_ds, Strategy.TRINARY, max_depth, min_samples)
-        from_majority = _assert_projections_are_grown(train_ds, test_ds, Strategy.MAJORITY, max_depth, min_samples)
+        from_trinary, grown = _assert_projections_are_grown(train_ds, test_ds, Strategy.TRINARY, max_depth,
+                                                            min_samples)
+        from_majority, _ = _assert_projections_are_grown(train_ds, test_ds, Strategy.MAJORITY, max_depth,
+                                                         min_samples)
         for tree in (*from_trinary.values(), *from_majority.values()):
             branches += [(tree.strategy, node) for node in _nodes(tree.root) if isinstance(node, Branch)]
-            if tree.strategy is Strategy.FC:
-                assert all(type(node.n_samples) is float for node in _nodes(tree.root))
+        # node sizes are floats under every strategy, in trees grown and projected
+        for tree in (*from_trinary.values(), *from_majority.values(), *grown.values()):
+            assert all(type(n) is float for n in _sizes(tree.root))
     # the grid reaches every route, majority ties (which go right), and both
     # categorical features, the larger one cut at a node that observes more
     # categories than are cut exhaustively
