@@ -18,7 +18,7 @@ from .bench import ExperimentConfig, default_q_grid, emit_csv, run_experiment
 from .bias import BiasScenario, emit_bias_csv, run_bias
 from .censor import SCENARIOS
 from .data import NantreeError, Schema, load_csv, load_features, read_schema_file, write_columns
-from .split import Strategy
+from .split import Strategy, check_strategy
 from .tree import TrainConfig, TreeFormatError, deserialize, predict, render, serialize, train
 
 
@@ -31,8 +31,7 @@ def _parse_strategies(text: str) -> tuple[Strategy, ...]:
         try:
             out.append(Strategy(token))
         except ValueError:
-            valid = ", ".join(s.value for s in Strategy)
-            raise NantreeError(f"unknown strategy {token!r} (valid: {valid})") from None
+            check_strategy(token)  # raises, naming the valid strategies
     if not out:
         raise NantreeError("no strategies given")
     return tuple(out)

@@ -13,7 +13,7 @@ the sum over its rows (:func:`sum_stats` for a block's direct total), and
 :func:`fitted`, :func:`at_value` and :func:`block_weight` read block
 vectors. These are the only split-scan code that knows the loss.
 
-Where every row weighs 1, a cross-entropy block's statistics are whole
+Without row weights (None), a cross-entropy block's statistics are whole
 counts, its row count and then its class counts, each at most the node's
 row count n: float sums of ones and zeros below 2**53 are exact.
 :func:`fitted_counts` then reads the ``x·log x`` terms from a table of
@@ -68,11 +68,11 @@ def loss_for(ds: Dataset) -> LossKind:
     return LossKind.sse()
 
 
-def row_weights(y: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """Unit weights for the samples ``y`` by default, otherwise ``weights``
-    checked to hold one weight per sample."""
+def row_weights(y: np.ndarray, weights: np.ndarray | None) -> np.ndarray | None:
+    """``weights`` checked to hold one weight per sample of ``y``; None,
+    unit weights, stays None."""
     if weights is None:
-        return np.ones(len(y))
+        return None
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != np.shape(y):
         raise ValidationError(f"weights must hold one weight per sample: {w.shape} for {len(y)} samples")
@@ -113,7 +113,7 @@ def eval_loss(y: np.ndarray, value, kind: LossKind, weights: np.ndarray | None =
     y = np.asarray(y)
     if y.size == 0:
         return 0.0
-    w = None if weights is None else row_weights(y, weights)
+    w = row_weights(y, weights)
     if kind.is_classification:
         y = _check_labels(y, kind)
         probs = np.asarray(value, dtype=np.float64)
@@ -125,19 +125,19 @@ def eval_loss(y: np.ndarray, value, kind: LossKind, weights: np.ndarray | None =
     return float((np.square(resid, dtype=np.float64) if w is None else w * resid * resid).sum())
 
 
-def row_stats(y: np.ndarray, w: np.ndarray, kind: LossKind) -> np.ndarray:
+def row_stats(y: np.ndarray, w: np.ndarray | None, kind: LossKind) -> np.ndarray:
     """Sufficient statistics of each row, one column per row: the weight
-    ``w``, then ``w·y`` and ``w·y²`` for SSE, or ``w`` in the row of the
-    row's class and zero in the other K - 1 class rows for cross-entropy.
-    A block of rows is priced from the sum of its columns."""
+    ``w`` (1 when None), then ``w·y`` and ``w·y²`` for SSE, or ``w`` in the
+    row of the row's class and zero in the other K - 1 class rows for
+    cross-entropy. A block of rows is priced from the sum of its columns."""
+    S = np.zeros((1 + (kind.n_classes if kind.is_classification else 2), len(y)))
+    S[0] = 1.0 if w is None else w
     if kind.is_classification:
-        y = _check_labels(y, kind)
-        S = np.zeros((1 + kind.n_classes, len(y)))
-        S[0] = w
-        S[1 + y, np.arange(len(y))] = w
-        return S
-    wy = w * y
-    return np.stack([w, wy, wy * y])
+        S[1 + _check_labels(y, kind), np.arange(len(y))] = S[0]
+    else:
+        np.multiply(S[0], y, out=S[1])
+        np.multiply(S[1], y, out=S[2])
+    return S
 
 
 def sum_stats(S: np.ndarray, kind: LossKind) -> np.ndarray:

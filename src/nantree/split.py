@@ -34,25 +34,26 @@ Only :mod:`loss` knows what the statistics mean. When a feature has no
 missing rows at a node, all strategy objectives coincide and are computed
 once, so they are equal bit for bit.
 
-Under cross-entropy, a node whose row weights are all 1 has whole class
+Under cross-entropy, a node without row weights (None) has whole class
 counts in every block, unscaled, of at most its row count: sums of ones
 and zeros are exact in floats. Its blocks are then priced by
 :func:`loss.fitted_counts`, which reads ``x·log x`` from a table instead
 of taking logs per candidate and gives :func:`loss.fitted`'s bits. The
-choice reads the node's weights, never the strategy: a weighted mia or
-majority node has fractional blocks, and fc's α-scaled blocks are
-fractional at every node, so those go through ``fitted``.
+choice reads whether the node has weights, not their values or the
+strategy: a weighted node, even one whose weights all read 1, and fc's
+α-scaled blocks at every node go through ``fitted``.
 
 A scan keeps what outlives a node in a ``memo`` dict: growth passes one
 per tree, each public call a fresh one. A multiclass feature's exhaustive
 cuts depend only on its observed categories, so they are built the first
 time a scan meets the category set; prefix cuts follow the node's
 category order and are built at each node. The ``x·log x`` table is built
-at the first unit-weight node, the root in growth, for its row count,
+at the first node without weights, the root in growth, for its row count,
 which bounds every later node's.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -175,12 +176,27 @@ class Partition:
             right |= missing
         return left, right, missing
 
+    def side(self, cell, route: MissingRoute) -> MissingRoute:
+        """Where :meth:`sides` sends one cell: LEFT or RIGHT, or ``route`` when
+        it is missing. A cell that is not a number (numeric partition) or not
+        an integer (categorical) raises TypeError or ValueError."""
+        if self.is_numeric:
+            if np.isnan(cell):
+                return route
+            return LEFT if cell <= self.threshold else RIGHT
+        code = operator.index(cell)
+        if code in self.left_categories:
+            return LEFT
+        return RIGHT if code in self.right_categories else route
+
 
 # the setters of the decorated class's slots (see Partition.__init__)
 _set_feature = Partition.feature.__set__
 _set_threshold = Partition.threshold.__set__
 _set_left = Partition.left_categories.__set__
 _set_right = Partition.right_categories.__set__
+# routes by name for one-row routing: a lookup through the Enum class takes EnumType's slow attribute hook
+LEFT, RIGHT, MIDDLE = MissingRoute.LEFT, MissingRoute.RIGHT, MissingRoute.MIDDLE
 
 
 @dataclass(frozen=True)
@@ -223,7 +239,7 @@ class ScoredSplit:
 # ---------------------------------------------------------------------------
 # argument checks of the public entry points; growth's per-node calls skip them
 
-def _checked(ds: Dataset, rows, features, weights) -> tuple[np.ndarray, list, np.ndarray]:
+def _checked(ds: Dataset, rows, features, weights) -> tuple[np.ndarray, list, np.ndarray | None]:
     """The arguments of a public entry point checked: ``rows`` as by
     :func:`data.row_index`, ``features`` as column indices of ``ds``,
     ``weights`` as by :func:`loss.row_weights`."""
@@ -418,7 +434,7 @@ def split_rows(
     ``weights``, or None without; fractional children are always weighted.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    w = None if weights is None else row_weights(rows, weights)
+    w = row_weights(rows, weights)
     left, right, missing = partition.sides(ds.columns[partition.feature].values[rows], route)
     if route is MissingRoute.FRACTIONAL:
         n_lo = int(left.sum())
@@ -633,8 +649,8 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value, memo,
 
 def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value,
                   memo: dict) -> dict[int, dict[Strategy, _Entry | None]]:
-    """Scan ``features`` at the node of ``rows`` (weights ``w``, leaf value
-    ``node_value``): each feature's best feasible entry (loss, partition
+    """Scan ``features`` at the node of ``rows`` (weights ``w`` or None, leaf
+    value ``node_value``): each feature's best feasible entry (loss, partition
     and missing route) per objective of ``strategy``. ``memo`` holds the
     exhaustive categorical cut lists and the ``x·log x`` table already
     built for this loss; growth passes one dict per tree, whose first scan
@@ -642,7 +658,7 @@ def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value,
     re-exported from the package."""
     styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
     S = row_stats(ds.response.values[rows], w, kind)
-    if kind.is_classification and (w == 1.0).all():
+    if kind.is_classification and w is None:
         # whole counts of at most rows.size, which no later node of a tree exceeds
         table = memo.get("xlogx")
         if table is None:

@@ -24,7 +24,6 @@ cross-entropy's ``x·log x`` table once, not once per node
 from __future__ import annotations
 
 import json
-import operator
 import reprlib
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
@@ -32,8 +31,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from .data import CATEGORICAL, CLASS, Dataset, NUMERIC, REAL, ValidationError, first_repeat, row_index
-from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf, loss_for, row_weights
+from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf, loss_for
 from .split import (
+    LEFT, MIDDLE, RIGHT,
     MissingRoute,
     Partition,
     SplitConfig,
@@ -148,8 +148,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
             if inherited is not None:
                 scans = {f: inherited[f] for f in sorted(available) if f in inherited}
             else:
-                scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg,
-                                      row_weights(node_rows, w), leaf.value, memo)
+                scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, leaf.value, memo)
             choice = select_best(scans, cfg.strategy)
         if choice is None:
             done.append(leaf)
@@ -248,23 +247,6 @@ def project(tree: Tree, strategy: Strategy) -> Tree:
 # ---------------------------------------------------------------------------
 # prediction
 
-def _route_cell(spec: SplitSpec, cell) -> str:
-    """The side ``cell`` goes; a cell that is not a number (numeric split)
-    or not an integer (categorical split) raises TypeError or ValueError."""
-    p = spec.partition
-    if p.is_numeric:
-        if np.isnan(cell):
-            return "missing"
-        return "left" if cell <= p.threshold else "right"
-    code = operator.index(cell)
-    if code in p.left_categories:
-        return "left"
-    if code in p.right_categories:
-        return "right"
-    # missing, globally unseen, or a category this node never observed
-    return "missing"
-
-
 def predict_row(tree: Tree, cells):
     """Predict one row given per-feature cells (float with NaN for missing
     numerics, int code with -1 for missing categoricals). A cell of another
@@ -287,19 +269,18 @@ def predict_row(tree: Tree, cells):
                 mixed = mixed / mixed.sum()  # renormalise the class probabilities
             values.append(mixed)
             continue
-        feature = node.spec.partition.feature
+        partition = node.spec.partition
         try:
-            side = _route_cell(node.spec, cells[feature])
+            side = partition.side(cells[partition.feature], node.spec.route)
         except (TypeError, ValueError):
-            need = "a number" if node.spec.partition.is_numeric else "an integer category code"
-            raise ValidationError(f"feature {tree.feature_names[feature]!r} needs {need}, "
-                                  f"not {reprlib.repr(cells[feature])}") from None
-        route = node.spec.route
-        if side == "left" or (side == "missing" and route is MissingRoute.LEFT):
+            need = "a number" if partition.is_numeric else "an integer category code"
+            raise ValidationError(f"feature {tree.feature_names[partition.feature]!r} needs {need}, "
+                                  f"not {reprlib.repr(cells[partition.feature])}") from None
+        if side is LEFT:
             stack.append(node.left)
-        elif side == "right" or (side == "missing" and route is MissingRoute.RIGHT):
+        elif side is RIGHT:
             stack.append(node.right)
-        elif route is MissingRoute.MIDDLE:
+        elif side is MIDDLE:
             stack.append(node.middle)
         else:
             # fractional: mix both children once both are predicted
@@ -726,7 +707,10 @@ def deserialize(text: str) -> Tree:
     code_of = {j: {c: i for i, c in enumerate(cats)} for j, cats in categories.items()}
 
     response = _object(doc.get("response", {}), "response")
-    response_kind = response.get("kind", CLASS if kind.is_classification else REAL)
+    response_kind = CLASS if kind.is_classification else REAL
+    if response.get("kind", response_kind) != response_kind:
+        raise TreeFormatError(f"response kind {reprlib.repr(response['kind'])} does not match "
+                              f"the {kind.name} loss, which needs {response_kind!r}")
     labels = _names(response.get("labels", []), "response labels")
     if kind.is_classification and len(labels) not in (0, kind.n_classes):
         raise TreeFormatError("label list does not match the class count")

@@ -45,14 +45,18 @@ def test_xe_clamps_zero_probability():
 @pytest.mark.parametrize("n_classes", [0, 2, 3])
 def test_no_weights_equal_unit_weights_bit_for_bit(n_classes):
     # sizes on both sides of numpy's pairwise-summation blocks, a pure
-    # sample, whose cross-entropy is -0.0 either way, and float32 responses
+    # sample, whose cross-entropy is -0.0 either way, and float32 and
+    # integer responses; the split scan's row statistics as well
     rng = np.random.default_rng(n_classes)
     kind = LossKind.cross_entropy(n_classes) if n_classes else SSE
     for n in (1, 2, 7, 8, 9, 130, 1000, 4099):
         y = rng.integers(0, n_classes, n) if n_classes else rng.normal(1e3, 50.0, n)
-        samples = [y, np.full(n, y[0])] if n_classes else [y, np.full(n, y[0]), y.astype(np.float32)]
+        samples = [y, np.full(n, y[0])]
+        if not n_classes:
+            samples += [y.astype(np.float32), np.rint(y).astype(np.int64)]
         for sample in samples:
             ones = np.ones(n)
+            assert row_stats(sample, None, kind).tobytes() == row_stats(sample, ones, kind).tobytes()
             value = fit_leaf(sample, kind)
             assert np.asarray(value).tobytes() == np.asarray(fit_leaf(sample, kind, ones)).tobytes()
             other = rng.dirichlet(np.ones(n_classes)) if n_classes else value + 1.5

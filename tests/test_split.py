@@ -26,7 +26,7 @@ from nantree import (
 from nantree import split as split_module
 from nantree import tree as tree_module
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
-from nantree.split import MAX_EXHAUSTIVE_CATEGORIES, MissingRoute, split_rows
+from nantree.split import MAX_EXHAUSTIVE_CATEGORIES, MissingRoute, scan_features, split_rows
 
 from conftest import random_problem
 from oracle import best_loss
@@ -129,7 +129,8 @@ SIDES_TABLE = [
 @pytest.mark.parametrize("partition, cells, where", SIDES_TABLE, ids=["numeric", "categorical"])
 def test_partition_sides_folds_missing_cells_by_route(partition, cells, where, route):
     """A left or right route sends the missing cells to its side as well;
-    the missing mask is the same under every route."""
+    the missing mask is the same under every route. One cell at a time,
+    ``side`` names the side each cell goes, ``route`` for a missing one."""
     at = np.array(list(where))
     missing = at == "M"
     want = ((at == "L") | (missing & (route is MissingRoute.LEFT)),
@@ -138,6 +139,8 @@ def test_partition_sides_folds_missing_cells_by_route(partition, cells, where, r
     got = partition.sides(cells, route)
     assert [mask.dtype for mask in got] == [np.dtype(bool)] * 3
     assert [mask.tolist() for mask in got] == [mask.tolist() for mask in want]
+    one_by_one = [partition.side(cell, route) for cell in cells.tolist()]
+    assert one_by_one == [{"L": MissingRoute.LEFT, "R": MissingRoute.RIGHT, "M": route}[c] for c in where]
 
 
 def test_score_binary_frozen():
@@ -763,16 +766,26 @@ def test_growth_split_rows_match_scorers(strategy, n_classes, monkeypatch):
     """Growth splits each winner by rows only; the public scorer on the same
     winner gives the same row arrays, fc weights and fraction. Unweighted
     left, right and middle children get no weight arrays; fractional and
-    weighted children get the weights routed one cell at a time."""
-    calls = []
+    weighted children get the weights routed one cell at a time. Every
+    scan gets its node's weights: None, but below a fractional split."""
+    calls, scanned = [], []
 
     def spy(*args):
         calls.append(args)
         return split_rows(*args)
 
+    def scan_spy(*args):
+        scanned.append(args[6])
+        return scan_features(*args)
+
     monkeypatch.setattr(tree_module, "split_rows", spy)
+    monkeypatch.setattr(tree_module, "scan_features", scan_spy)
     ds = _mcar_table(n_classes, seed=11)
     tree_module.train(ds, tree_module.TrainConfig(strategy, max_depth=4, min_samples=3))
+    # the root scan comes first; an fc tree splits fractionally at every node
+    assert len(scanned) > 1 and scanned[0] is None
+    below_root = np.ndarray if strategy is Strategy.FC else type(None)
+    assert all(type(w) is below_root for w in scanned[1:])
     # some categorical split was chosen at a node that never saw one of
     # the feature's categories
     unseen = [

@@ -711,6 +711,14 @@ MALFORMED_DOCUMENTS = {
                            "duplicate feature names"),
     "label count": ("class", lambda d: d["response"].update(labels=["a", "b", "c"]),
                     "label list does not match the class count"),
+    "response kind": ("step", lambda d: d["response"].update(kind="banana"),
+                      "response kind 'banana' does not match the sse loss, which needs 'real'"),
+    "response kind type": ("step", lambda d: d["response"].update(kind=7),
+                           "response kind 7 does not match the sse loss, which needs 'real'"),
+    "class response under sse": ("step", lambda d: d["response"].update(kind="class"),
+                                 "response kind 'class' does not match the sse loss, which needs 'real'"),
+    "real response under xe": ("class", lambda d: d["response"].update(kind="real"),
+                               "response kind 'real' does not match the xe loss, which needs 'class'"),
 }
 
 
@@ -727,6 +735,15 @@ def test_deserialize_names_what_is_malformed(case):
     edit(doc)
     with pytest.raises(TreeFormatError, match=re.escape(message)):
         deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("make_tree", [lambda: train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1)),
+                                       _classification_tree], ids=["sse", "xe"])
+def test_a_missing_response_kind_defaults_to_the_loss(make_tree):
+    text = serialize(make_tree())
+    doc = json.loads(text)
+    del doc["response"]["kind"]
+    assert serialize(deserialize(json.dumps(doc))) == text
 
 
 def test_pure_fc_classification_leaf_round_trips():
