@@ -28,10 +28,16 @@ record's ``wall_ms`` is its task's training plus evaluation time
 projected one), and its in-memory ``train_ms`` is the growth part: on a
 complete training set, the first task that needs the source records its
 growth, the others 0.0.
+
+Folds are independent, so depth tuning and each dataset's sweep run their
+folds across the usable CPUs, the caller running one share and forked
+workers the rest. The records are those of a one-process run; ``wall_ms``
+times each task in whichever process ran it.
 """
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -132,6 +138,41 @@ def _folds_for(ds: Dataset, cfg: ExperimentConfig, ds_index: int) -> FoldAssignm
     return stratified_kfold(ds, cfg.folds, _fold_seed(cfg.seed, ds_index))
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_share(fn, tasks: list) -> list:
+    return [fn(*task) for task in tasks]
+
+
+def _fold_map(fn, tasks: list) -> list:
+    """``[fn(*task) for task in tasks]`` on n = min(usable CPUs, tasks)
+    processes where ``fork`` is available: n - 1 forked workers run the shares
+    ``tasks[k::n]``, k >= 1, while the caller runs ``tasks[0::n]``, so n busy
+    processes share n CPUs, and none is left on return."""
+    import multiprocessing
+    n = min(_usable_cpus(), len(tasks))
+    if n == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return _run_share(fn, tasks)
+    from concurrent.futures import ProcessPoolExecutor
+    out = [None] * len(tasks)
+    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        shares = [pool.submit(_run_share, fn, tasks[k::n]) for k in range(1, n)]
+        out[0::n] = _run_share(fn, tasks[0::n])
+        for k, share in enumerate(shares, start=1):
+            out[k::n] = share.result()
+    return out
+
+
+def _tune_fold(ds: Dataset, cfg: ExperimentConfig, folds: FoldAssignment, f: int) -> list[float]:
+    """Fold f's test loss at each depth 1..depth_grid_max, from one majority tree grown at the largest."""
+    train_ds = ds.subset(folds.train_rows(f))
+    test_ds = ds.subset(folds.test_rows(f))
+    deepest = train(train_ds, TrainConfig(Strategy.MAJORITY, cfg.depth_grid_max, cfg.min_samples))
+    return [evaluate(truncate(deepest, depth), test_ds)[0] for depth in range(1, cfg.depth_grid_max + 1)]
+
+
 def tune_depth(ds: Dataset, cfg: ExperimentConfig, ds_index: int = 0) -> int:
     """Pick a tree depth by k-fold cross-validation on the full data.
 
@@ -145,18 +186,55 @@ def tune_depth(ds: Dataset, cfg: ExperimentConfig, ds_index: int = 0) -> int:
     """
     folds = _folds_for(ds, cfg, ds_index)
     totals = [0.0] * cfg.depth_grid_max
-    for f in range(cfg.folds):
-        train_ds = ds.subset(folds.train_rows(f))
-        test_ds = ds.subset(folds.test_rows(f))
-        deepest = train(train_ds, TrainConfig(Strategy.MAJORITY, cfg.depth_grid_max, cfg.min_samples))
-        for depth in range(1, cfg.depth_grid_max + 1):
-            loss, _ = evaluate(truncate(deepest, depth), test_ds)
+    for losses in _fold_map(_tune_fold, [(ds, cfg, folds, f) for f in range(cfg.folds)]):
+        for depth, loss in enumerate(losses, start=1):
             totals[depth - 1] += loss
     best_depth, best_loss = None, None
     for depth, total in enumerate(totals, start=1):
         if best_loss is None or total < best_loss:
             best_depth, best_loss = depth, total
     return best_depth
+
+
+def _sweep_fold(ds: Dataset, cfg: ExperimentConfig, folds: FoldAssignment, f: int, ds_index: int,
+                depth: int) -> list:
+    """Fold f's ((strategy, q), (loss, misclass, wall_ms, train_ms)) runs, in sweep order."""
+    tr, te = ds.subset(folds.train_rows(f)), ds.subset(folds.test_rows(f))
+    # q = 0 first: censoring at q = 0 is the identity, so its tree gives the
+    # full-data reference loss and is the tree later levels may reuse
+    levels = (0.0,) + tuple(q for q in cfg.q_grid if q != 0.0)
+    # the tree grown on a complete training set, which every strategy's tree there projects
+    source_strategy = (Strategy.TRINARY if {Strategy.TRINARY, Strategy.TRINARY_MIA} & set(cfg.strategies)
+                       else Strategy.MAJORITY)
+    runs = []
+    # trees on the training set ``grown_on`` by strategy, and the
+    # source tree when that set has no missing cell
+    trees: dict[Strategy, Tree] = {}
+    grown_on = source = None
+    for q in levels:
+        spec = CensorSpec(cfg.scenario, q, _task_seed(cfg.seed, ds_index, cfg.scenario, q, f))
+        ctr, cte = apply_scenario(tr, te, spec)
+        if ctr is not grown_on:
+            trees.clear()
+            grown_on, source = ctr, None
+            complete = all(c.present_mask().all() for c in ctr.columns)
+        for strategy in cfg.strategies:
+            t0 = time.perf_counter()
+            train_ms = 0.0
+            tree = trees.get(strategy)
+            if tree is None and not complete:
+                tree = train(ctr, TrainConfig(strategy, depth, cfg.min_samples))
+                train_ms = (time.perf_counter() - t0) * 1000.0
+            elif tree is None:
+                if source is None:
+                    source = train(ctr, TrainConfig(source_strategy, depth, cfg.min_samples))
+                    train_ms = (time.perf_counter() - t0) * 1000.0
+                tree = project(source, strategy)
+            trees[strategy] = tree
+            loss, misclass = evaluate(tree, cte)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            runs.append(((strategy, q), (loss, misclass, wall_ms, train_ms)))
+    return runs
 
 
 def _excess(loss: float, base: float) -> float:
@@ -169,51 +247,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the full sweep and return per-fold records plus per-(strategy, q)
     aggregates (fold = -1, losses and times summed over folds)."""
     records: list[ExperimentRecord] = []
-    # q = 0 first: censoring at q = 0 is the identity, so its tree gives the
-    # full-data reference loss and is the tree later levels may reuse
-    levels = (0.0,) + tuple(q for q in cfg.q_grid if q != 0.0)
-    # the tree grown on a complete training set, which every strategy's tree there projects
-    source_strategy = (Strategy.TRINARY if {Strategy.TRINARY, Strategy.TRINARY_MIA} & set(cfg.strategies)
-                       else Strategy.MAJORITY)
     for ds_index, (name, ds) in enumerate(cfg.datasets):
         folds = _folds_for(ds, cfg, ds_index)
         depth = tune_depth(ds, cfg, ds_index)
-        pairs = [
-            (ds.subset(folds.train_rows(f)), ds.subset(folds.test_rows(f)))
-            for f in range(cfg.folds)
-        ]
-        test_sizes = [p[1].n_rows for p in pairs]
+        test_sizes = [len(folds.test_rows(f)) for f in range(cfg.folds)]
 
         # (strategy, q) -> per fold (loss, misclass, wall_ms, train_ms)
         runs: dict[tuple[Strategy, float], list[tuple[float, float | None, float, float]]] = {}
-        for f, (tr, te) in enumerate(pairs):
-            # trees on the training set ``grown_on`` by strategy, and the
-            # source tree when that set has no missing cell
-            trees: dict[Strategy, Tree] = {}
-            grown_on = source = None
-            for q in levels:
-                spec = CensorSpec(cfg.scenario, q, _task_seed(cfg.seed, ds_index, cfg.scenario, q, f))
-                ctr, cte = apply_scenario(tr, te, spec)
-                if ctr is not grown_on:
-                    trees.clear()
-                    grown_on, source = ctr, None
-                    complete = all(c.present_mask().all() for c in ctr.columns)
-                for strategy in cfg.strategies:
-                    t0 = time.perf_counter()
-                    train_ms = 0.0
-                    tree = trees.get(strategy)
-                    if tree is None and not complete:
-                        tree = train(ctr, TrainConfig(strategy, depth, cfg.min_samples))
-                        train_ms = (time.perf_counter() - t0) * 1000.0
-                    elif tree is None:
-                        if source is None:
-                            source = train(ctr, TrainConfig(source_strategy, depth, cfg.min_samples))
-                            train_ms = (time.perf_counter() - t0) * 1000.0
-                        tree = project(source, strategy)
-                    trees[strategy] = tree
-                    loss, misclass = evaluate(tree, cte)
-                    wall_ms = (time.perf_counter() - t0) * 1000.0
-                    runs.setdefault((strategy, q), []).append((loss, misclass, wall_ms, train_ms))
+        for fold_runs in _fold_map(_sweep_fold, [(ds, cfg, folds, f, ds_index, depth) for f in range(cfg.folds)]):
+            for key, run in fold_runs:
+                runs.setdefault(key, []).append(run)
 
         for strategy in cfg.strategies:
             base_losses = [run[0] for run in runs[(strategy, 0.0)]]

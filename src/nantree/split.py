@@ -53,6 +53,7 @@ which bounds every later node's.
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -181,7 +182,8 @@ class Partition:
         it is missing. A cell that is not a number (numeric partition) or not
         an integer (categorical) raises TypeError or ValueError."""
         if self.is_numeric:
-            if np.isnan(cell):
+            # math.isnan is far cheaper on a float, but it would accept Fraction and Decimal cells
+            if math.isnan(cell) if isinstance(cell, float) else np.isnan(cell):
                 return route
             return LEFT if cell <= self.threshold else RIGHT
         code = operator.index(cell)

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import re
 from dataclasses import replace
 
@@ -361,6 +363,7 @@ def test_tune_depth_truncation_equals_growing_each_depth(classes, monkeypatch):
 
     monkeypatch.setattr(bench, "train", spy_train)
     monkeypatch.setattr(bench, "evaluate", spy_evaluate)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)  # the spies see this process only
     best = tune_depth(ds, cfg)
 
     # one tree per fold, at the deepest depth, scored once per depth
@@ -436,8 +439,47 @@ def test_run_experiment_equals_one_tree_per_task(scenario):
     assert got == _reference_run(cfg)
 
 
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="folds run in one process without the fork start method")
+
+
+@needs_fork
+@pytest.mark.parametrize("scenario", ["mcar", "mcar_test", "im"])
+def test_folds_on_two_processes_give_the_one_process_records(scenario, monkeypatch, tmp_path):
+    cfg = small_config(
+        datasets=(("reg", _table_with_missing(0, n=90)), ("cls", _table_with_missing(3, n=90, seed=5))),
+        strategies=ALL_STRATEGIES, scenario=scenario, q_grid=(0.0, 0.3), folds=3, depth_grid_max=3, min_samples=4,
+    )
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+        records = run_experiment(cfg)
+        emit_csv([replace(r, wall_ms=0.0) for r in records], str(tmp_path / "records.csv"))
+        runs.append(((tmp_path / "records.csv").read_bytes(), [r.misclass for r in records]))
+    assert runs[0] == runs[1]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_fold_error_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    caller, real_train = os.getpid(), bench.train
+
+    def train_in_caller_only(train_ds, tcfg):
+        if os.getpid() != caller:
+            raise ValidationError("grown in a worker")
+        return real_train(train_ds, tcfg)
+
+    monkeypatch.setattr(bench, "train", train_in_caller_only)
+    with pytest.raises(ValidationError, match="^grown in a worker$") as raised:
+        run_experiment(small_config())
+    assert type(raised.value) is ValidationError
+    assert multiprocessing.active_children() == []
+
+
 def _count_train_calls(monkeypatch):
-    """The strategy of each tree the harness grows, in call order."""
+    """The strategy of each tree the harness grows, in call order; the
+    folds run in this process, where the spy sees them."""
     calls = []
     real_train = bench.train
 
@@ -446,6 +488,7 @@ def _count_train_calls(monkeypatch):
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(bench, "train", counting)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
     return calls
 
 

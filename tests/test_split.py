@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,8 +141,16 @@ def test_partition_sides_folds_missing_cells_by_route(partition, cells, where, r
     got = partition.sides(cells, route)
     assert [mask.dtype for mask in got] == [np.dtype(bool)] * 3
     assert [mask.tolist() for mask in got] == [mask.tolist() for mask in want]
-    one_by_one = [partition.side(cell, route) for cell in cells.tolist()]
-    assert one_by_one == [{"L": MissingRoute.LEFT, "R": MissingRoute.RIGHT, "M": route}[c] for c in where]
+    typed = [cells.tolist(), list(cells)]  # Python scalars and numpy's
+    if partition.is_numeric:
+        typed.append(list(cells.astype(np.float32)))
+    for row in typed:
+        one_by_one = [partition.side(cell, route) for cell in row]
+        assert one_by_one == [{"L": MissingRoute.LEFT, "R": MissingRoute.RIGHT, "M": route}[c] for c in where]
+    # numbers numpy cannot take are refused, as predict_row's ValidationError
+    for cell in (Fraction(3, 2), Decimal("1.5")):
+        with pytest.raises(TypeError):
+            partition.side(cell, route)
 
 
 def test_score_binary_frozen():

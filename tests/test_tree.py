@@ -4,6 +4,8 @@ import math
 import re
 import weakref
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1091,6 +1093,8 @@ def test_predict_row_rejects_cells_of_the_wrong_type(strategy):
     for tree, cells, name, cell in [
         (x_tree, ["2.5"], "x", "'2.5'"),
         (x_tree, [None], "x", "None"),
+        (x_tree, [Fraction(5, 2)], "x", r"Fraction\(5, 2\)"),
+        (x_tree, [Decimal("2.5")], "x", r"Decimal\('2.5'\)"),
         (g_tree, [float("nan")], "g", "nan"),
         (g_tree, ["hi"], "g", "'hi'"),
         (g_tree, [1.5], "g", "1.5"),
