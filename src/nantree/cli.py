@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .bench import ExperimentConfig, default_q_grid, emit_csv, run_experiment
+from .bench import ExperimentConfig, emit_csv, run_experiment
 from .bias import BiasScenario, emit_bias_csv, run_bias
 from .censor import SCENARIOS
 from .data import NantreeError, Schema, load_csv, load_features, read_schema_file, write_columns
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     schema = _schema_from_args(args)
     strategies = _parse_strategies(args.strategies)
-    q_grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
+    q_grid = _parse_q_grid(args.q_grid)
     ds = load_csv(args.data, schema)
     name = os.path.splitext(os.path.basename(args.data))[0]
     cfg = ExperimentConfig(

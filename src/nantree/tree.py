@@ -1,8 +1,8 @@
 """Tree growth, prediction, text rendering, and a lossless JSON format.
 
-This module alone builds tree nodes. :func:`train` grows them depth-first
-in one explicit-stack loop, under the loss the response calls for; split
-nodes keep the leaf fitted at them, so :func:`truncate` only cuts, and
+This module alone builds tree nodes, bottom-up on one stack (:func:`_build`):
+:func:`train` grows them depth-first under the loss the response calls for;
+split nodes keep the leaf fitted at them, so :func:`truncate` only cuts, and
 :func:`project` recasts a tree grown on complete data for another strategy.
 Growth never tests the strategy: rows carry weights only below a
 fractional split, and a node's size, its total row weight, is a float.
@@ -109,6 +109,26 @@ class Tree:
     response_labels: tuple[str, ...] = ()
 
 
+def _build(root, visit):
+    """The node the item ``root`` makes, built bottom-up. ``visit(item)`` gives
+    ``(node, ())`` for a finished node, or ``(make, children)``: the children's
+    items (left, right, middle) are built in turn, then ``make(*built)``."""
+    built: list = []  # finished subtrees; a make takes the last k
+    stack: list = [root]  # items to visit
+    pending: list = []  # (make, k, stack height): made once the stack is back to that height
+    while stack:
+        node, children = visit(stack.pop())
+        if children:
+            pending.append((node, len(children), len(stack)))
+            stack += reversed(children)
+            continue
+        built.append(node)
+        while pending and pending[-1][2] == len(stack):
+            make, k, _ = pending.pop()
+            built[-k:] = [make(*built[-k:])]
+    return built[0]
+
+
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
     """Grow a tree on ``rows`` of ``ds`` (all rows by default). Each node is
     fitted as a leaf and sized by its total row weight, a float; weights
@@ -125,18 +145,9 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
 
     scfg = cfg.split_config
     memo: dict = {}  # categorical cut lists and the x·log x table, built once per tree (split.scan_features)
-    done: list = []  # finished subtrees; a pending split rebuilds from them
-    # pending nodes (rows, weights, depth, available features, inherited
-    # scans and leaf) and splits (spec, leaf); weights only below fc splits
-    stack: list = [(rows, None, 0, frozenset(range(ds.n_features)), None, None)]
-    while stack:
-        item = stack.pop()
-        if type(item[0]) is SplitSpec:
-            spec, fit = item
-            middle = done.pop() if spec.route is MissingRoute.MIDDLE else None
-            right, left = done.pop(), done.pop()
-            done.append(Branch(spec, left, right, middle, fit.n_samples, fit))
-            continue
+
+    def grow(item):
+        # (rows, weights, depth, available features, inherited scans, leaf); weights only below fc splits
         node_rows, w, depth, available, inherited, leaf = item
         if leaf is None:
             y = ds.response.values[node_rows]
@@ -151,22 +162,23 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
                 scans = scan_features(ds, node_rows, available, cfg.strategy, kind, scfg, w, leaf.value, memo)
             choice = select_best(scans, cfg.strategy)
         if choice is None:
-            done.append(leaf)
-            continue
+            return leaf, ()
         partition, route = choice
         # the scan decided the split's feasibility, and every candidate has
         # observed rows on both sides: the rows are only routed
         children = split_rows(ds, node_rows, partition, route, None, None, w)
         frac = children.frac_left
-        stack.append((SplitSpec(partition, route, frac, None if frac is None else 1.0 - frac), leaf))
+        spec = SplitSpec(partition, route, frac, None if frac is None else 1.0 - frac)
+        items = [(children.left_rows, children.left_weights, depth + 1, available, None, None),
+                 (children.right_rows, children.right_weights, depth + 1, available, None, None)]
         if route is MissingRoute.MIDDLE:
             # the middle child has these rows, unweighted: it inherits this
             # leaf and these scans, less the split feature
-            stack.append((node_rows, None, depth, available - {partition.feature}, scans, leaf))
-        stack.append((children.right_rows, children.right_weights, depth + 1, available, None, None))
-        stack.append((children.left_rows, children.left_weights, depth + 1, available, None, None))
+            items.append((node_rows, None, depth, available - {partition.feature}, scans, leaf))
+        return lambda left, right, middle=None: Branch(spec, left, right, middle, leaf.n_samples, leaf), items
+
     return Tree(
-        root=done[0],
+        root=_build((rows, None, 0, frozenset(range(ds.n_features)), None, None), grow),
         strategy=cfg.strategy,
         loss=kind,
         feature_names=tuple(c.name for c in ds.columns),
@@ -187,26 +199,19 @@ def truncate(tree: Tree, depth: int) -> Tree:
     """
     if depth < 0:
         raise ValidationError("depth must be non-negative")
-    done: list = []  # cut subtrees; a pending split node rebuilds from them
-    stack: list = [(tree.root, 0)]  # (node, its depth), or (split node, None) pending
-    while stack:
-        node, d = stack.pop()
-        if d is None:
-            middle = done.pop() if node.middle is not None else None
-            right, left = done.pop(), done.pop()
-            done.append(replace(node, left=left, right=right, middle=middle))
-        elif isinstance(node, Leaf):
-            done.append(node)
-        elif d == depth:
+
+    def cut(item):
+        node, d = item  # a node and its depth
+        if isinstance(node, Leaf):
+            return node, ()
+        if d == depth:
             if node.fit is None:
                 raise ValidationError(f"cannot cut at depth {depth}: the tree keeps no fit at its split nodes")
-            done.append(node.fit)
-        else:
-            stack.append((node, None))
-            if node.middle is not None:
-                stack.append((node.middle, d))
-            stack += [(node.right, d + 1), (node.left, d + 1)]
-    return replace(tree, root=done[0])
+            return node.fit, ()
+        children = [(node.left, d + 1), (node.right, d + 1)] + ([] if node.middle is None else [(node.middle, d)])
+        return lambda left, right, middle=None: replace(node, left=left, right=right, middle=middle), children
+
+    return replace(tree, root=_build((tree.root, 0), cut))
 
 
 def project(tree: Tree, strategy: Strategy) -> Tree:
@@ -224,24 +229,19 @@ def project(tree: Tree, strategy: Strategy) -> Tree:
         raise ValidationError(f"a {tree.strategy.value} tree cannot be projected onto {strategy.value}")
     if strategy in trinary:
         return replace(tree, strategy=strategy)
-    done: list = []  # projected subtrees; a pending split node rebuilds from them
-    stack: list = [(tree.root, False)]  # (node, whether its children are done)
-    while stack:
-        node, pending = stack.pop()
+
+    def recast(node):
         if isinstance(node, Leaf):
-            done.append(node)
-        elif not pending:
-            stack += [(node, True), (node.right, False), (node.left, False)]
+            return node, ()
+        n_l, n_r = node.left.n_samples, node.right.n_samples
+        if strategy is Strategy.FC:
+            w_left = n_l / (n_l + n_r)
+            spec = SplitSpec(node.spec.partition, MissingRoute.FRACTIONAL, w_left, 1.0 - w_left)
         else:
-            right, left = done.pop(), done.pop()
-            n_l, n_r = node.left.n_samples, node.right.n_samples
-            if strategy is Strategy.FC:
-                w_left = n_l / (n_l + n_r)
-                spec = SplitSpec(node.spec.partition, MissingRoute.FRACTIONAL, w_left, 1.0 - w_left)
-            else:
-                spec = SplitSpec(node.spec.partition, majority_route(n_l, n_r))
-            done.append(Branch(spec, left, right, None, node.n_samples, node.fit))
-    return replace(tree, root=done[0], strategy=strategy)
+            spec = SplitSpec(node.spec.partition, majority_route(n_l, n_r))
+        return lambda left, right: Branch(spec, left, right, None, node.n_samples, node.fit), (node.left, node.right)
+
+    return replace(tree, root=_build(tree.root, recast), strategy=strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +601,12 @@ def _category_set(doc: dict, key: str, code_of: dict, fname: str) -> frozenset[i
     return frozenset(codes)
 
 
-def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
-    """``code_of`` maps each categorical feature to its name-to-code dict."""
+def _node_from_json(item, kind: LossKind, name_to_feature: dict, code_of: dict):
+    """The :func:`_build` visit of ``(object, key, context)``: the key is
+    read after the subtrees before it, a split node's n after its own.
+    ``code_of`` maps each categorical feature to its name-to-code dict."""
+    holder, key, context = item
+    doc = _require(holder, key, context)
     node_kind = _require(_object(doc, "node"), "kind", "node")
     if node_kind == "leaf":
         value = _value_from_json(_require(doc, "value", "leaf"), kind)
@@ -611,7 +615,7 @@ def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
         # below 0: its class weights and their total are summed in different
         # orders, so a pure leaf's probability can read 1 + 1 ulp
         loss = _size(doc.get("loss", 0.0), "leaf loss", 1e-9 * max(n, 1.0))
-        return Leaf(value=value, n_samples=n, train_loss=loss)
+        return Leaf(value=value, n_samples=n, train_loss=loss), ()
     if node_kind not in ("binary", "trinary"):
         raise TreeFormatError(f"unknown node kind {node_kind!r}")
     fname = _require(doc, "feature", "split node")
@@ -652,13 +656,10 @@ def _node_from_json(doc, kind: LossKind, name_to_feature: dict, code_of: dict):
         raise TreeFormatError("middle route and trinary node kind must occur together")
     if (node_kind == "trinary") != ("middle" in doc):
         raise TreeFormatError("trinary nodes need a middle child; binary nodes must not have one")
-    left_child = _node_from_json(_require(doc, "left", "split node"), kind, name_to_feature, code_of)
-    right_child = _node_from_json(_require(doc, "right", "split node"), kind, name_to_feature, code_of)
-    middle_child = None
-    if node_kind == "trinary":
-        middle_child = _node_from_json(doc["middle"], kind, name_to_feature, code_of)
     spec = SplitSpec(partition, route, w_left=w_left, w_right=w_right)
-    return Branch(spec, left_child, right_child, middle_child, _size(doc.get("n", 0), "split node n"))
+    children = [(doc, "left", "split node"), (doc, "right", "split node"), (doc, "middle", "split node")]
+    return (lambda left, right, middle=None: Branch(spec, left, right, middle, _size(doc.get("n", 0), "split node n")),
+            children if node_kind == "trinary" else children[:2])
 
 
 def deserialize(text: str) -> Tree:
@@ -715,14 +716,8 @@ def deserialize(text: str) -> Tree:
     if kind.is_classification and len(labels) not in (0, kind.n_classes):
         raise TreeFormatError("label list does not match the class count")
 
-    try:
-        root = _node_from_json(_require(doc, "root", "document"), kind, name_to_feature, code_of)
-    except RecursionError:
-        # json.loads overflows first where its C recursion shares the
-        # interpreter's limit (3.11); from 3.12 C recursion has a separate budget
-        raise TreeFormatError("document nested too deeply") from None
     return Tree(
-        root=root,
+        root=_build((doc, "root", "document"), lambda item: _node_from_json(item, kind, name_to_feature, code_of)),
         strategy=strategy,
         loss=kind,
         feature_names=tuple(names),

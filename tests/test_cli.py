@@ -80,6 +80,19 @@ def test_huge_q_grid_range_is_a_quick_clean_error(tmp_path, capsys, grid):
     assert captured.out == "" and not (tmp_path / "out.csv").exists()
 
 
+def test_empty_q_grid_is_an_error_not_the_default_grid(tmp_path, capsys):
+    data = tmp_path / "step.csv"
+    write_step_csv(data, n=40)
+    out = tmp_path / "out.csv"
+    rc = main(["run", "--data", str(data), "--target", "y", "--strategies", "mia",
+               "--folds", "2", "--q-grid", "", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not a finite number" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_run_subcommand(tmp_path, capsys):
     data = tmp_path / "step.csv"
     write_step_csv(data)

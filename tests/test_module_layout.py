@@ -72,3 +72,21 @@ def test_no_process_wide_caches():
     found = [f"{path.name}: {use}" for path in sorted(PACKAGE.rglob("*.py"))
              for use in _process_caches(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def _self_callers(tree: ast.Module):
+    """The name of each function that calls itself by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+                for call in ast.walk(node)):
+            yield node.name
+
+
+def test_no_function_calls_itself():
+    """A trinary tree's middle chain is as long as the feature count, past
+    the interpreter's recursion limit, so no walk over a tree recurses."""
+    assert list(_self_callers(ast.parse("def f(n):\n    def g(): return f(n - 1)\n    return g()"))) == ["f"]
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.rglob("*.py"))
+             for name in _self_callers(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

@@ -572,8 +572,10 @@ def test_truncate_cuts_only_split_nodes_that_keep_a_fit():
     for fitless in (read, middle_chain_tree(5)):
         with pytest.raises(ValidationError, match="no fit"):
             truncate(fitless, 0)
-    # a cut below every split node needs no fit
+    # a cut below every split node needs no fit, along a middle chain too
     assert serialize(truncate(read, 1)) == serialize(tree)
+    chain = middle_chain_tree(5000)
+    assert serialize(truncate(chain, 1)) == serialize(chain)
     with pytest.raises(ValidationError, match="non-negative"):
         truncate(tree, -1)
 
@@ -585,6 +587,20 @@ def test_deserialize_rejects_too_deep_documents():
     # a chain well inside the limit still round-trips
     shallow = serialize(middle_chain_tree(300))
     assert serialize(deserialize(shallow)) == shallow
+
+
+def test_deserialize_reads_a_5000_deep_middle_chain(monkeypatch):
+    # deeper than the interpreter's recursion limit: the node walk is
+    # iterative, so only json.loads limits the depth of a document read
+    depth = 5000
+    text = serialize(middle_chain_tree(depth))
+    doc = json.loads(serialize(middle_chain_tree(0)))
+    for k in range(depth):
+        leaf = {"kind": "leaf", "value": float(k), "n": 1.0, "loss": 0.0}
+        doc["root"] = {"kind": "trinary", "feature": "x", "missing": "middle", "n": 3.0, "threshold": float(k),
+                       "left": leaf, "right": leaf, "middle": doc["root"]}
+    monkeypatch.setattr(tree_module.json, "loads", lambda _: doc)
+    assert serialize(deserialize(text)) == text
 
 
 def _classification_tree():
@@ -1011,6 +1027,15 @@ def test_projection_of_a_tree_read_back(source_strategy):
         if source_strategy is Strategy.MAJORITY and strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
             continue
         assert serialize(project(back, strategy)) == serialize(project(source, strategy))
+    if source_strategy is Strategy.TRINARY:
+        # a fitless 5000-deep middle chain projects too: majority and fc drop the chain
+        chain = middle_chain_tree(5000)
+        assert project(chain, Strategy.TRINARY_MIA).root is chain.root
+        for strategy in (Strategy.MAJORITY, Strategy.FC):
+            root = project(chain, strategy).root
+            assert root.middle is None and root.fit is None and root.n_samples == 3.0
+            assert root.spec.partition == chain.root.spec.partition
+            assert root.left is chain.root.left and root.right is chain.root.right
 
 
 def test_projection_needs_a_source_that_holds_the_target():
