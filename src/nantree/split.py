@@ -71,9 +71,6 @@ from .loss import (LossKind, at_value, block_weight, eval_loss, fit_leaf, fitted
 #: categories (multiclass only); above it, frequency-ordered prefix cuts.
 MAX_EXHAUSTIVE_CATEGORIES = 10
 
-# a midpoint lo + hi can overflow only when a value's magnitude exceeds this
-_HALF_MAX = np.finfo(np.float64).max / 2
-
 
 class Strategy(Enum):
     MAJORITY = "majority"
@@ -141,10 +138,12 @@ class Partition:
             if self.left_categories is None and self.right_categories is None:
                 return
         elif self.left_categories is not None and self.right_categories is not None:
-            left = frozenset(map(int, self.left_categories))
-            right = frozenset(map(int, self.right_categories))
+            left = frozenset(map(operator.index, self.left_categories))
+            right = frozenset(map(operator.index, self.right_categories))
             if not left or not right or left & right:
                 raise ValueError("category sets must be disjoint and non-empty")
+            if min(left) < 0 or min(right) < 0:
+                raise ValueError("category codes must be non-negative")
             _set_left(self, left)
             _set_right(self, right)
             return
@@ -244,13 +243,22 @@ class ScoredSplit:
 def _checked(ds: Dataset, rows, features, weights) -> tuple[np.ndarray, list, np.ndarray | None]:
     """The arguments of a public entry point checked: ``rows`` as by
     :func:`data.row_index`, ``features`` as column indices of ``ds``,
-    ``weights`` as by :func:`loss.row_weights`."""
+    ``weights`` as by :func:`_positive_weights`."""
     rows = row_index(rows, ds.n_rows)
     features = list(features)
     for f in features:
         if isinstance(f, bool) or not isinstance(f, (int, np.integer)) or not 0 <= f < ds.n_features:
             raise ValidationError(f"feature {f!r} is not a column index in [0, {ds.n_features})")
-    return rows, features, row_weights(rows, weights)
+    return rows, features, _positive_weights(rows, weights)
+
+
+def _positive_weights(rows: np.ndarray, weights) -> np.ndarray | None:
+    """``weights`` as by :func:`loss.row_weights`, each positive and finite, as
+    growth's are: a block of no weight has a NaN fit."""
+    w = row_weights(rows, weights)
+    if w is not None and not ((w > 0) & (w < np.inf)).all():
+        raise ValidationError("row weights must be positive and finite")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +306,9 @@ def _numeric_candidates(feature, vp, S_p):
     if cuts.size == 0:
         return None
     lo, hi = vs[cuts], vs[cuts + 1]
-    if vs[0] < -_HALF_MAX or vs[-1] > _HALF_MAX:
-        with np.errstate(over="ignore"):  # the guard below handles the overflow
-            mids = 0.5 * (lo + hi)
-    else:
+    with np.errstate(over="ignore"):
         mids = 0.5 * (lo + hi)
-    # guard against midpoints that round up to the right value, or overflow
-    # to -inf below the left one
+    # guard against midpoints that round up to the right value, or overflow to an infinity outside [lo, hi)
     thresholds = np.where((lo <= mids) & (mids < hi), mids, lo)
     partitions = list(map(Partition, repeat(feature), thresholds.tolist()))
     return partitions, cuts + 1, np.cumsum(S_p.T[order], axis=0)[cuts]
@@ -385,7 +389,7 @@ def enumerate_candidates(
     y = np.asarray(y)
     if y.shape != rows.shape:
         raise ValidationError("y must hold one response per row")
-    table = _candidate_table(column, feature, rows, row_stats(y, row_weights(rows, weights), kind), kind, {})
+    table = _candidate_table(column, feature, rows, row_stats(y, _positive_weights(rows, weights), kind), kind, {})
     return list(table.partitions) if table is not None else []
 
 
@@ -416,57 +420,40 @@ def split_rows(
     rows: np.ndarray,
     partition: Partition,
     route: MissingRoute,
-    min_child: int | None = None,
-    min_child_weight: float | None = None,
     weights: np.ndarray | None = None,
 ) -> ChildRows | None:
     """Send ``rows`` to the children of ``partition``, missing rows by ``route``.
 
-    Without floors (the default) the rows are only routed: growth and
-    :func:`best_split` take a split's feasibility from the scan that chose
-    it, which prices fc child weights from cumulative sums that can differ
-    from direct sums in the last bit. With floors, returns
-    None when the split is infeasible: for the left, right and middle
-    routes, a child with fewer than ``max(min_child, 1)`` rows (routed
-    missing rows count toward their side; middle rows toward neither);
-    for the fractional route, a child whose total weight is below
-    ``min_child_weight``. A fractional split with no observed rows on a
-    side has no fractions and is None either way; the fractions come from
+    This only routes; it checks no child size. Growth and :func:`best_split`
+    take a split's feasibility from the scan that chose it, the public
+    scorers check their own floors. A fractional split with no observed
+    rows on a side has no fractions and is None; the fractions come from
     unweighted observed row counts. Other routes' children take slices of
     ``weights``, or None without; fractional children are always weighted.
+    ``rows`` and ``weights`` are taken as checked arrays.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    w = row_weights(rows, weights)
     left, right, missing = partition.sides(ds.columns[partition.feature].values[rows], route)
     if route is MissingRoute.FRACTIONAL:
-        n_lo = int(left.sum())
-        n_ro = int(right.sum())
+        n_lo, n_ro = int(left.sum()), int(right.sum())
         if n_lo == 0 or n_ro == 0:
             return None
         frac_left = n_lo / (n_lo + n_ro)
-        frac_right = 1.0 - frac_left
-        w = np.ones(len(rows)) if w is None else w
+        w = np.ones(len(rows)) if weights is None else weights
         miss_rows, miss_w = rows[missing], w[missing]
-        left_w = np.concatenate([w[left], miss_w * frac_left])
-        right_w = np.concatenate([w[right], miss_w * frac_right])
-        if min_child_weight is not None and min(left_w.sum(), right_w.sum()) < min_child_weight:
-            return None
         return ChildRows(
             left_rows=np.concatenate([rows[left], miss_rows]),
             right_rows=np.concatenate([rows[right], miss_rows]),
             middle_rows=rows[:0],
-            left_weights=left_w,
-            right_weights=right_w,
+            left_weights=np.concatenate([w[left], miss_w * frac_left]),
+            right_weights=np.concatenate([w[right], miss_w * (1.0 - frac_left)]),
             frac_left=frac_left,
         )
-    if min_child is not None and min(left.sum(), right.sum()) < max(min_child, 1):
-        return None
     return ChildRows(
         left_rows=rows[left],
         right_rows=rows[right],
         middle_rows=rows[missing] if route is MissingRoute.MIDDLE else rows[:0],
-        left_weights=None if w is None else w[left],
-        right_weights=None if w is None else w[right],
+        left_weights=None if weights is None else weights[left],
+        right_weights=None if weights is None else weights[right],
     )
 
 
@@ -512,13 +499,16 @@ def score_binary(
     """Score a two-child split with missing rows routed to one side.
 
     Returns None when either child ends up with fewer than ``min_child``
-    rows (missing rows count toward the side they are routed to).
+    rows, or none (missing rows count toward the side they are routed to).
+    ``weights`` must be positive and finite.
     """
     if route not in (MissingRoute.LEFT, MissingRoute.RIGHT):
         raise ValueError("score_binary routes missing rows left or right")
     rows, _, weights = _checked(ds, rows, [partition.feature], weights)
-    children = split_rows(ds, rows, partition, route, min_child=min_child, weights=weights)
-    return None if children is None else _scored(ds, partition, route, kind, children, None)
+    children = split_rows(ds, rows, partition, route, weights)
+    if min(children.left_rows.size, children.right_rows.size) < max(min_child, 1):
+        return None
+    return _scored(ds, partition, route, kind, children, None)
 
 
 def score_trinary(
@@ -533,11 +523,12 @@ def score_trinary(
 
     The missing block is priced at ``mother_value`` (the fitted value of
     the whole node, computed here when not supplied); it is not refit.
-    Feasibility constrains only the observed children.
+    Returns None when the left or the right child holds fewer than
+    ``min_child`` observed rows, or none; the middle rows count toward neither.
     """
     rows, _, _ = _checked(ds, rows, [partition.feature], None)
-    children = split_rows(ds, rows, partition, MissingRoute.MIDDLE, min_child=min_child)
-    if children is None:
+    children = split_rows(ds, rows, partition, MissingRoute.MIDDLE)
+    if min(children.left_rows.size, children.right_rows.size) < max(min_child, 1):
         return None
     if mother_value is None:
         mother_value = fit_leaf(ds.response.values[rows], kind)
@@ -557,7 +548,8 @@ def score_fractional(
     Missing rows keep their weight scaled by the observed fraction of each
     side; the fractions come from unweighted observed row counts. Returns
     None when a child's total weight falls below ``min_child_weight`` or
-    when the feature is missing (or one-sided) on all rows.
+    when the feature is missing (or one-sided) on all rows. ``weights``
+    must be positive and finite.
 
     The weight floor is checked on direct sums of the child weights, while
     the scan (and so :func:`best_split` and growth) uses cumulative sums.
@@ -566,9 +558,10 @@ def score_fractional(
     child-weight floor).
     """
     rows, _, weights = _checked(ds, rows, [partition.feature], weights)
-    children = split_rows(ds, rows, partition, MissingRoute.FRACTIONAL,
-                          min_child_weight=min_child_weight, weights=weights)
-    return None if children is None else _scored(ds, partition, MissingRoute.FRACTIONAL, kind, children, None)
+    children = split_rows(ds, rows, partition, MissingRoute.FRACTIONAL, weights)
+    if children is None or min(children.left_weights.sum(), children.right_weights.sum()) < min_child_weight:
+        return None
+    return _scored(ds, partition, MissingRoute.FRACTIONAL, kind, children, None)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +578,6 @@ def _pick(losses: np.ndarray, route, partitions: Sequence[Partition]) -> _Entry 
     """The first lowest of ``losses`` (inf where infeasible) with its
     partition, or None when none is finite; its missing route is ``route``,
     or ``route(i)`` for candidate ``i`` when ``route`` is a function."""
-    if losses.size == 0:
-        return None
     i = int(np.argmin(losses))
     if not np.isfinite(losses[i]):
         return None
@@ -731,5 +722,5 @@ def best_split(
         return None
     partition, route = choice
     # the scan decided the winner's feasibility: its rows are only routed
-    children = split_rows(ds, rows, partition, route, weights=w)
+    children = split_rows(ds, rows, partition, route, w)
     return _scored(ds, partition, route, kind, children, node_value)

@@ -109,23 +109,26 @@ class Tree:
     response_labels: tuple[str, ...] = ()
 
 
+_MAKE = object()  # on _build's stack, marks the (make, k) entry beneath it as due
+
+
 def _build(root, visit):
     """The node the item ``root`` makes, built bottom-up. ``visit(item)`` gives
     ``(node, ())`` for a finished node, or ``(make, children)``: the children's
     items (left, right, middle) are built in turn, then ``make(*built)``."""
     built: list = []  # finished subtrees; a make takes the last k
-    stack: list = [root]  # items to visit
-    pending: list = []  # (make, k, stack height): made once the stack is back to that height
+    stack: list = [root]  # items to visit, each (make, k) under a _MAKE above its children's items
     while stack:
-        node, children = visit(stack.pop())
-        if children:
-            pending.append((node, len(children), len(stack)))
-            stack += reversed(children)
-            continue
-        built.append(node)
-        while pending and pending[-1][2] == len(stack):
-            make, k, _ = pending.pop()
+        item = stack.pop()
+        if item is _MAKE:
+            make, k = stack.pop()
             built[-k:] = [make(*built[-k:])]
+            continue
+        node, children = visit(item)
+        if children:
+            stack += [(node, len(children)), _MAKE, *reversed(children)]
+        else:
+            built.append(node)
     return built[0]
 
 
@@ -166,7 +169,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         partition, route = choice
         # the scan decided the split's feasibility, and every candidate has
         # observed rows on both sides: the rows are only routed
-        children = split_rows(ds, node_rows, partition, route, None, None, w)
+        children = split_rows(ds, node_rows, partition, route, w)
         frac = children.frac_left
         spec = SplitSpec(partition, route, frac, None if frac is None else 1.0 - frac)
         items = [(children.left_rows, children.left_weights, depth + 1, available, None, None),
@@ -575,13 +578,18 @@ def _value_from_json(raw, kind: LossKind):
     if kind.is_classification:
         if type(raw) is not list or len(raw) != kind.n_classes:
             raise TreeFormatError(f"leaf value must be a list of {kind.n_classes} probabilities")
-        probs = np.array([_number(p, "leaf probability") for p in raw])
-        # NaN fails every comparison, so each check is phrased to fail on it
-        if not (probs >= 0).all():
-            raise TreeFormatError("leaf probabilities must be non-negative numbers, not NaN")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-9:
-            raise TreeFormatError(f"leaf probabilities sum to {probs.sum()!r}, not 1")
-        return probs
+        probs = [_number(p, "leaf probability") for p in raw]
+        total = 0.0  # numpy's order below eight terms; sum() compensates from Python 3.12
+        for p in probs:
+            if not p >= 0:  # NaN fails every comparison, so each check is phrased to fail on it
+                raise TreeFormatError("leaf probabilities must be non-negative numbers, not NaN")
+            total += p
+        value = np.array(probs)
+        if len(probs) >= 8:  # numpy sums eight or more terms pairwise
+            total = float(value.sum())
+        if not abs(total - 1.0) <= 1e-9:
+            raise TreeFormatError(f"leaf probabilities sum to {total!r}, not 1")
+        return value
     value = _number(raw, "regression leaf value")
     if value != value:
         raise TreeFormatError("regression leaf value is NaN")

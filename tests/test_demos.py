@@ -1,5 +1,7 @@
 """Every demo runs to completion: each ``demos/*.py`` script is run as a
-user would run it, in a scratch directory for the files it writes."""
+user would run it, in a scratch directory for the files it writes, with
+every warning an error (``python -W error``), as the suite's own settings
+make the warnings they name."""
 import os
 import subprocess
 import sys
@@ -19,6 +21,6 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -173,6 +173,10 @@ def test_score_binary_min_child_counts_routed_missing():
     # right of 2.5 holds one observed row; routing missing right lifts it to 2
     assert score_binary(ds, ALL, part, MissingRoute.LEFT, SSE, min_child=2) is None
     assert score_binary(ds, ALL, part, MissingRoute.RIGHT, SSE, min_child=2) is not None
+    # the smaller child at the floor, then one row below it: 4 and 1 rows routing left, 3 and 2 right
+    for route, smaller in ((MissingRoute.LEFT, 1), (MissingRoute.RIGHT, 2)):
+        assert score_binary(ds, ALL, part, route, SSE, min_child=smaller) is not None
+        assert score_binary(ds, ALL, part, route, SSE, min_child=smaller + 1) is None
 
 
 def test_score_trinary_frozen():
@@ -195,6 +199,11 @@ def test_score_binary_rejects_other_routes():
 def test_infeasible_trinary_split_scores_none():
     # the right of 2.5 holds one observed row
     assert score_trinary(fixed_node(), ALL, Partition(0, threshold=2.5), SSE, min_child=2) is None
+    # at the floor, then one row below it: 3 and 1 rows at 2.5, 2 and 2 at 1.5; the middle row counts for neither
+    for threshold, smaller in ((2.5, 1), (1.5, 2)):
+        part = Partition(0, threshold=threshold)
+        assert score_trinary(fixed_node(), ALL, part, SSE, min_child=smaller) is not None
+        assert score_trinary(fixed_node(), ALL, part, SSE, min_child=smaller + 1) is None
 
 
 def test_fractional_split_with_an_unobserved_side_is_none():
@@ -213,6 +222,10 @@ def test_score_fractional_frozen():
     assert scored.loss_right == pytest.approx(5.0, abs=1e-12)
     assert scored.total_loss == pytest.approx(20.0, abs=1e-12)
     assert scored.left_weights.sum() == pytest.approx(3.75)
+    # the right child weighs 1 + 0.25 exactly: feasible at that floor, not one step above it
+    part = Partition(0, threshold=2.5)
+    assert score_fractional(ds, ALL, part, SSE, min_child_weight=1.25) is not None
+    assert score_fractional(ds, ALL, part, SSE, min_child_weight=np.nextafter(1.25, 2.0)) is None
 
 
 def test_best_split_frozen_per_strategy():
@@ -310,6 +323,18 @@ _BAD_INPUTS = {
         ds.columns[0], 0, ALL, ds.response.values[:4], SSE),
     "candidates weights of the wrong length": lambda ds: enumerate_candidates(
         ds.columns[0], 0, ALL, ds.response.values, SSE, weights=np.ones(3)),
+    # a block of no weight has a NaN fit, which the scan's argmin would take
+    "best_split zero weight": lambda ds: best_split(ds, ALL, [0], Strategy.MAJORITY, SSE,
+                                                    weights=[0.0, 1.0, 1.0, 1.0, 1.0]),
+    "best_split negative weights": lambda ds: best_split(ds, ALL, [0], Strategy.MIA, SSE, weights=-np.ones(5)),
+    "best_split infinite weight": lambda ds: best_split(ds, ALL, [0], Strategy.FC, SSE,
+                                                        weights=[np.inf, 1.0, 1.0, 1.0, 1.0]),
+    "score_binary zero weight": lambda ds: score_binary(ds, ALL, _T15, MissingRoute.LEFT, SSE,
+                                                        weights=[0.0, 1.0, 1.0, 1.0, 1.0]),
+    "score_fractional NaN weight": lambda ds: score_fractional(ds, ALL, _T15, SSE,
+                                                               weights=[1.0, np.nan, 1.0, 1.0, 1.0]),
+    "candidates zero weight": lambda ds: enumerate_candidates(
+        ds.columns[0], 0, ALL, ds.response.values, SSE, weights=np.zeros(5)),
 }
 
 
@@ -334,6 +359,15 @@ def test_partition_validation():
             Partition(0, threshold=0.5, **sets)
     with pytest.raises(ValueError, match="either a threshold or two category sets"):
         Partition(0, left_categories=frozenset({0}))
+    # -1 is the missing code: in a set it would take the top slot of sides' table
+    for sets in (({-1}, {0}), ({0}, {-2, 1})):
+        with pytest.raises(ValueError, match="category codes must be non-negative"):
+            Partition(0, left_categories=sets[0], right_categories=sets[1])
+    # a code is an integer, as side reads it; 0.5 is not truncated to 0
+    for sets in (({0.5}, {1}), ({0}, {np.float64(1.0)})):
+        with pytest.raises(TypeError):
+            Partition(0, left_categories=sets[0], right_categories=sets[1])
+    assert Partition(0, left_categories={np.int64(2)}, right_categories={True}).left_categories == {2}
 
 
 NUMERIC_CUT = Partition(2, 0.5)
@@ -720,13 +754,14 @@ def _mcar_table(n_classes, seed):
     return Dataset(tuple(cols), ResponseColumn(REAL, signal))
 
 
-def _score_like(ds, rows, partition, route, min_child, min_child_weight, weights):
+def _score_like(ds, rows, partition, route, weights):
+    """The public scorer of ``route``, at floors that every routed split meets."""
     kind = loss_for(ds)
     if route is MissingRoute.MIDDLE:
-        return score_trinary(ds, rows, partition, kind, min_child=min_child)
+        return score_trinary(ds, rows, partition, kind, min_child=1)
     if route is MissingRoute.FRACTIONAL:
-        return score_fractional(ds, rows, partition, kind, min_child_weight=min_child_weight, weights=weights)
-    return score_binary(ds, rows, partition, route, kind, min_child=min_child, weights=weights)
+        return score_fractional(ds, rows, partition, kind, min_child_weight=0.0, weights=weights)
+    return score_binary(ds, rows, partition, route, kind, min_child=1, weights=weights)
 
 
 def _assert_same_children(children, scored):
@@ -803,12 +838,12 @@ def test_growth_split_rows_match_scorers(strategy, n_classes, monkeypatch):
         for p in (args[2] for args in calls) if not p.is_numeric
     ]
     assert any(unseen)
-    for _, rows, partition, route, min_child, min_child_weight, weights in calls:
+    for _, rows, partition, route, weights in calls:
         # the node's rows, then the whole table, where categories the node
         # never saw route as missing, then the node's rows weighted
         everywhere = np.arange(ds.n_rows)
         for rows, weights in ((rows, weights), (everywhere, None), (rows, np.linspace(0.5, 2.0, len(rows)))):
-            args = (ds, rows, partition, route, min_child, min_child_weight, weights)
+            args = (ds, rows, partition, route, weights)
             children = split_rows(*args)
             _assert_same_children(children, _score_like(*args))
             if children is not None:
@@ -849,13 +884,15 @@ def test_fc_feasibility_at_the_weight_floor_comes_from_the_scan(monkeypatch):
     monkeypatch.setattr(tree_module, "split_rows", spy)
     tree = tree_module.train(censored, TrainConfig(Strategy.FC, max_depth=3, min_samples=5))
     monkeypatch.undo()
-    at_floor = [args for args in nodes if split_rows(*args[:4], 5, 5.0, args[6]) is None]
+    kind = loss_for(censored)
+    at_floor = [args for args in nodes
+                if score_fractional(*args[:3], kind, min_child_weight=5.0, weights=args[4]) is None]
     assert len(at_floor) == 1
-    _, rows, partition, route, _, _, weights = at_floor[0]
+    _, rows, partition, route, weights = at_floor[0]
     children = split_rows(censored, rows, partition, route, weights=weights)
     assert children.left_weights.sum() < 5.0 and children.right_weights.sum() < 5.0
 
-    scored = best_split(censored, rows, range(censored.n_features), Strategy.FC, loss_for(censored),
+    scored = best_split(censored, rows, range(censored.n_features), Strategy.FC, kind,
                         SplitConfig(min_child=5, min_child_weight=5.0), weights=weights)
     assert (scored.partition, scored.route) == (partition, route)
     assert scored.left_weights.tobytes() == children.left_weights.tobytes()

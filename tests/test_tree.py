@@ -631,6 +631,16 @@ def test_deserialize_rejects_bad_probabilities():
         _set_first_leaf_probs(doc3, probs)
         with pytest.raises(TreeFormatError, match="NaN"):
             deserialize(json.dumps(doc3))
+    # the total reported is numpy's, which sums eight or more terms pairwise
+    rng = np.random.default_rng(4)
+    for n_classes in (3, 8, 9, 20):
+        probs = (rng.random(n_classes) * 10.0 ** rng.integers(-8, 8, n_classes)).tolist()
+        doc4 = json.loads(serialize(_classification_tree()))
+        doc4["loss"]["n_classes"] = n_classes
+        doc4["response"]["labels"] = []
+        _set_first_leaf_probs(doc4, probs)
+        with pytest.raises(TreeFormatError, match=re.escape(f"sum to {float(np.sum(probs))!r}, not 1")):
+            deserialize(json.dumps(doc4))
 
 
 def test_deserialize_rejects_malformed_documents():
@@ -713,6 +723,8 @@ def test_deserialize_rejects_malformed_documents():
 MALFORMED_DOCUMENTS = {
     "leaf value length": ("class", lambda d: _set_first_leaf_probs(d, [1.0]),
                           "leaf value must be a list of 2 probabilities"),
+    "leaf probability sum": ("class", lambda d: _set_first_leaf_probs(d, [0.7, 0.7]),
+                             "leaf probabilities sum to 1.4, not 1"),
     "node kind": ("step", lambda d: d["root"].update(kind="quaternary"), "unknown node kind 'quaternary'"),
     "no threshold": ("step", lambda d: d["root"].pop("threshold"),
                      "feature 'x' is numeric but the node has no threshold"),
