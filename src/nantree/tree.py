@@ -579,14 +579,11 @@ def _value_from_json(raw, kind: LossKind):
         if type(raw) is not list or len(raw) != kind.n_classes:
             raise TreeFormatError(f"leaf value must be a list of {kind.n_classes} probabilities")
         probs = [_number(p, "leaf probability") for p in raw]
-        total = 0.0  # numpy's order below eight terms; sum() compensates from Python 3.12
         for p in probs:
             if not p >= 0:  # NaN fails every comparison, so each check is phrased to fail on it
                 raise TreeFormatError("leaf probabilities must be non-negative numbers, not NaN")
-            total += p
         value = np.array(probs)
-        if len(probs) >= 8:  # numpy sums eight or more terms pairwise
-            total = float(value.sum())
+        total = float(value.sum())
         if not abs(total - 1.0) <= 1e-9:
             raise TreeFormatError(f"leaf probabilities sum to {total!r}, not 1")
         return value

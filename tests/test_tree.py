@@ -631,7 +631,7 @@ def test_deserialize_rejects_bad_probabilities():
         _set_first_leaf_probs(doc3, probs)
         with pytest.raises(TreeFormatError, match="NaN"):
             deserialize(json.dumps(doc3))
-    # the total reported is numpy's, which sums eight or more terms pairwise
+    # the total reported is numpy's sum of the leaf's probabilities
     rng = np.random.default_rng(4)
     for n_classes in (3, 8, 9, 20):
         probs = (rng.random(n_classes) * 10.0 ** rng.integers(-8, 8, n_classes)).tolist()
