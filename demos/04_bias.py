@@ -1,12 +1,12 @@
 """Why lumping missing rows into a leaf biases its estimate.
 
-The cleanest possible setting: one known split, no split search. Samples
-sit at level a (left) or level b (right) plus noise; the covariate that
-tells them apart goes missing at rate q. Each replication applies one
-strategy's missing-data treatment and records the left leaf's estimate
-of a. Averaging over replications measures the bias; closed-form floors
-say how much contamination the routed and fractional treatments must
-carry at minimum.
+The cleanest possible setting: one known split. Samples sit at level a
+(left) or level b (right) plus noise; the covariate that tells them apart
+goes missing at rate q. Each replication grows one strategy's depth-1
+tree on that covariate, whose only candidate split is the known one, and
+records its left leaf's estimate of a. Averaging over replications
+measures the bias; closed-form floors say how much contamination the
+routed and fractional treatments must carry at minimum.
 
 Run: python3 demos/04_bias.py
 """

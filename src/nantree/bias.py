@@ -3,8 +3,9 @@
 The setup is a single known split: a binary covariate sends each sample
 left (response level ``a``) or right (level ``b``), Gaussian noise on
 top, and the covariate goes missing completely at random with rate
-``q``. No split search happens here; each replication just applies one
-strategy's missing-value handling to the fixed split and records the
+``q``. Each replication grows one strategy's depth-1 tree with
+:func:`tree.train` on that covariate alone, so the known split is the
+only candidate and the package's own routing and leaf fits give the
 left-leaf estimate. Averaging over replications exposes which
 strategies drag the left estimate toward ``b`` and by how much,
 compared against closed-form bias ceilings.
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ValidationError, check_seed, write_columns
-from .split import MissingRoute, Strategy, majority_route
+from .data import NUMERIC, REAL, Dataset, FeatureColumn, ResponseColumn, ValidationError, check_seed, write_columns
+from .split import Strategy
+from .tree import Leaf, TrainConfig, predict, train
 
 BIAS_STRATEGIES = (Strategy.MAJORITY, Strategy.MIA, Strategy.FC, Strategy.TRINARY)
 
@@ -87,23 +89,20 @@ def theoretical_bound(sc: BiasScenario, strategy: Strategy, kappa_hat: float | N
     raise ValidationError(f"no bias bound defined for strategy {strategy.value!r}")
 
 
-def _sse(v: np.ndarray) -> float:
-    if v.size == 0:
-        return 0.0
-    d = v - v.mean()
-    return float(d @ d)
-
-
 def simulate(sc: BiasScenario, strategy: Strategy) -> StrategyBias:
     """Run the replications for one strategy.
 
     Draws inside a replication always happen in the same order from a
     generator keyed on (seed, rep), so every strategy sees the exact
     same data. Replications where either observed group is empty are
-    skipped and counted.
+    skipped and counted. Each other replication grows the strategy's
+    depth-1 tree on its one 0/1 covariate, NaN where missing, so the known
+    split is the only candidate; the estimates are the tree's left and
+    right leaves, or its root leaf for both when every response is equal.
     """
     if strategy not in BIAS_STRATEGIES:
         raise ValidationError(f"strategy {strategy.value!r} is not part of the bias demo")
+    cfg = TrainConfig(strategy, max_depth=1, min_samples=1)
     a_hats: list[float] = []
     b_hats: list[float] = []
     majority_right = 0  # reps where the majority rule sends the block right
@@ -116,43 +115,26 @@ def simulate(sc: BiasScenario, strategy: Strategy) -> StrategyBias:
         y = np.where(is_right, sc.b, sc.a) + rng.normal(0.0, sc.sigma, sc.n_samples)
         missing = rng.random(sc.n_samples) < sc.q
 
-        y_lo = y[~is_right & ~missing]
-        y_ro = y[is_right & ~missing]
-        y_m = y[missing]
-        n_lo, n_ro = y_lo.size, y_ro.size
+        group = np.where(missing, 2, is_right)  # observed-left 0, observed-right 1, missing 2
+        n_lo, n_ro, _ = np.bincount(group, minlength=3).tolist()
         if n_lo == 0 or n_ro == 0:
             skipped += 1
             continue
         if n_lo <= n_ro:
             majority_right += 1
 
-        if strategy in (Strategy.MAJORITY, Strategy.MIA):
-            # the missing block joins one side whole; mia moves it off the
-            # majority side only when the other side prices lower
-            with_left = (np.concatenate([y_lo, y_m]), y_ro)
-            with_right = (y_lo, np.concatenate([y_ro, y_m]))
-            route = majority_route(n_lo, n_ro)
-            if strategy is Strategy.MIA:
-                left_total = _sse(with_left[0]) + _sse(with_left[1])
-                right_total = _sse(with_right[0]) + _sse(with_right[1])
-                if left_total != right_total:
-                    route = MissingRoute.LEFT if left_total < right_total else MissingRoute.RIGHT
-            y_left, y_right = with_left if route is MissingRoute.LEFT else with_right
-            a_hat, b_hat = float(y_left.mean()), float(y_right.mean())
-        elif strategy is Strategy.FC:
-            alpha = n_lo / (n_lo + n_ro)
-            n_m = y_m.size
-            a_hat = float((y_lo.sum() + alpha * y_m.sum()) / (n_lo + alpha * n_m))
-            b_hat = float((y_ro.sum() + (1.0 - alpha) * y_m.sum()) / (n_ro + (1.0 - alpha) * n_m))
-            pred = np.where(missing, alpha * a_hat + (1.0 - alpha) * b_hat,
-                            np.where(is_right, b_hat, a_hat))
-            preds.append(float(pred.mean()))
+        # rows by group, in draw order within each: a leaf sums its rows in that order
+        order = np.argsort(group, kind="stable")
+        x = np.where(missing, np.nan, is_right)[order]
+        ds = Dataset((FeatureColumn("x", NUMERIC, x),), ResponseColumn(REAL, y[order]))
+        tree = train(ds, cfg)
+        root = tree.root
+        left, right = (root, root) if isinstance(root, Leaf) else (root.left, root.right)
+        a_hats.append(float(left.value))
+        b_hats.append(float(right.value))
+        if strategy is Strategy.FC:
+            preds.append(float(predict(tree, ds).mean()))
             y_means.append(float(y.mean()))
-        else:  # trinary: missing block gets its own leaf, left leaf stays clean
-            a_hat = float(y_lo.mean())
-            b_hat = float(y_ro.mean())
-        a_hats.append(a_hat)
-        b_hats.append(b_hat)
 
     used = len(a_hats)
     if used < 2:

@@ -54,6 +54,7 @@ which bounds every later node's.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -250,6 +251,13 @@ def _checked(ds: Dataset, rows, features, weights) -> tuple[np.ndarray, list, np
         if isinstance(f, bool) or not isinstance(f, (int, np.integer)) or not 0 <= f < ds.n_features:
             raise ValidationError(f"feature {f!r} is not a column index in [0, {ds.n_features})")
     return rows, features, _positive_weights(rows, weights)
+
+
+def _min_child(min_child) -> int:
+    """A scorer's row floor; below 1 it is 1."""
+    if isinstance(min_child, bool) or not isinstance(min_child, (int, np.integer)):
+        raise ValidationError(f"min_child must be an integer, not {min_child!r}")
+    return max(min_child, 1)
 
 
 def _positive_weights(rows: np.ndarray, weights) -> np.ndarray | None:
@@ -506,7 +514,7 @@ def score_binary(
         raise ValueError("score_binary routes missing rows left or right")
     rows, _, weights = _checked(ds, rows, [partition.feature], weights)
     children = split_rows(ds, rows, partition, route, weights)
-    if min(children.left_rows.size, children.right_rows.size) < max(min_child, 1):
+    if min(children.left_rows.size, children.right_rows.size) < _min_child(min_child):
         return None
     return _scored(ds, partition, route, kind, children, None)
 
@@ -528,7 +536,7 @@ def score_trinary(
     """
     rows, _, _ = _checked(ds, rows, [partition.feature], None)
     children = split_rows(ds, rows, partition, MissingRoute.MIDDLE)
-    if min(children.left_rows.size, children.right_rows.size) < max(min_child, 1):
+    if min(children.left_rows.size, children.right_rows.size) < _min_child(min_child):
         return None
     if mother_value is None:
         mother_value = fit_leaf(ds.response.values[rows], kind)
@@ -557,6 +565,8 @@ def score_fractional(
     the scan accepts (CHANGES.md, the ``FOUND`` entry on the fc
     child-weight floor).
     """
+    if not isinstance(min_child_weight, numbers.Real) or math.isnan(min_child_weight):
+        raise ValidationError(f"min_child_weight must be a real number, not {min_child_weight!r}")
     rows, _, weights = _checked(ds, rows, [partition.feature], weights)
     children = split_rows(ds, rows, partition, MissingRoute.FRACTIONAL, weights)
     if children is None or min(children.left_weights.sum(), children.right_weights.sum()) < min_child_weight:
@@ -709,11 +719,11 @@ def best_split(
     """
     rows, features, w = _checked(ds, rows, features, weights)
     if rows.size == 0:
-        raise ValueError("cannot split an empty node")
+        raise ValidationError("cannot split an empty node")
     if weights is not None and strategy in (Strategy.TRINARY, Strategy.TRINARY_MIA):
         # trinary middle children always carry the full unweighted row set,
         # so weighted trinary scoring has no meaning here
-        raise ValueError("trinary strategies do not take row weights")
+        raise ValidationError("trinary strategies do not take row weights")
     if node_value is None:
         node_value = fit_leaf(ds.response.values[rows], kind, w)
     scans = scan_features(ds, rows, features, strategy, kind, config, w, node_value, {})

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -500,8 +501,12 @@ def _write_nodes(tree: Tree, out: list[str]) -> None:
             out.append(f'{key}"threshold": {_json_float(p.threshold)},')
         else:
             sep = "," + inner
-            left = sep.join(cats[p.feature][c] for c in sorted(p.left_categories))
-            right = sep.join(cats[p.feature][c] for c in sorted(p.right_categories))
+            try:
+                left = sep.join(cats[p.feature][c] for c in sorted(p.left_categories))
+                right = sep.join(cats[p.feature][c] for c in sorted(p.right_categories))
+            except (KeyError, IndexError):  # a numeric feature, or a code past the list
+                raise ValidationError(f"the categorical split on feature {tree.feature_names[p.feature]!r} "
+                                      "does not fit the feature's category list") from None
             out.append(f'{key}"left_categories": [{inner}{left}{key}],'
                        f'{key}"right_categories": [{inner}{right}{key}],')
         if spec.route is MissingRoute.FRACTIONAL:
@@ -515,7 +520,8 @@ def _write_nodes(tree: Tree, out: list[str]) -> None:
 
 def serialize(tree: Tree) -> str:
     """Lossless JSON text for a trained tree, laid out as
-    ``json.dumps(doc, indent=2)`` would write it."""
+    ``json.dumps(doc, indent=2)`` would write it; a categorical split that
+    does not fit its feature's category list is a ValidationError."""
     features = []
     for j, (name, kind) in enumerate(zip(tree.feature_names, tree.feature_kinds)):
         entry: dict = {"name": name, "kind": kind}
@@ -606,7 +612,7 @@ def _category_set(doc: dict, key: str, code_of: dict, fname: str) -> frozenset[i
     return frozenset(codes)
 
 
-def _node_from_json(item, kind: LossKind, name_to_feature: dict, code_of: dict):
+def _node_from_json(kind: LossKind, name_to_feature: dict, code_of: dict, item):
     """The :func:`_build` visit of ``(object, key, context)``: the key is
     read after the subtrees before it, a split node's n after its own.
     ``code_of`` maps each categorical feature to its name-to-code dict."""
@@ -722,7 +728,7 @@ def deserialize(text: str) -> Tree:
         raise TreeFormatError("label list does not match the class count")
 
     return Tree(
-        root=_build((doc, "root", "document"), lambda item: _node_from_json(item, kind, name_to_feature, code_of)),
+        root=_build((doc, "root", "document"), partial(_node_from_json, kind, name_to_feature, code_of)),
         strategy=strategy,
         loss=kind,
         feature_names=tuple(names),

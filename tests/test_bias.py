@@ -5,13 +5,16 @@ import pytest
 
 from nantree import (
     BiasScenario,
+    Leaf,
     Strategy,
     StrategyBias,
     ValidationError,
     run_bias,
     simulate,
     theoretical_bound,
+    train,
 )
+from nantree import bias as bias_module
 from nantree.bias import BIAS_CSV_HEADER, BIAS_STRATEGIES, emit_bias_csv
 
 DEFAULT = BiasScenario()
@@ -180,3 +183,61 @@ def test_emit_bias_csv_bytes(tmp_path):
 def test_scenario_rejects_non_finite_values(field, value):
     with pytest.raises(ValidationError, match=f"{field if field == 'sigma' else 'a and b'} must be finite"):
         BiasScenario(**{field: value})
+
+
+# emit_bias_csv rows recorded from the hand-written leaf estimates that the
+# depth-1 trees replaced: the majority, mia and trinary rows are the same
+# bytes, and fc's weighted-mean leaf may move its last digits (its mean_a_hat
+# and bound are compared to 1e-12)
+_RECORDED = [
+    (BiasScenario(q=0.4, n_samples=60, replications=150, seed=7), [
+        b"majority,0.13398753330313554,0.011400859928220918,0.5066666666666667,0.14095238095238097",
+        b"mia,0.11739328803452058,0.010846903783707656,0.5066666666666667,0.14095238095238097",
+        b"fc,0.20353604819728652,0.004643177318183031,,0.2",
+        b"trinary,0.00043862737633176846,0.0018703252325354372,,0.0",
+    ]),
+    (BiasScenario(sigma=0.0, n_samples=40, replications=150, seed=2), [
+        b"majority,0.08967441287204864,0.0096657079533658,0.5933333333333334,0.09384615384615383",
+        b"mia,0.08309148010480795,0.008183961863611703,0.5933333333333334,0.09384615384615383",
+        b"fc,0.15333333333333332,0.004913494786974506,,0.15",
+        b"trinary,0.0,0.0,,0.0",
+    ]),
+]
+
+
+@pytest.mark.parametrize("sc, recorded", _RECORDED, ids=["sigma-0.1", "sigma-0"])
+def test_tree_leaves_reproduce_the_recorded_estimates(tmp_path, sc, recorded):
+    path = tmp_path / "bias.csv"
+    emit_bias_csv(run_bias(sc), str(path))
+    rows = path.read_bytes().split(b"\r\n")[1:-1]
+    assert [rows[0], rows[1], rows[3]] == [recorded[0], recorded[1], recorded[3]]
+    fc, want = rows[2].split(b","), recorded[2].split(b",")
+    assert fc[0] == b"fc"
+    for col in (1, 4):  # mean_a_hat, bound
+        assert float(fc[col]) == pytest.approx(float(want[col]), rel=1e-12, abs=0.0)
+
+
+def test_mia_sends_an_exact_tie_by_majority():
+    # in replication 103 both observed groups hold 7 rows and, at sigma 0,
+    # the two routes of the 16 missing rows cost exactly the same; the tree
+    # sends them right, by majority (the hand-written estimate priced the
+    # left route an ulp lower and read 0.12364423635297912 here)
+    sc = BiasScenario(p=0.6, q=0.5, sigma=0.0, n_samples=30, replications=120, seed=11)
+    assert simulate(sc, Strategy.MIA).mean_a_hat == 0.12074568562834145
+    assert simulate(sc, Strategy.MAJORITY).mean_a_hat == 0.07402782396079498
+
+
+def test_equal_responses_keep_the_root_a_leaf(monkeypatch):
+    sc = BiasScenario(a=0.5, b=0.5, sigma=0.0, n_samples=40, replications=30, seed=3)
+    roots = []
+
+    def spy(ds, cfg):
+        tree = train(ds, cfg)
+        roots.append(tree.root)
+        return tree
+
+    monkeypatch.setattr(bias_module, "train", spy)
+    for strategy in BIAS_STRATEGIES:
+        r = simulate(sc, strategy)
+        assert r.mean_a_hat == r.mean_b_hat == sc.a, strategy
+    assert roots and all(isinstance(root, Leaf) for root in roots)

@@ -28,6 +28,16 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert private == []
 
 
+def test_only_tree_imports_the_missing_routes():
+    """Where a missing cell goes is split.Partition's answer, and only tree
+    branches on it: no other module imports the routes to decide by hand."""
+    routing = {"MissingRoute", "majority_route", "*"}
+    importers = sorted({path.name for path in PACKAGE.glob("*.py")
+                        for module, name in _sibling_imports(ast.parse(path.read_text(encoding="utf-8")))
+                        if module.split(".")[-1] == "split" and name in routing})
+    assert importers == ["__init__.py", "tree.py"]
+
+
 def _imports_csv(tree: ast.Module) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "csv" for alias in node.names):

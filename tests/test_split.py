@@ -335,15 +335,32 @@ _BAD_INPUTS = {
                                                                weights=[1.0, np.nan, 1.0, 1.0, 1.0]),
     "candidates zero weight": lambda ds: enumerate_candidates(
         ds.columns[0], 0, ALL, ds.response.values, SSE, weights=np.zeros(5)),
+    "best_split trinary weights": lambda ds: best_split(ds, ALL, [0], Strategy.TRINARY, SSE, weights=np.ones(5)),
+    "best_split no rows": lambda ds: best_split(ds, [], [0], Strategy.MIA, SSE),
+    "score_binary None floor": lambda ds: score_binary(ds, ALL, _T15, MissingRoute.LEFT, SSE, min_child=None),
+    "score_binary fractional floor": lambda ds: score_binary(ds, ALL, _T15, MissingRoute.RIGHT, SSE, min_child=1.5),
+    "score_trinary None floor": lambda ds: score_trinary(ds, ALL, _T15, SSE, min_child=None),
+    "score_trinary float floor": lambda ds: score_trinary(ds, ALL, _T15, SSE, min_child=2.0),
+    "score_fractional NaN floor": lambda ds: score_fractional(ds, ALL, _T15, SSE, min_child_weight=float("nan")),
+    "score_fractional string floor": lambda ds: score_fractional(ds, ALL, _T15, SSE, min_child_weight="1"),
+    "score_fractional None floor": lambda ds: score_fractional(ds, ALL, _T15, SSE, min_child_weight=None),
 }
 
 
 @pytest.mark.parametrize("call", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
 def test_public_split_entry_points_reject_bad_input(call):
-    """Rows, features and weights are checked where they enter the public
-    split functions, so a bad index never reads a wrong row or feature."""
+    """Rows, features, weights and floors are checked where they enter the
+    public split functions, so a bad index never reads a wrong row or feature."""
     with pytest.raises(ValidationError):
         call(fixed_node())
+
+
+def test_scorers_take_zero_and_numpy_floors():
+    ds = fixed_node()
+    assert score_binary(ds, ALL, _T15, MissingRoute.LEFT, SSE, min_child=0) is not None
+    assert score_trinary(ds, ALL, _T15, SSE, min_child=np.int64(2)) is not None
+    assert score_fractional(ds, ALL, _T15, SSE, min_child_weight=0) is not None
+    assert score_fractional(ds, ALL, _T15, SSE, min_child_weight=np.float64(1.0)) is not None
 
 
 def test_partition_validation():

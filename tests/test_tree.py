@@ -822,6 +822,22 @@ def test_deserialize_rejects_unknown_category():
         deserialize(json.dumps(doc))
 
 
+def test_serialize_refuses_a_categorical_split_that_does_not_fit_its_feature():
+    """A hand-built tree's categorical split names codes past its feature's
+    list, or splits a numeric feature: each is a ValidationError."""
+    cats = ("blue", "red")
+    col = FeatureColumn("c", CATEGORICAL, np.array([0, 0, 1, 1]), cats)
+    tree = train(Dataset((col,), ResponseColumn(REAL, np.array([0.0, 0.0, 10.0, 10.0]))),
+                 TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+    past_the_list = Partition(0, left_categories=frozenset({0}), right_categories=frozenset({1, 2}))
+    on_numeric = train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+    cut = Partition(0, left_categories=frozenset({0}), right_categories=frozenset({1}))
+    for base, partition, name in ((tree, past_the_list, "c"), (on_numeric, cut, "x")):
+        bad = replace(base, root=replace(base.root, spec=replace(base.root.spec, partition=partition)))
+        with pytest.raises(ValidationError, match=f"categorical split on feature '{name}' does not fit"):
+            serialize(bad)
+
+
 def test_deserialize_rejects_repeated_names():
     col = FeatureColumn("c", CATEGORICAL, np.array([0, 0, 1, 1]), ("blue", "red"))
     ds = Dataset((col,), ResponseColumn(CLASS, np.array([0, 0, 1, 1]), ("no", "yes")))
