@@ -30,14 +30,14 @@ complete training set, the first task that needs the source records its
 growth, the others 0.0.
 
 Folds are independent, so depth tuning and each dataset's sweep run their
-folds across the usable CPUs, the caller running one share and forked
-workers the rest. The records are those of a one-process run; ``wall_ms``
-times each task in whichever process ran it.
+folds across the usable CPUs through :func:`nantree.parallel.fork_map`,
+the caller running a share and forked workers the rest; the trees grown
+inside a fold grow in the process that runs it. The records are those of
+a one-process run; ``wall_ms`` times each task in whichever process ran it.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -46,6 +46,7 @@ import numpy as np
 from .censor import SCENARIOS, CensorSpec, apply_scenario
 from .data import (Dataset, FoldAssignment, ParseError, ValidationError, check_seed, read_rows,
                    stratified_kfold, write_columns)
+from .parallel import fork_map
 from .split import Strategy, check_strategy
 from .tree import TrainConfig, Tree, evaluate, project, train, truncate
 
@@ -138,33 +139,6 @@ def _folds_for(ds: Dataset, cfg: ExperimentConfig, ds_index: int) -> FoldAssignm
     return stratified_kfold(ds, cfg.folds, _fold_seed(cfg.seed, ds_index))
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _run_share(fn, tasks: list) -> list:
-    return [fn(*task) for task in tasks]
-
-
-def _fold_map(fn, tasks: list) -> list:
-    """``[fn(*task) for task in tasks]`` on n = min(usable CPUs, tasks)
-    processes where ``fork`` is available: n - 1 forked workers run the shares
-    ``tasks[k::n]``, k >= 1, while the caller runs ``tasks[0::n]``, so n busy
-    processes share n CPUs, and none is left on return."""
-    import multiprocessing
-    n = min(_usable_cpus(), len(tasks))
-    if n == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return _run_share(fn, tasks)
-    from concurrent.futures import ProcessPoolExecutor
-    out = [None] * len(tasks)
-    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        shares = [pool.submit(_run_share, fn, tasks[k::n]) for k in range(1, n)]
-        out[0::n] = _run_share(fn, tasks[0::n])
-        for k, share in enumerate(shares, start=1):
-            out[k::n] = share.result()
-    return out
-
-
 def _tune_fold(ds: Dataset, cfg: ExperimentConfig, folds: FoldAssignment, f: int) -> list[float]:
     """Fold f's test loss at each depth 1..depth_grid_max, from one majority tree grown at the largest."""
     train_ds = ds.subset(folds.train_rows(f))
@@ -186,7 +160,7 @@ def tune_depth(ds: Dataset, cfg: ExperimentConfig, ds_index: int = 0) -> int:
     """
     folds = _folds_for(ds, cfg, ds_index)
     totals = [0.0] * cfg.depth_grid_max
-    for losses in _fold_map(_tune_fold, [(ds, cfg, folds, f) for f in range(cfg.folds)]):
+    for losses in fork_map(lambda f: _tune_fold(ds, cfg, folds, f), cfg.folds):
         for depth, loss in enumerate(losses, start=1):
             totals[depth - 1] += loss
     best_depth, best_loss = None, None
@@ -254,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
         # (strategy, q) -> per fold (loss, misclass, wall_ms, train_ms)
         runs: dict[tuple[Strategy, float], list[tuple[float, float | None, float, float]]] = {}
-        for fold_runs in _fold_map(_sweep_fold, [(ds, cfg, folds, f, ds_index, depth) for f in range(cfg.folds)]):
+        for fold_runs in fork_map(lambda f: _sweep_fold(ds, cfg, folds, f, ds_index, depth), cfg.folds):
             for key, run in fold_runs:
                 runs.setdefault(key, []).append(run)
 

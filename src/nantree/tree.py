@@ -20,6 +20,12 @@ dropped. This is an exact reuse, not an approximation. Likewise each tree
 builds a feature's exhaustive categorical cuts once per category set, and
 cross-entropy's ``x·log x`` table once, not once per node
 (:func:`split.scan_features`).
+
+Subtrees share nothing but what their parents hand down, so :func:`train`
+grows those under depth 1 of a tree on at least :data:`PARALLEL_ROWS` rows
+on every usable CPU (:func:`parallel.fork_map`), and the tree is byte for
+byte the one a single process grows. A ``train`` inside a running map, such
+as one in a cross-validation fold, grows its tree in its own process.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
+from . import parallel
 from .data import CATEGORICAL, CLASS, Dataset, NUMERIC, REAL, ValidationError, first_repeat, row_index
 from .loss import LOG_CLAMP, LossKind, eval_loss, fit_leaf, loss_for
 from .split import (
@@ -47,6 +54,10 @@ from .split import (
 )
 
 TREE_FORMAT = "nantree/1"
+
+#: the fewest rows at which :func:`train` grows a tree's subtrees on every
+#: usable CPU; below it, forking workers costs more than it saves
+PARALLEL_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -97,6 +108,12 @@ class Branch:
     # the node's place; not part of nantree/1, so None in trees read back
     fit: Leaf | None = field(default=None, compare=False, repr=False)
 
+    def __reduce__(self):
+        # pickled flat: a nested pickle recurses once per level, and a middle
+        # chain is as long as the feature count; fork-grown subtrees come back
+        # to train pickled
+        return _unflatten, (_flatten(self),)
+
 
 @dataclass(frozen=True)
 class Tree:
@@ -133,6 +150,35 @@ def _build(root, visit):
     return built[0]
 
 
+def _flatten(root: Branch) -> list:
+    """The nodes under ``root`` in the order :func:`_build` visits them, a
+    split node as ``(spec, n_samples, fit, child count)``."""
+    out: list = []
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node)
+            continue
+        children = [node.left, node.right] + ([] if node.middle is None else [node.middle])
+        out.append((node.spec, node.n_samples, node.fit, len(children)))
+        stack += reversed(children)
+    return out
+
+
+def _unflatten(nodes: list) -> Branch:
+    it = iter(nodes)
+
+    def visit(_):
+        node = next(it)
+        if isinstance(node, Leaf):
+            return node, ()
+        spec, n, fit, k = node
+        return lambda left, right, middle=None: Branch(spec, left, right, middle, n, fit), (None,) * k
+
+    return _build(None, visit)
+
+
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
     """Grow a tree on ``rows`` of ``ds`` (all rows by default). Each node is
     fitted as a leaf and sized by its total row weight, a float; weights
@@ -141,6 +187,9 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
     stays a leaf when the depth budget is exhausted, its training loss is
     zero, it is too small to split, or no feasible candidate exists on the
     available features; a split node keeps the leaf as its ``fit``.
+
+    On at least :data:`PARALLEL_ROWS` rows and a depth budget above 1, the
+    subtrees under depth 1 grow on every usable CPU; the tree is the same.
     """
     kind = loss_for(ds)
     rows = row_index(rows, ds.n_rows)
@@ -181,8 +230,13 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
             items.append((node_rows, None, depth, available - {partition.feature}, scans, leaf))
         return lambda left, right, middle=None: Branch(spec, left, right, middle, leaf.n_samples, leaf), items
 
+    root = (rows, None, 0, frozenset(range(ds.n_features)), None, None)
+    if cfg.max_depth > 1 and len(rows) >= PARALLEL_ROWS and parallel.processes() > 1:
+        root = _grow_in_parallel(root, grow)
+    else:
+        root = _build(root, grow)
     return Tree(
-        root=_build((rows, None, 0, frozenset(range(ds.n_features)), None, None), grow),
+        root=root,
         strategy=cfg.strategy,
         loss=kind,
         feature_names=tuple(c.name for c in ds.columns),
@@ -191,6 +245,35 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
         response_kind=ds.response.kind,
         response_labels=ds.response.labels,
     )
+
+
+def _grow_in_parallel(root, grow):
+    """What ``_build(root, grow)`` makes, with the subtrees under depth 1
+    grown by :func:`parallel.fork_map`, largest first by rows × available
+    features. The caller grows the depth-0 items (the root and its middle
+    chain) with a placeholder, the subtree's index, at each depth-1 item,
+    then puts the grown subtrees in place."""
+    subtrees: list = []  # the depth-1 items
+
+    def top(item):
+        if item[2] == 1:
+            subtrees.append(item)
+            return len(subtrees) - 1, ()
+        return grow(item)
+
+    skeleton = _build(root, top)
+    order = sorted(range(len(subtrees)), key=lambda k: -len(subtrees[k][0]) * len(subtrees[k][3]))
+    grown = dict(zip(order, parallel.fork_map(lambda i: _build(subtrees[order[i]], grow), len(order))))
+
+    def place(node):
+        if type(node) is int:
+            return grown[node], ()
+        if isinstance(node, Leaf):
+            return node, ()
+        children = [node.left, node.right] + ([] if node.middle is None else [node.middle])
+        return lambda left, right, middle=None: replace(node, left=left, right=right, middle=middle), children
+
+    return _build(skeleton, place)
 
 
 def truncate(tree: Tree, depth: int) -> Tree:
@@ -407,9 +490,18 @@ def _fmt_n(n) -> str:
     return str(int(f)) if f.is_integer() else format(f, ".6g")
 
 
+def _split_feature(tree: Tree, p: Partition) -> str:
+    """The name of the feature ``p`` splits; in a hand-built tree it may
+    name none of the tree's features, a ValidationError."""
+    if not 0 <= p.feature < len(tree.feature_names):
+        raise ValidationError(f"a split on feature {p.feature} names none of the tree's "
+                              f"{len(tree.feature_names)} features")
+    return tree.feature_names[p.feature]
+
+
 def _condition(tree: Tree, spec: SplitSpec) -> str:
     p = spec.partition
-    name = tree.feature_names[p.feature]
+    name = _split_feature(tree, p)
     if p.is_numeric:
         return f"{name} <= {repr(float(p.threshold))}"
     cats = tree.categories.get(p.feature, ())
@@ -425,7 +517,8 @@ def _route_note(spec: SplitSpec) -> str:
 
 def render(tree: Tree) -> str:
     """One line per node: depth tag, split condition or leaf value, sample
-    count; middle branches are labeled 'missing'."""
+    count; middle branches are labeled 'missing'. A split on a feature
+    past the tree's features is a ValidationError."""
     lines: list[str] = []
     # pending (node, depth, indent, label), popped in pre-order; a nested
     # self-calling walker would hit the recursion limit on long middle
@@ -494,10 +587,13 @@ def _write_nodes(tree: Tree, out: list[str]) -> None:
             continue
         spec = node.spec
         p = spec.partition
+        name = _split_feature(tree, p)
         kind = "binary" if node.middle is None else "trinary"
         out.append(f'{{{key}"kind": "{kind}",{key}"feature": {names[p.feature]},'
                    f'{key}"missing": {routes[spec.route]},{key}"n": {n},')
         if p.is_numeric:
+            if p.feature in cats:  # deserialize would refuse the text
+                raise ValidationError(f"the numeric split on feature {name!r} does not fit a categorical feature")
             out.append(f'{key}"threshold": {_json_float(p.threshold)},')
         else:
             sep = "," + inner
@@ -505,7 +601,7 @@ def _write_nodes(tree: Tree, out: list[str]) -> None:
                 left = sep.join(cats[p.feature][c] for c in sorted(p.left_categories))
                 right = sep.join(cats[p.feature][c] for c in sorted(p.right_categories))
             except (KeyError, IndexError):  # a numeric feature, or a code past the list
-                raise ValidationError(f"the categorical split on feature {tree.feature_names[p.feature]!r} "
+                raise ValidationError(f"the categorical split on feature {name!r} "
                                       "does not fit the feature's category list") from None
             out.append(f'{key}"left_categories": [{inner}{left}{key}],'
                        f'{key}"right_categories": [{inner}{right}{key}],')
@@ -520,8 +616,10 @@ def _write_nodes(tree: Tree, out: list[str]) -> None:
 
 def serialize(tree: Tree) -> str:
     """Lossless JSON text for a trained tree, laid out as
-    ``json.dumps(doc, indent=2)`` would write it; a categorical split that
-    does not fit its feature's category list is a ValidationError."""
+    ``json.dumps(doc, indent=2)`` would write it. A split that does not fit
+    its feature (one past the tree's features, a numeric split on a
+    categorical feature, or a categorical split on a numeric feature or
+    past its category list) is a ValidationError."""
     features = []
     for j, (name, kind) in enumerate(zip(tree.feature_names, tree.feature_kinds)):
         entry: dict = {"name": name, "kind": kind}

@@ -36,7 +36,7 @@ from nantree import (
     train,
     tune_depth,
 )
-from nantree import bench
+from nantree import bench, parallel
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL, ParseError
 from nantree.datasets import step_data, tree_structured_data
 
@@ -363,7 +363,7 @@ def test_tune_depth_truncation_equals_growing_each_depth(classes, monkeypatch):
 
     monkeypatch.setattr(bench, "train", spy_train)
     monkeypatch.setattr(bench, "evaluate", spy_evaluate)
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)  # the spies see this process only
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the spies see this process only
     best = tune_depth(ds, cfg)
 
     # one tree per fold, at the deepest depth, scored once per depth
@@ -452,7 +452,7 @@ def test_folds_on_two_processes_give_the_one_process_records(scenario, monkeypat
     )
     runs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         records = run_experiment(cfg)
         emit_csv([replace(r, wall_ms=0.0) for r in records], str(tmp_path / "records.csv"))
         runs.append(((tmp_path / "records.csv").read_bytes(), [r.misclass for r in records]))
@@ -462,7 +462,7 @@ def test_folds_on_two_processes_give_the_one_process_records(scenario, monkeypat
 
 @needs_fork
 def test_a_fold_error_in_a_worker_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     caller, real_train = os.getpid(), bench.train
 
     def train_in_caller_only(train_ds, tcfg):
@@ -488,7 +488,7 @@ def _count_train_calls(monkeypatch):
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(bench, "train", counting)
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     return calls
 
 

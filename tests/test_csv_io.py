@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nantree import bench, censor, datasets
+from nantree import bench, censor, datasets, parallel
 from nantree.bench import ExperimentRecord, emit_csv
 from nantree.cli import main
 from nantree.data import (
@@ -218,7 +218,7 @@ def test_run_refuses_a_data_file_name_that_is_not_utf8(tmp_path, capsys, monkeyp
     trained = []
     grow = bench.train
     monkeypatch.setattr(bench, "train", lambda *args: trained.append(args) or grow(*args))
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)  # the spy sees this process only
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the spy sees this process only
     data = os.path.join(os.fsencode(tmp_path), b"caf\xe9.csv")
     with open(data, "wb") as fh:
         fh.write(b"x,y\n" + b"".join(b"%d,%d\n" % (i, i % 2) for i in range(8)))

@@ -38,20 +38,33 @@ def test_only_tree_imports_the_missing_routes():
     assert importers == ["__init__.py", "tree.py"]
 
 
-def _imports_csv(tree: ast.Module) -> bool:
+def _imports(tree: ast.Module, packages: set[str]) -> bool:
+    """Whether ``tree`` imports from one of the top-level ``packages``, in any scope."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "csv" for alias in node.names):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] in packages for alias in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "csv":
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] in packages:
             return True
     return False
 
 
+def _importers(packages: set[str]) -> list[str]:
+    return [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if _imports(ast.parse(path.read_text(encoding="utf-8")), packages)]
+
+
 def test_only_data_imports_csv():
     """CSV syntax, its error rules included, lives in one module."""
-    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
-                 if _imports_csv(ast.parse(path.read_text(encoding="utf-8")))]
-    assert importers == ["data.py"]
+    assert _importers({"csv"}) == ["data.py"]
+
+
+def test_only_parallel_starts_processes():
+    """The package has one process pool: the folds and a large tree's
+    subtrees both run through parallel.fork_map, so the rules for nesting
+    and for which process runs what live in one module."""
+    processes = {"multiprocessing", "concurrent"}
+    assert _imports(ast.parse("def f():\n    from concurrent.futures import ProcessPoolExecutor"), processes)
+    assert _importers(processes) == ["parallel.py"]
 
 
 _PROCESS_CACHES = {"cache", "lru_cache"}

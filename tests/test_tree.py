@@ -838,6 +838,25 @@ def test_serialize_refuses_a_categorical_split_that_does_not_fit_its_feature():
             serialize(bad)
 
 
+def test_serialize_and_render_refuse_a_split_that_does_not_fit_its_feature():
+    """A hand-built tree's numeric split on a categorical feature would be
+    written as text deserialize refuses, and a split on a feature past the
+    tree's features has no name: each is a ValidationError naming the feature."""
+    col = FeatureColumn("c", CATEGORICAL, np.array([0, 0, 1, 1]), ("blue", "red"))
+    tree = train(Dataset((col,), ResponseColumn(REAL, np.array([0.0, 0.0, 10.0, 10.0]))),
+                 TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))
+
+    def with_split(partition):
+        return replace(tree, root=replace(tree.root, spec=replace(tree.root.spec, partition=partition)))
+
+    with pytest.raises(ValidationError, match="^the numeric split on feature 'c' does not fit a categorical feature$"):
+        serialize(with_split(Partition(0, 0.5)))
+    past = with_split(Partition(5, 0.5))
+    for write in (serialize, render):
+        with pytest.raises(ValidationError, match="^a split on feature 5 names none of the tree's 1 features$"):
+            write(past)
+
+
 def test_deserialize_rejects_repeated_names():
     col = FeatureColumn("c", CATEGORICAL, np.array([0, 0, 1, 1]), ("blue", "red"))
     ds = Dataset((col,), ResponseColumn(CLASS, np.array([0, 0, 1, 1]), ("no", "yes")))
