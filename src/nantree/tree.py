@@ -1,6 +1,6 @@
 """Tree growth, prediction, text rendering, and a lossless JSON format.
 
-This module alone builds tree nodes, bottom-up on one stack (:func:`_build`):
+This module alone builds tree nodes, bottom-up (:func:`_build`):
 :func:`train` grows them depth-first under the loss the response calls for;
 split nodes keep the leaf fitted at them, so :func:`truncate` only cuts, and
 :func:`project` recasts a tree grown on complete data for another strategy.
@@ -21,11 +21,12 @@ builds a feature's exhaustive categorical cuts once per category set, and
 cross-entropy's ``x·log x`` table once, not once per node
 (:func:`split.scan_features`).
 
-Subtrees share nothing but what their parents hand down, so :func:`train`
-grows those under depth 1 of a tree on at least :data:`PARALLEL_ROWS` rows
-on every usable CPU (:func:`parallel.fork_map`), and the tree is byte for
-byte the one a single process grows. A ``train`` inside a running map, such
-as one in a cross-validation fold, grows its tree in its own process.
+Subtrees share nothing but what their parents hand down, so on at least
+:data:`PARALLEL_ROWS` rows :func:`train` grows depth 0, the root's middle
+chain, in the calling process and the subtrees under it on every usable CPU
+(:func:`parallel.fork_map`); the tree is byte for byte the one a single
+process grows. A ``train`` inside a running map, such as one in a
+cross-validation fold, grows its tree in its own process.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ class Branch:
         # pickled flat: a nested pickle recurses once per level, and a middle
         # chain is as long as the feature count; fork-grown subtrees come back
         # to train pickled
-        return _unflatten, (_flatten(self),)
+        return _unflatten, _flatten(self)
 
 
 @dataclass(frozen=True)
@@ -127,20 +128,23 @@ class Tree:
     response_labels: tuple[str, ...] = ()
 
 
-_MAKE = object()  # on _build's stack, marks the (make, k) entry beneath it as due
+_MAKE = object()  # on _build's stack, marks the split node beneath it as due
+_PLACES = {2: (None, None), 3: (None, None, None)}  # placeholder children, shared so a pickle writes each once
 
 
 def _build(root, visit):
     """The node the item ``root`` makes, built bottom-up. ``visit(item)`` gives
-    ``(node, ())`` for a finished node, or ``(make, children)``: the children's
-    items (left, right, middle) are built in turn, then ``make(*built)``."""
-    built: list = []  # finished subtrees; a make takes the last k
-    stack: list = [root]  # items to visit, each (make, k) under a _MAKE above its children's items
+    ``(node, ())`` for a finished node, or ``((spec, n_samples, fit), children)``
+    for a split node: the children's items (left, right and, under the middle
+    route, middle) are built in turn, then the ``Branch`` over them."""
+    built: list = []  # finished subtrees; a split node takes the last k
+    stack: list = [root]  # items to visit, each (head, k) under a _MAKE above its children's items
     while stack:
         item = stack.pop()
         if item is _MAKE:
-            make, k = stack.pop()
-            built[-k:] = [make(*built[-k:])]
+            (spec, n, fit), k = stack.pop()
+            left, right, middle = (built[-k:] + [None])[:3]
+            built[-k:] = [Branch(spec, left, right, middle, n, fit)]
             continue
         node, children = visit(item)
         if children:
@@ -150,33 +154,27 @@ def _build(root, visit):
     return built[0]
 
 
-def _flatten(root: Branch) -> list:
-    """The nodes under ``root`` in the order :func:`_build` visits them, a
-    split node as ``(spec, n_samples, fit, child count)``."""
-    out: list = []
-    stack: list = [root]
+def _flatten(root: Branch) -> tuple[list, list]:
+    """The :func:`_build` visit answers for the nodes under ``root``, in the
+    order it asks for them, as two lists, which pickle with no tuple per
+    leaf: the nodes, and their children, placeholders for a split node."""
+    nodes, places, stack = [], [], [root]
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
-            out.append(node)
-            continue
-        children = [node.left, node.right] + ([] if node.middle is None else [node.middle])
-        out.append((node.spec, node.n_samples, node.fit, len(children)))
-        stack += reversed(children)
-    return out
+            nodes.append(node)
+            places.append(())
+        else:
+            children = [node.left, node.right] + ([] if node.middle is None else [node.middle])
+            nodes.append((node.spec, node.n_samples, node.fit))
+            places.append(_PLACES[len(children)])
+            stack += reversed(children)
+    return nodes, places
 
 
-def _unflatten(nodes: list) -> Branch:
-    it = iter(nodes)
-
-    def visit(_):
-        node = next(it)
-        if isinstance(node, Leaf):
-            return node, ()
-        spec, n, fit, k = node
-        return lambda left, right, middle=None: Branch(spec, left, right, middle, n, fit), (None,) * k
-
-    return _build(None, visit)
+def _unflatten(nodes: list, places: list) -> Branch:
+    answers = zip(nodes, places)
+    return _build(None, lambda _: next(answers))
 
 
 def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree:
@@ -189,7 +187,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
     available features; a split node keeps the leaf as its ``fit``.
 
     On at least :data:`PARALLEL_ROWS` rows and a depth budget above 1, the
-    subtrees under depth 1 grow on every usable CPU; the tree is the same.
+    subtrees under the depth-0 chain grow on every usable CPU; the tree is the same.
     """
     kind = loss_for(ds)
     rows = row_index(rows, ds.n_rows)
@@ -228,7 +226,7 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
             # the middle child has these rows, unweighted: it inherits this
             # leaf and these scans, less the split feature
             items.append((node_rows, None, depth, available - {partition.feature}, scans, leaf))
-        return lambda left, right, middle=None: Branch(spec, left, right, middle, leaf.n_samples, leaf), items
+        return (spec, leaf.n_samples, leaf), items
 
     root = (rows, None, 0, frozenset(range(ds.n_features)), None, None)
     if cfg.max_depth > 1 and len(rows) >= PARALLEL_ROWS and parallel.processes() > 1:
@@ -248,32 +246,22 @@ def train(ds: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None) -> Tree
 
 
 def _grow_in_parallel(root, grow):
-    """What ``_build(root, grow)`` makes, with the subtrees under depth 1
-    grown by :func:`parallel.fork_map`, largest first by rows × available
-    features. The caller grows the depth-0 items (the root and its middle
-    chain) with a placeholder, the subtree's index, at each depth-1 item,
-    then puts the grown subtrees in place."""
-    subtrees: list = []  # the depth-1 items
-
-    def top(item):
-        if item[2] == 1:
-            subtrees.append(item)
-            return len(subtrees) - 1, ()
-        return grow(item)
-
-    skeleton = _build(root, top)
+    """What ``_build(root, grow)`` makes. Depth 0 is a chain, the root and
+    its middle children, which the caller grows in turn; the left and right
+    subtrees of each chain node grow by :func:`parallel.fork_map`, largest
+    first by rows × available features. The chain closes bottom-up over its
+    tail: its last node's middle leaf, or None after a binary split."""
+    heads, subtrees = [], []  # each chain node's (spec, n_samples, fit), and its left and right items
+    node, children = grow(root)
+    while children:
+        heads.append(node)
+        subtrees += children[:2]
+        node, children = grow(children[2]) if len(children) == 3 else (None, ())
     order = sorted(range(len(subtrees)), key=lambda k: -len(subtrees[k][0]) * len(subtrees[k][3]))
     grown = dict(zip(order, parallel.fork_map(lambda i: _build(subtrees[order[i]], grow), len(order))))
-
-    def place(node):
-        if type(node) is int:
-            return grown[node], ()
-        if isinstance(node, Leaf):
-            return node, ()
-        children = [node.left, node.right] + ([] if node.middle is None else [node.middle])
-        return lambda left, right, middle=None: replace(node, left=left, right=right, middle=middle), children
-
-    return _build(skeleton, place)
+    for k, (spec, n, fit) in reversed(list(enumerate(heads))):
+        node = Branch(spec, grown[2 * k], grown[2 * k + 1], node, n, fit)
+    return node
 
 
 def truncate(tree: Tree, depth: int) -> Tree:
@@ -296,7 +284,7 @@ def truncate(tree: Tree, depth: int) -> Tree:
                 raise ValidationError(f"cannot cut at depth {depth}: the tree keeps no fit at its split nodes")
             return node.fit, ()
         children = [(node.left, d + 1), (node.right, d + 1)] + ([] if node.middle is None else [(node.middle, d)])
-        return lambda left, right, middle=None: replace(node, left=left, right=right, middle=middle), children
+        return (node.spec, node.n_samples, node.fit), children
 
     return replace(tree, root=_build((tree.root, 0), cut))
 
@@ -326,7 +314,7 @@ def project(tree: Tree, strategy: Strategy) -> Tree:
             spec = SplitSpec(node.spec.partition, MissingRoute.FRACTIONAL, w_left, 1.0 - w_left)
         else:
             spec = SplitSpec(node.spec.partition, majority_route(n_l, n_r))
-        return lambda left, right: Branch(spec, left, right, None, node.n_samples, node.fit), (node.left, node.right)
+        return (spec, node.n_samples, node.fit), (node.left, node.right)
 
     return replace(tree, root=_build(tree.root, recast), strategy=strategy)
 
@@ -712,7 +700,7 @@ def _category_set(doc: dict, key: str, code_of: dict, fname: str) -> frozenset[i
 
 def _node_from_json(kind: LossKind, name_to_feature: dict, code_of: dict, item):
     """The :func:`_build` visit of ``(object, key, context)``: the key is
-    read after the subtrees before it, a split node's n after its own.
+    read after the subtrees before it, a split node's n before its children.
     ``code_of`` maps each categorical feature to its name-to-code dict."""
     holder, key, context = item
     doc = _require(holder, key, context)
@@ -767,8 +755,7 @@ def _node_from_json(kind: LossKind, name_to_feature: dict, code_of: dict, item):
         raise TreeFormatError("trinary nodes need a middle child; binary nodes must not have one")
     spec = SplitSpec(partition, route, w_left=w_left, w_right=w_right)
     children = [(doc, "left", "split node"), (doc, "right", "split node"), (doc, "middle", "split node")]
-    return (lambda left, right, middle=None: Branch(spec, left, right, middle, _size(doc.get("n", 0), "split node n")),
-            children if node_kind == "trinary" else children[:2])
+    return (spec, _size(doc.get("n", 0), "split node n"), None), children if node_kind == "trinary" else children[:2]
 
 
 def deserialize(text: str) -> Tree:

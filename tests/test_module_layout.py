@@ -67,6 +67,23 @@ def test_only_parallel_starts_processes():
     assert _importers(processes) == ["parallel.py"]
 
 
+def _builds_nodes(tree: ast.Module) -> bool:
+    """Whether ``tree`` calls ``Branch`` or ``Leaf``, by name or as an attribute."""
+    return any(isinstance(node, ast.Call) and (getattr(node.func, "id", None) in ("Branch", "Leaf")
+                                               or getattr(node.func, "attr", None) in ("Branch", "Leaf"))
+               for node in ast.walk(tree))
+
+
+def test_only_tree_builds_nodes():
+    """Tree nodes are built in one module, so what a node holds, such as the
+    leaf a middle child shares with its parent, is decided in one place."""
+    assert _builds_nodes(ast.parse("from nantree import tree\nnode = tree.Leaf(1.0, 2.0, 0.0)"))
+    assert not _builds_nodes(ast.parse("isinstance(node, Branch)"))
+    builders = [path.name for path in sorted(PACKAGE.rglob("*.py"))
+                if _builds_nodes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert builders == ["tree.py"]
+
+
 _PROCESS_CACHES = {"cache", "lru_cache"}
 
 

@@ -97,6 +97,75 @@ def test_two_cpus_grow_the_one_cpu_tree(strategy, n_classes, monkeypatch, tmp_pa
         assert (parent.middle.fit if isinstance(parent.middle, Branch) else parent.middle) is parent.fit
 
 
+def _count_pools(monkeypatch) -> list:
+    """The pid of the process that starts each process pool from here on."""
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(os.getpid())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
+def _constant_table():
+    """The large table with one response value: the root stays a leaf."""
+    ds = _large_table(0)
+    return Dataset(ds.columns, ResponseColumn(REAL, np.ones(ds.n_rows)))
+
+
+def _missing_high_table():
+    """Feature a, never missing, carries most of the signal; b is missing
+    where it is high, which mia routing reads and a middle child does not."""
+    n = tree_module.PARALLEL_ROWS
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, n))
+    y = 3 * a + b + rng.normal(scale=0.3, size=n)
+    cols = (FeatureColumn("a", NUMERIC, a), FeatureColumn("b", NUMERIC, np.where(b > 1, np.nan, b)))
+    return Dataset(cols, ResponseColumn(REAL, y))
+
+
+def _chain(root):
+    """The missing routes of the depth-0 chain (the root and its middle
+    children) and the node after it: a leaf, or None after a binary split."""
+    routes, node = [], root
+    while isinstance(node, Branch):
+        routes.append(node.spec.route.value)
+        node = node.middle
+    return routes, node
+
+
+# (table, strategy, the one-CPU tree's chain routes, the type of its tail);
+# on one table, trinary ends the chain when no feature is left and
+# trinary_mia where mia routing wins
+CHAIN_ENDS = {
+    "root leaf": (_constant_table, Strategy.TRINARY, [], Leaf),
+    "middle leaf": (_missing_high_table, Strategy.TRINARY, ["middle", "middle"], Leaf),
+    "binary split": (_missing_high_table, Strategy.TRINARY_MIA, ["middle", "right"], type(None)),
+}
+
+
+@pytest.mark.parametrize("case", CHAIN_ENDS)
+def test_two_cpus_grow_each_end_of_the_chain(case, monkeypatch):
+    make_table, strategy, routes, tail = CHAIN_ENDS[case]
+    ds = make_table()
+    cfg = TrainConfig(strategy, max_depth=DEPTH, min_samples=5)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    one = train(ds, cfg)
+    chain, end = _chain(one.root)
+    assert chain == routes and type(end) is tail
+
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    two = train(ds, cfg)
+    assert serialize(two) == serialize(one)
+    # a root that stays a leaf leaves no subtree to hand out
+    assert pools == ([os.getpid()] if routes else [])
+    assert multiprocessing.active_children() == []
+
+
 def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     caller, real_scan = os.getpid(), tree_module.scan_features
@@ -119,14 +188,7 @@ def test_a_train_inside_a_map_makes_no_second_pool(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     expected = serialize(train(ds, cfg))
 
-    pools = []  # a worker forks with the outer pool counted
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(os.getpid())
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    pools = _count_pools(monkeypatch)  # a worker forks with the outer pool counted
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
     def task(_):

@@ -791,6 +791,14 @@ def test_pure_fc_classification_leaf_round_trips():
     assert serialize(deserialize(text)) == text
 
 
+def test_deserialize_reads_a_split_node_n_before_its_children():
+    doc = json.loads(serialize(train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))))
+    doc["root"]["n"] = -4
+    doc["root"]["left"]["value"] = "abc"
+    with pytest.raises(TreeFormatError, match="split node n"):
+        deserialize(json.dumps(doc))
+
+
 def test_deserialize_rejects_route_kind_mismatch():
     tree = train(TRI_DS, TrainConfig(Strategy.TRINARY, max_depth=1, min_samples=1))
     doc = json.loads(serialize(tree))
