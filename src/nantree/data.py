@@ -4,6 +4,11 @@ Feature columns are typed (numeric or categorical) and stored as numpy
 arrays. Missing cells are NaN in numeric columns and the code -1 in
 categorical columns. Responses are never missing. Datasets are treated
 as immutable: the backing arrays are marked read-only at construction.
+
+A CSV file of at least :data:`PARALLEL_CHARS` characters with no quotes
+is read on every usable CPU, one row range per process through
+:func:`parallel.fork_map`, with the values and errors of a one-process
+read.
 """
 from __future__ import annotations
 
@@ -16,6 +21,8 @@ from dataclasses import dataclass, field
 from itertools import chain, filterfalse, islice, repeat
 
 import numpy as np
+
+from . import parallel
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -31,6 +38,13 @@ DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "nan"})
 
 #: Characters that put a written CSV cell in quotes.
 _SPECIAL = re.compile('[,"\r\n]')
+
+#: One line end of an unquoted file, as ``csv.reader`` ends a record.
+_LINE_END = re.compile("\r\n?|\n")
+
+#: the fewest characters at which an unquoted CSV file is read on every
+#: usable CPU; below it, forking costs more than it saves
+PARALLEL_CHARS = 1_000_000
 
 
 class NantreeError(ValueError):
@@ -284,6 +298,15 @@ def _parse_numeric(token: str, row: int, name: str) -> float:
     return value
 
 
+def _read_text(path: str) -> str:
+    """The file's text, its line ends as written; text that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+
+
 def _read_table(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
     r"""Header, cell columns and file row numbers of an RFC-4180 CSV file.
 
@@ -294,28 +317,36 @@ def _read_table(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int
     The file is read as one string, and whether it holds a ``"`` selects
     the path. A file with a ``"`` is read again by ``csv.reader``, the only path
     that reads quoted cells, which may hold commas and line ends. A file
-    with no ``"`` has one record per line and one cell per comma: its
-    ``\r\n`` and bare ``\r`` become ``\n`` (``csv.reader`` ends a record
-    at any of them), its lines are split, and its columns are taken as
-    strided slices of one list of cells, with no list per row. Both
-    paths return the same cells and raise the same errors. A cell longer
-    than ``csv.field_size_limit()`` characters is a ParseError on either
-    path, raised before any other check.
+    with no ``"`` has one record per line and one cell per comma
+    (:func:`_unquoted_table`). Both paths return the same cells and raise
+    the same errors. A cell longer than ``csv.field_size_limit()``
+    characters is a ParseError on either path, raised before any other check.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    text = _read_text(path)
     if '"' in text:
         return _read_records(path)
-    if "\r" in text:  # one statement each, so at most two copies of the text are alive
+    lines = _lines(text)
+    del text
+    return _unquoted_table(lines, path)
+
+
+def _lines(text: str) -> list[str]:
+    r"""The lines of a text with no ``"``: its ``\r\n`` and bare ``\r`` become
+    ``\n``, as ``csv.reader`` ends a record at any of them."""
+    if "\r" in text:  # one statement each: a text no caller holds is freed before the second copy
         text = text.replace("\r\n", "\n")
         text = text.replace("\r", "\n")
     lines = text.split("\n")
-    del text
     if lines[-1] == "":
         lines.pop()  # the text ends with a line end, or is empty
+    return lines
+
+
+def _unquoted_table(lines: list[str], path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
+    """:func:`_read_table` of the :func:`_lines` of a text with no ``"``:
+    its columns are strided slices of one list of cells, with no list per
+    row. ``lines`` is emptied once its cells are joined, so the caller's
+    reference keeps no line alive."""
     limit = csv.field_size_limit()
     if lines and max(map(len, lines)) > limit:  # a long line may still hold only short cells
         for number, line in enumerate(lines, 1):
@@ -327,14 +358,14 @@ def _read_table(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int
     row_numbers: Sequence[int] = range(2, len(lines) + 2)
     if width > 1 and "" in lines:
         row_numbers = [number for number, line in zip(row_numbers, lines) if line]
-        lines = list(filter(None, lines))
+        lines[:] = filter(None, lines)
     if not lines:
         raise ValidationError(f"{path}: no data rows")
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
         i = next(i for i, line in enumerate(lines) if line.count(",") != width - 1)
         raise ParseError(f"{path}: row {row_numbers[i]} has {lines[i].count(',') + 1} cells, expected {width}")
     joined = ",".join(lines)
-    del lines
+    lines.clear()
     cells = joined.split(",")
     del joined
     return header, [cells[j::width] for j in range(width)], row_numbers
@@ -448,6 +479,68 @@ def _column(name: str, kind: str, cells: Sequence[str], row_numbers: Sequence[in
     return FeatureColumn(name, CATEGORICAL, codes, tuple(categories))
 
 
+def _range_cuts(text: str, p: int) -> list[int]:
+    """Where the header line of an unquoted ``text`` ends, then the end of
+    each of at most ``p`` row ranges of about equal length after it, each
+    cut just after a line end; of two or more ranges, none is empty."""
+    first = _LINE_END.search(text)
+    cuts = [first.end() if first else len(text)]
+    step = (len(text) - cuts[0]) // p
+    for k in range(1, p):
+        end = _LINE_END.search(text, max(cuts[-1], cuts[0] + k * step))
+        if end is None or end.end() == len(text):
+            break
+        cuts.append(end.end())
+    cuts.append(len(text))
+    return cuts
+
+
+def _joined(parts: Sequence[FeatureColumn]) -> FeatureColumn:
+    """One column from the same column of consecutive row ranges. Where
+    the ranges' category lists differ, each range having listed the sorted
+    names in its own cells, the list is their sorted union and the codes
+    are mapped onto it."""
+    categories = parts[0].categories
+    values = [part.values for part in parts]
+    if any(part.categories != categories for part in parts):
+        categories = tuple(sorted(set().union(*(part.categories for part in parts))))
+        code_of = {name: code for code, name in enumerate(categories)}
+        # code -1 indexes the trailing -1, the missing cell
+        values = [np.array([code_of[name] for name in part.categories] + [-1])[part.values] for part in parts]
+    return FeatureColumn(parts[0].name, parts[0].kind, np.concatenate(values), categories)
+
+
+def _read_columns(path: str, convert) -> list[FeatureColumn]:
+    """``convert(header, cells, row_numbers)``, a list of typed columns, of
+    the table in the CSV file at ``path``.
+
+    An unquoted file of at least :data:`PARALLEL_CHARS` characters is read
+    on every usable CPU: its text, read once, is cut after line ends into
+    one row range per process, and each :func:`parallel.fork_map` task
+    reads the header and its range as a table of its own and converts it;
+    the ranges' columns are joined in order. Row numbers in a range count
+    from the range's start, so an error raised in any range is raised
+    again by reading the whole text as one range, with the message, the
+    row number and the order of checks of a one-process read.
+    """
+    text = _read_text(path)
+    if '"' in text:
+        return convert(*_read_records(path))
+    cuts = _range_cuts(text, parallel.processes()) if len(text) >= PARALLEL_CHARS else []
+    if len(cuts) > 2:
+        header = text[:cuts[0]]
+        try:
+            parts = parallel.fork_map(
+                lambda i: convert(*_unquoted_table(_lines(header + text[cuts[i]:cuts[i + 1]]), path)), len(cuts) - 1)
+        except NantreeError:
+            pass  # raised again below
+        else:
+            return list(map(_joined, zip(*parts)))
+    lines = _lines(text)
+    del text
+    return convert(*_unquoted_table(lines, path))
+
+
 def load_csv(path: str, schema: Schema) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a typed Dataset.
 
@@ -455,30 +548,33 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     response cell is an error: responses must always be observed. In a
     one-column file a blank line is one empty cell; in wider files blank
     lines are skipped. Error messages count rows as file records, the
-    header being row 1.
+    header being row 1. A large unquoted file is read on every usable CPU
+    (:data:`PARALLEL_CHARS`), with the values and errors of a one-process read.
     """
-    header, cells, row_numbers = _read_table(path)
-    if schema.target not in header:
-        raise SchemaError(f"{path}: target column {schema.target!r} not in header")
-    for name in schema.kinds:
-        if name not in header:
-            raise SchemaError(f"{path}: schema lists unknown column {name!r}")
-    if schema.kinds.get(schema.target) is not None:
-        raise SchemaError(f"{path}: target {schema.target!r} must not appear in feature kinds")
+    def convert(header, cells, row_numbers):
+        if schema.target not in header:
+            raise SchemaError(f"{path}: target column {schema.target!r} not in header")
+        for name in schema.kinds:
+            if name not in header:
+                raise SchemaError(f"{path}: schema lists unknown column {name!r}")
+        if schema.kinds.get(schema.target) is not None:
+            raise SchemaError(f"{path}: target {schema.target!r} must not appear in feature kinds")
+        columns = [_column(name, schema.kinds.get(name, NUMERIC), column, row_numbers)
+                   for name, column in zip(header, cells) if name != schema.target]
+        raw_target = cells[header.index(schema.target)]
+        if any(map(DEFAULT_MISSING_TOKENS.__contains__, raw_target)):
+            i = next(i for i, token in enumerate(raw_target) if token in DEFAULT_MISSING_TOKENS)
+            raise ValidationError(f"{path}: row {row_numbers[i]}: missing response value")
+        # the cells hold no missing token, so the column is the target's values or labels
+        kind = NUMERIC if schema.task == REGRESSION else CATEGORICAL
+        return columns + [_column(schema.target, kind, raw_target, row_numbers)]
 
-    columns = tuple(_column(name, schema.kinds.get(name, NUMERIC), column, row_numbers)
-                    for name, column in zip(header, cells) if name != schema.target)
-    raw_target = cells[header.index(schema.target)]
-    if any(map(DEFAULT_MISSING_TOKENS.__contains__, raw_target)):
-        i = next(i for i, token in enumerate(raw_target) if token in DEFAULT_MISSING_TOKENS)
-        raise ValidationError(f"{path}: row {row_numbers[i]}: missing response value")
-    # the cells hold no missing token, so the column is the target's values or labels
+    *columns, target = _read_columns(path, convert)
     if schema.task == REGRESSION:
-        response = ResponseColumn(REAL, _numeric_column(raw_target, schema.target, row_numbers))
+        response = ResponseColumn(REAL, target.values)
     else:
-        target = _column(schema.target, CATEGORICAL, raw_target, row_numbers)
         response = ResponseColumn(CLASS, target.values, target.categories)
-    return Dataset(columns, response)
+    return Dataset(tuple(columns), response)
 
 
 def load_features(path: str, names: Sequence[str], kinds: Sequence[str],
@@ -489,16 +585,21 @@ def load_features(path: str, names: Sequence[str], kinds: Sequence[str],
     category names of a categorical one in code order. Columns are matched
     by name; other columns, the response included, are ignored. Cells in
     ``DEFAULT_MISSING_TOKENS`` and category names not in the list are
-    missing. The returned Dataset's response is a placeholder of zeros.
+    missing. The returned Dataset's response is a placeholder of zeros. A
+    large unquoted file is read on every usable CPU (:data:`PARALLEL_CHARS`),
+    with the values and errors of a one-process read.
     """
-    header, cells, row_numbers = _read_table(path)
-    position = {name: i for i, name in enumerate(header)}
-    columns = []
-    for j, (name, kind) in enumerate(zip(names, kinds)):
-        if name not in position:
-            raise SchemaError(f"{path}: feature column {name!r} not in header")
-        columns.append(_column(name, kind, cells[position[name]], row_numbers, categories.get(j, ())))
-    return Dataset(tuple(columns), ResponseColumn(REAL, np.zeros(len(row_numbers))))
+    def convert(header, cells, row_numbers):
+        position = {name: i for i, name in enumerate(header)}
+        columns = []
+        for j, (name, kind) in enumerate(zip(names, kinds)):
+            if name not in position:
+                raise SchemaError(f"{path}: feature column {name!r} not in header")
+            columns.append(_column(name, kind, cells[position[name]], row_numbers, categories.get(j, ())))
+        return columns + [FeatureColumn("", NUMERIC, np.zeros(len(row_numbers)))]
+
+    *columns, placeholder = _read_columns(path, convert)
+    return Dataset(tuple(columns), ResponseColumn(REAL, placeholder.values))
 
 
 def save_csv(ds: Dataset, path: str) -> None:

@@ -1,8 +1,9 @@
 """Independent tasks on every usable CPU, through forked workers.
 
 :func:`fork_map` is the package's one process pool: the cross-validation
-folds of :mod:`nantree.bench` and the subtrees of a large tree in
-:mod:`nantree.tree` both run through it. Workers are forked, so they
+folds of :mod:`nantree.bench`, the subtrees of a large tree in
+:mod:`nantree.tree` and the row ranges of a large unquoted CSV file in
+:mod:`nantree.data` all run through it. Workers are forked, so they
 inherit the task function and everything it reads: nothing is pickled on
 the way to them, and each task's result comes back on its own. A map runs
 its tasks in one process when another map is already running in this
@@ -12,6 +13,7 @@ tree where the fold runs.
 from __future__ import annotations
 
 import os
+import time
 
 # The running map's task function, task count and counter of the next
 # task to take, or None: process state by nature, as forked workers read
@@ -40,24 +42,24 @@ def _take(counter) -> int:
     return i
 
 
-def _run(i: int | None = None):
-    """In a worker: task ``i``, or the next task no process has taken, as
-    ``(index, result)``; None when no task is left."""
+def _run():
+    """In a worker: the next task no process has taken, as ``(index,
+    result)``; None when no task is left."""
     fn, n, counter = _job
-    if i is None:
-        i = _take(counter)
+    i = _take(counter)
     return (i, fn(i)) if i < n else None
 
 
 def fork_map(fn, n: int) -> list:
     """``[fn(i) for i in range(n)]`` on p = min(:func:`processes`, n)
     processes: task 0 is the caller's and tasks 1 to p - 1 are the first
-    of the p - 1 forked workers, so every process takes part; after its
-    first task each process takes the lowest task no process has taken
-    yet, so with the largest tasks first the processes finish close
-    together. Which process runs a later task is left to timing; the
-    results are not. An error raised by a task reaches the caller with its
-    own type and message, and no worker is left on return."""
+    of the p - 1 forked workers, so every process takes part; the caller
+    begins task 0 once the workers have begun theirs. After its first task
+    each process takes the lowest task no process has taken yet, so with
+    the largest tasks first the processes finish close together. Which
+    process runs a later task is left to timing; the results are not. An
+    error raised by a task reaches the caller with its own type and
+    message, and no worker is left on return."""
     p = min(processes(), n)
     if p <= 1:
         return [fn(i) for i in range(n)]
@@ -65,15 +67,19 @@ def fork_map(fn, n: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
     global _job
     context = multiprocessing.get_context("fork")
-    counter = context.Value("q", p)  # the next task no process has taken
+    counter = context.Value("q", 1)  # the next task no process has taken
     _job = (fn, n, counter)
     try:
-        # workers fork at the first submit, after _job is set; a later
-        # request takes its task when a worker begins it, so no task waits
-        # behind another in a worker's queue while the caller could run it
+        # workers fork at the first submit, after _job is set; a request
+        # takes its task when a worker begins it, so no task waits behind
+        # another in a worker's queue while the caller could run it
         with ProcessPoolExecutor(p - 1, mp_context=context) as pool:
-            requests = [pool.submit(_run, i) for i in range(1, p)] + [pool.submit(_run) for _ in range(p, n)]
+            requests = [pool.submit(_run) for _ in range(1, n)]
             try:
+                # the pool's threads need the GIL to hand each worker its first
+                # request, which a caller running a task would hold for them
+                while counter.value < p and not any(request.done() for request in requests):
+                    time.sleep(0.0005)
                 out = [fn(0)] + [None] * (n - 1)
                 while (i := _take(counter)) < n:
                     out[i] = fn(i)

@@ -59,9 +59,11 @@ def test_only_data_imports_csv():
 
 
 def test_only_parallel_starts_processes():
-    """The package has one process pool: the folds and a large tree's
-    subtrees both run through parallel.fork_map, so the rules for nesting
-    and for which process runs what live in one module."""
+    """The package has one process pool: the folds, a large tree's
+    subtrees and the row ranges of a large unquoted CSV file, read with
+    the values and errors of a one-process read, all run through
+    parallel.fork_map, so the rules for nesting and for which process runs
+    what live in one module."""
     processes = {"multiprocessing", "concurrent"}
     assert _imports(ast.parse("def f():\n    from concurrent.futures import ProcessPoolExecutor"), processes)
     assert _importers(processes) == ["parallel.py"]
