@@ -307,29 +307,6 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
 
 
-def _read_table(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
-    r"""Header, cell columns and file row numbers of an RFC-4180 CSV file.
-
-    Row numbers count file records with the header as row 1; they are
-    what error messages report. In a one-column file a blank line is one
-    empty cell; in wider files blank lines are skipped.
-
-    The file is read as one string, and whether it holds a ``"`` selects
-    the path. A file with a ``"`` is read again by ``csv.reader``, the only path
-    that reads quoted cells, which may hold commas and line ends. A file
-    with no ``"`` has one record per line and one cell per comma
-    (:func:`_unquoted_table`). Both paths return the same cells and raise
-    the same errors. A cell longer than ``csv.field_size_limit()``
-    characters is a ParseError on either path, raised before any other check.
-    """
-    text = _read_text(path)
-    if '"' in text:
-        return _read_records(path)
-    lines = _lines(text)
-    del text
-    return _unquoted_table(lines, path)
-
-
 def _lines(text: str) -> list[str]:
     r"""The lines of a text with no ``"``: its ``\r\n`` and bare ``\r`` become
     ``\n``, as ``csv.reader`` ends a record at any of them."""
@@ -343,10 +320,10 @@ def _lines(text: str) -> list[str]:
 
 
 def _unquoted_table(lines: list[str], path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
-    """:func:`_read_table` of the :func:`_lines` of a text with no ``"``:
-    its columns are strided slices of one list of cells, with no list per
-    row. ``lines`` is emptied once its cells are joined, so the caller's
-    reference keeps no line alive."""
+    """The table of the :func:`_lines` of a text with no ``"``: its columns
+    are strided slices of one list of cells, with no list per row. ``lines``
+    is emptied once its cells are joined, so the caller's reference keeps
+    no line alive."""
     limit = csv.field_size_limit()
     if lines and max(map(len, lines)) > limit:  # a long line may still hold only short cells
         for number, line in enumerate(lines, 1):
@@ -417,7 +394,7 @@ def write_columns(path: str, header: Sequence[str], columns: Sequence[Sequence[s
 
 
 def _read_records(path: str) -> tuple[list[str], list[Sequence[str]], Sequence[int]]:
-    """``_read_table`` through :func:`read_rows`."""
+    """The table of a file with a ``"``, read by :func:`read_rows`."""
     rows = list(read_rows(path))
     header = _checked_header(rows.pop(0) if rows else None, path)
     width = len(header)
@@ -511,20 +488,27 @@ def _joined(parts: Sequence[FeatureColumn]) -> FeatureColumn:
 
 
 def _read_columns(path: str, convert) -> list[FeatureColumn]:
-    """``convert(header, cells, row_numbers)``, a list of typed columns, of
-    the table in the CSV file at ``path``.
+    """``convert(header, cells, row_numbers)`` of the RFC-4180 CSV file at
+    ``path``: cells come column by column, and row numbers count file
+    records with the header as row 1, as error messages report them. In a
+    one-column file a blank line is one empty cell; in wider files blank
+    lines are skipped. A file with a ``"`` is read again by ``csv.reader``,
+    the only path that reads quoted cells; one without has one record per
+    line and one cell per comma (:func:`_unquoted_table`), with the same
+    cells and errors. A cell longer than ``csv.field_size_limit()``
+    characters is a ParseError on either path, raised before any other check.
 
-    An unquoted file of at least :data:`PARALLEL_CHARS` characters is read
-    on every usable CPU: its text, read once, is cut after line ends into
-    one row range per process, and each :func:`parallel.fork_map` task
-    reads the header and its range as a table of its own and converts it;
-    the ranges' columns are joined in order. Row numbers in a range count
-    from the range's start, so an error raised in any range is raised
-    again by reading the whole text as one range, with the message, the
-    row number and the order of checks of a one-process read.
+    An unquoted file of at least :data:`PARALLEL_CHARS` characters is cut
+    after line ends into one row range per usable CPU; each
+    :func:`parallel.fork_map` task reads the header and its range as a
+    table of its own and converts it, and the ranges' columns are joined in
+    order. An error raised in any range, whose row numbers count from the
+    range's start, is raised again by reading the whole text as one range,
+    with the message, row number and order of checks of a one-process read.
     """
     text = _read_text(path)
     if '"' in text:
+        del text  # csv.reader reads the file again
         return convert(*_read_records(path))
     cuts = _range_cuts(text, parallel.processes()) if len(text) >= PARALLEL_CHARS else []
     if len(cuts) > 2:

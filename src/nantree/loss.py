@@ -45,9 +45,9 @@ class LossKind:
 
     def __post_init__(self) -> None:
         if self.name not in (SSE, CROSS_ENTROPY):
-            raise ValueError(f"unknown loss {self.name!r}")
+            raise ValidationError(f"unknown loss {self.name!r}")
         if self.name == CROSS_ENTROPY and self.n_classes < 2:
-            raise ValueError("cross-entropy needs at least two classes")
+            raise ValidationError("cross-entropy needs at least two classes")
 
     @staticmethod
     def sse() -> "LossKind":
@@ -82,7 +82,7 @@ def row_weights(y: np.ndarray, weights: np.ndarray | None) -> np.ndarray | None:
 def _check_labels(y: np.ndarray, kind: LossKind) -> np.ndarray:
     y = np.asarray(y)
     if y.size and (y.min() < 0 or y.max() >= kind.n_classes):
-        raise ValueError(f"class label outside 0..{kind.n_classes - 1}")
+        raise ValidationError(f"class label outside 0..{kind.n_classes - 1}")
     return y.astype(np.int64, copy=False)
 
 
@@ -91,7 +91,7 @@ def fit_leaf(y: np.ndarray, kind: LossKind, weights: np.ndarray | None = None):
     class frequencies for cross-entropy. Errors on an empty sample."""
     y = np.asarray(y)
     if y.size == 0:
-        raise ValueError("cannot fit a leaf on an empty sample")
+        raise ValidationError("cannot fit a leaf on an empty sample")
     if weights is None:
         # the float64 sums the weighted form takes, for any sample dtype
         if kind.is_classification:
@@ -100,7 +100,7 @@ def fit_leaf(y: np.ndarray, kind: LossKind, weights: np.ndarray | None = None):
     w = row_weights(y, weights)
     total = w.sum()
     if total <= 0:
-        raise ValueError("total weight must be positive")
+        raise ValidationError("total weight must be positive")
     if kind.is_classification:
         y = _check_labels(y, kind)
         counts = np.bincount(y, weights=w, minlength=kind.n_classes)
@@ -118,7 +118,7 @@ def eval_loss(y: np.ndarray, value, kind: LossKind, weights: np.ndarray | None =
         y = _check_labels(y, kind)
         probs = np.asarray(value, dtype=np.float64)
         if probs.shape != (kind.n_classes,):
-            raise ValueError(f"leaf value must have {kind.n_classes} probabilities")
+            raise ValidationError(f"leaf value must have {kind.n_classes} probabilities")
         log_p = np.log(np.maximum(probs[y], LOG_CLAMP))
         return float(-(log_p if w is None else w * log_p).sum())
     resid = y - float(value)

@@ -142,13 +142,13 @@ class Partition:
             left = frozenset(map(operator.index, self.left_categories))
             right = frozenset(map(operator.index, self.right_categories))
             if not left or not right or left & right:
-                raise ValueError("category sets must be disjoint and non-empty")
+                raise ValidationError("category sets must be disjoint and non-empty")
             if min(left) < 0 or min(right) < 0:
-                raise ValueError("category codes must be non-negative")
+                raise ValidationError("category codes must be non-negative")
             _set_left(self, left)
             _set_right(self, right)
             return
-        raise ValueError("partition needs either a threshold or two category sets")
+        raise ValidationError("partition needs either a threshold or two category sets")
 
     @property
     def is_numeric(self) -> bool:
@@ -511,7 +511,7 @@ def score_binary(
     ``weights`` must be positive and finite.
     """
     if route not in (MissingRoute.LEFT, MissingRoute.RIGHT):
-        raise ValueError("score_binary routes missing rows left or right")
+        raise ValidationError("score_binary routes missing rows left or right")
     rows, _, weights = _checked(ds, rows, [partition.feature], weights)
     children = split_rows(ds, rows, partition, route, weights)
     if min(children.left_rows.size, children.right_rows.size) < _min_child(min_child):

@@ -28,7 +28,7 @@ from nantree.data import (
     Schema,
     SchemaError,
     ValidationError,
-    _read_table,
+    _read_columns,
     load_csv,
     load_features,
     save_csv,
@@ -354,11 +354,17 @@ def test_readers_reject_tables_without_rows(tmp_path, text, error):
 
 
 # ---------------------------------------------------------------------------
-# the two paths of _read_table against a csv.reader reference
+# the two paths of _read_columns, which load_csv and load_features read
+# through, against a csv.reader reference
+
+
+def read_table(path):
+    """The ``(header, columns, row_numbers)`` that ``_read_columns`` gives its ``convert``."""
+    return _read_columns(path, lambda *table: table)
 
 
 def reference_table(path):
-    """What ``_read_table`` returns, read the plain way: every file through
+    """What :func:`read_table` returns, read the plain way: every file through
     ``csv.reader``, one list per row, columns by ``zip``. This was the
     library's only reader before unquoted files got their own path."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -417,7 +423,7 @@ tables = st.builds(
 def test_read_table_matches_csv_reader_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "reference.csv"
     path.write_bytes(text.encode())
-    assert outcome(_read_table, str(path)) == outcome(reference_table, str(path))
+    assert outcome(read_table, str(path)) == outcome(reference_table, str(path))
 
 
 LIMIT = csv.field_size_limit()
@@ -433,7 +439,7 @@ def test_read_table_accepts_lines_and_cells_up_to_the_field_limit(tmp_path, text
         text = '"' + text.replace(",", '",', 1)
     path = tmp_path / "long.csv"
     path.write_text(text)
-    assert outcome(_read_table, str(path)) == outcome(reference_table, str(path))
+    assert outcome(read_table, str(path)) == outcome(reference_table, str(path))
 
 
 @given(st.lists(st.text(st.sampled_from(',"\r\n a'), max_size=4), min_size=2, max_size=3, unique=True))

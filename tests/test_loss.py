@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nantree import LossKind, eval_loss, fit_leaf
+from nantree import LossKind, NantreeError, eval_loss, fit_leaf
 from nantree.loss import LOG_CLAMP, fitted, fitted_counts, row_stats, xlogx_table
 
 from oracle import fit_value, sse_fit, xe_fit
@@ -92,6 +92,24 @@ def test_every_label_check_names_the_range(bad):
 def test_nonpositive_total_weight_rejected():
     with pytest.raises(ValueError):
         fit_leaf(np.array([1.0, 2.0]), SSE, np.array([0.0, 0.0]))
+
+
+_BAD_INPUTS = {
+    "fit_leaf empty sample": lambda: fit_leaf(np.array([]), SSE),
+    "fit_leaf zero weights": lambda: fit_leaf(np.array([1.0, 2.0]), SSE, np.zeros(2)),
+    "fit_leaf label out of range": lambda: fit_leaf(np.array([0, 2]), XE2),
+    "eval_loss value of the wrong length": lambda: eval_loss(np.array([0, 1]), np.array([1.0]), XE2),
+    "unknown loss": lambda: LossKind("bogus"),
+    "cross-entropy of one class": lambda: LossKind("xe", 1),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_public_loss_entry_points_raise_package_errors(call):
+    """Bad input to the public loss names is a NantreeError, which the CLI
+    reports as a message rather than a traceback."""
+    with pytest.raises(NantreeError):
+        call()
 
 
 @given(

@@ -132,3 +132,29 @@ def test_no_function_calls_itself():
     found = [f"{path.name}: {name}" for path in sorted(PACKAGE.rglob("*.py"))
              for name in _self_callers(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def _unused_private_names(tree: ast.Module):
+    """Each top-level function, class or assigned name that starts with
+    ``_``, dunder names aside, and that the module never loads, by name or
+    as an attribute."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    loaded = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined if name.startswith("_") and not name.endswith("__") and name not in loaded]
+
+
+def test_every_private_name_is_used_in_its_module():
+    """No module keeps a private helper that nothing calls: a sibling may not
+    import it, so a test alone would keep it alive."""
+    sample = "_K = 1\n_a, _b = 2, 3\ndef _f(): return _a\nclass _C: pass\ndef g(x): return x._C\n__all__ = []"
+    assert _unused_private_names(ast.parse(sample)) == ["_K", "_b", "_f"]
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.rglob("*.py"))
+             for name in _unused_private_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

@@ -344,13 +344,18 @@ _BAD_INPUTS = {
     "score_fractional NaN floor": lambda ds: score_fractional(ds, ALL, _T15, SSE, min_child_weight=float("nan")),
     "score_fractional string floor": lambda ds: score_fractional(ds, ALL, _T15, SSE, min_child_weight="1"),
     "score_fractional None floor": lambda ds: score_fractional(ds, ALL, _T15, SSE, min_child_weight=None),
+    "score_binary middle route": lambda ds: score_binary(ds, ALL, _T15, MissingRoute.MIDDLE, SSE),
+    "partition of neither kind": lambda ds: Partition(0),
+    "partition overlapping sets": lambda ds: Partition(0, left_categories={0}, right_categories={0, 1}),
+    "partition negative code": lambda ds: Partition(0, left_categories={-1}, right_categories={0}),
 }
 
 
 @pytest.mark.parametrize("call", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
 def test_public_split_entry_points_reject_bad_input(call):
-    """Rows, features, weights and floors are checked where they enter the
-    public split functions, so a bad index never reads a wrong row or feature."""
+    """Rows, features, weights, floors, routes and partitions are checked
+    where they enter the public split functions, so a bad index never reads
+    a wrong row or feature."""
     with pytest.raises(ValidationError):
         call(fixed_node())
 
