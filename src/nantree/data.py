@@ -78,6 +78,15 @@ def first_repeat(names: Iterable[str]) -> str | None:
     return None
 
 
+def _check_names(names: Sequence[str], what: str, noun: str) -> None:
+    """Raise ValidationError, naming ``what``, on a name not a ``str`` or repeated."""
+    for name in names:
+        if not isinstance(name, str):
+            raise ValidationError(f"{what}: {noun} {name!r} is not a str")
+    if len(set(names)) != len(names):
+        raise ValidationError(f"{what} repeats {noun} {first_repeat(names)!r}")
+
+
 def _column_values(values, dtype, what: str) -> np.ndarray:
     """``values`` as a contiguous ``dtype`` array; codes (int64) given as
     floats must be whole numbers, else a ValidationError names ``what``."""
@@ -94,8 +103,9 @@ class FeatureColumn:
     """One typed feature column.
 
     ``values`` is float64 with NaN for missing (numeric) or int64 codes
-    with -1 for missing (categorical). ``categories`` maps codes to names,
-    is sorted and names no category twice; it may contain names that no
+    with -1 for missing (categorical). ``categories`` lists the category
+    names in code order, each a ``str`` and none twice; :func:`load_csv`
+    sorts them, but any order is kept. It may contain names that no
     longer occur in ``values`` (e.g. after censoring or row subsetting).
     """
 
@@ -117,8 +127,7 @@ class FeatureColumn:
         else:
             if values.size and (values.min() < -1 or values.max() >= len(self.categories)):
                 raise ValidationError(f"column {self.name!r} has codes outside the category list")
-            if len(set(self.categories)) != len(self.categories):
-                raise ValidationError(f"column {self.name!r} repeats category {first_repeat(self.categories)!r}")
+            _check_names(self.categories, f"column {self.name!r}", "category")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "categories", tuple(self.categories))
 
@@ -130,6 +139,17 @@ class FeatureColumn:
 
     def take(self, rows: np.ndarray) -> "FeatureColumn":
         return FeatureColumn(self.name, self.kind, self.values[rows], self.categories)
+
+    def recoded(self, categories: Sequence[str]) -> "FeatureColumn":
+        """The same cells under the category list ``categories``: a name the
+        list lacks becomes missing. A numeric column, or one already under
+        that list, is returned as it is."""
+        if self.kind == NUMERIC or self.categories == tuple(categories):
+            return self
+        code_of = {name: code for code, name in enumerate(categories)}
+        # code -1 indexes the trailing -1, the missing cell
+        codes = np.array([code_of.get(name, -1) for name in self.categories] + [-1], dtype=np.int64)
+        return FeatureColumn(self.name, CATEGORICAL, codes[self.values], categories)
 
 
 @dataclass(frozen=True)
@@ -156,8 +176,7 @@ class ResponseColumn:
                 raise ValidationError("classification needs at least two labels")
             if values.size and (values.min() < 0 or values.max() >= len(self.labels)):
                 raise ValidationError("response has labels outside the label list")
-            if len(set(self.labels)) != len(self.labels):
-                raise ValidationError(f"response repeats label {first_repeat(self.labels)!r}")
+            _check_names(self.labels, "response", "label")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -195,8 +214,9 @@ class Dataset:
         return len(self.columns)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        """Row subset; category and label dictionaries are preserved."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """Row subset, its rows checked by :func:`row_index`; category and
+        label dictionaries are preserved."""
+        rows = row_index(rows, self.n_rows)
         return Dataset(
             tuple(col.take(rows) for col in self.columns),
             self.response.take(rows),
@@ -441,19 +461,15 @@ def _numeric_column(cells: Sequence[str], name: str, row_numbers: Sequence[int])
     return values
 
 
-def _column(name: str, kind: str, cells: Sequence[str], row_numbers: Sequence[int],
-            categories: Sequence[str] | None = None) -> FeatureColumn:
-    """A typed column of cells: missing tokens are missing, and so are names
-    outside ``categories`` in a categorical one. Without ``categories``, a
-    categorical column's are the sorted names in its cells."""
+def _column(name: str, kind: str, cells: Sequence[str], row_numbers: Sequence[int]) -> FeatureColumn:
+    """A typed column of cells, missing tokens missing; a categorical
+    column's categories are the sorted names in its cells."""
     if kind != CATEGORICAL:
         return FeatureColumn(name, kind, _numeric_column(cells, name, row_numbers))
-    if categories is None:
-        categories = sorted(set(cells).difference(DEFAULT_MISSING_TOKENS))
-    code_of = {category: code for code, category in enumerate(categories)}
-    code_of.update(dict.fromkeys(DEFAULT_MISSING_TOKENS, -1))
+    categories = sorted(set(cells).difference(DEFAULT_MISSING_TOKENS))
+    code_of = {category: code for code, category in enumerate(categories)}  # a missing token is -1
     codes = np.fromiter(map(code_of.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
-    return FeatureColumn(name, CATEGORICAL, codes, tuple(categories))
+    return FeatureColumn(name, CATEGORICAL, codes, categories)
 
 
 def _range_cuts(text: str, p: int) -> list[int]:
@@ -473,18 +489,13 @@ def _range_cuts(text: str, p: int) -> list[int]:
 
 
 def _joined(parts: Sequence[FeatureColumn]) -> FeatureColumn:
-    """One column from the same column of consecutive row ranges. Where
-    the ranges' category lists differ, each range having listed the sorted
-    names in its own cells, the list is their sorted union and the codes
-    are mapped onto it."""
+    """One column from the same column of consecutive row ranges, under their
+    shared category list in its order, or else their lists' sorted union."""
     categories = parts[0].categories
-    values = [part.values for part in parts]
     if any(part.categories != categories for part in parts):
         categories = tuple(sorted(set().union(*(part.categories for part in parts))))
-        code_of = {name: code for code, name in enumerate(categories)}
-        # code -1 indexes the trailing -1, the missing cell
-        values = [np.array([code_of[name] for name in part.categories] + [-1])[part.values] for part in parts]
-    return FeatureColumn(parts[0].name, parts[0].kind, np.concatenate(values), categories)
+    values = np.concatenate([part.recoded(categories).values for part in parts])
+    return FeatureColumn(parts[0].name, parts[0].kind, values, categories)
 
 
 def _read_columns(path: str, convert) -> list[FeatureColumn]:
@@ -508,7 +519,7 @@ def _read_columns(path: str, convert) -> list[FeatureColumn]:
     """
     text = _read_text(path)
     if '"' in text:
-        del text  # csv.reader reads the file again
+        del text  # csv.reader reads the file again: an io.StringIO of the text holds 4 bytes a character
         return convert(*_read_records(path))
     cuts = _range_cuts(text, parallel.processes()) if len(text) >= PARALLEL_CHARS else []
     if len(cuts) > 2:
@@ -579,7 +590,7 @@ def load_features(path: str, names: Sequence[str], kinds: Sequence[str],
         for j, (name, kind) in enumerate(zip(names, kinds)):
             if name not in position:
                 raise SchemaError(f"{path}: feature column {name!r} not in header")
-            columns.append(_column(name, kind, cells[position[name]], row_numbers, categories.get(j, ())))
+            columns.append(_column(name, kind, cells[position[name]], row_numbers).recoded(categories.get(j, ())))
         return columns + [FeatureColumn("", NUMERIC, np.zeros(len(row_numbers)))]
 
     *columns, placeholder = _read_columns(path, convert)

@@ -363,25 +363,6 @@ def predict_row(tree: Tree, cells):
     return values[0]
 
 
-def _tree_columns(tree: Tree, ds: Dataset) -> list[np.ndarray]:
-    """The feature values of ``ds`` in the tree's codes: a categorical
-    column's codes are remapped to the tree's training dictionary, and
-    names unseen in training map to missing."""
-    cols = []
-    for j, (name, kind) in enumerate(zip(tree.feature_names, tree.feature_kinds)):
-        col = ds.columns[j]
-        if col.name != name or col.kind != kind:
-            raise ValidationError(f"feature {j} is {col.name!r}/{col.kind}, tree expects {name!r}/{kind}")
-        trained = tree.categories.get(j, ())
-        if col.categories == trained:  # numeric, or identical dictionaries: no remap needed
-            cols.append(col.values)
-            continue
-        code_of = {c: i for i, c in enumerate(trained)}
-        remap = np.array([code_of.get(c, -1) for c in col.categories], dtype=np.int64)
-        cols.append(np.where(col.values >= 0, remap[np.maximum(col.values, 0)], -1))
-    return cols
-
-
 def _fill(root, cols: list[np.ndarray], rows: np.ndarray, out: np.ndarray) -> None:
     """Write the predictions for rows ``rows`` of the feature columns
     ``cols`` into ``out``, mirroring :func:`predict_row` operation for
@@ -423,14 +404,19 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
     for regression or one probability vector per row, shape (n, K), for
     classification.
 
-    The whole row set is routed through the tree at once, node by node,
-    and each row's prediction equals :func:`predict_row` on its cells
-    bitwise.
+    A categorical column is recoded onto the tree's categories by name
+    (:meth:`FeatureColumn.recoded`), so a name unseen in training is a
+    missing cell. The whole row set is routed through the tree at once,
+    node by node, and each row's prediction equals :func:`predict_row` on
+    its cells bitwise.
     """
     if ds.n_features != len(tree.feature_names):
         raise ValidationError("dataset and tree have different feature counts")
     rows = row_index(rows, ds.n_rows)
-    cols = _tree_columns(tree, ds)
+    for j, (col, name, kind) in enumerate(zip(ds.columns, tree.feature_names, tree.feature_kinds)):
+        if col.name != name or col.kind != kind:
+            raise ValidationError(f"feature {j} is {col.name!r}/{col.kind}, tree expects {name!r}/{kind}")
+    cols = [col.recoded(tree.categories.get(j, ())).values for j, col in enumerate(ds.columns)]
     if tree.loss.is_classification:
         out = np.empty((len(rows), tree.loss.n_classes))
     else:

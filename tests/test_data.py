@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nantree import (
     BiasScenario,
@@ -128,24 +130,53 @@ def test_save_load_roundtrip(tmp_path):
     assert orig_names == back_names
 
 
+# each rejection of a column constructor, with its message; a tree trained
+# on repeated or non-str names would write a document that deserialize
+# rejects, and save_csv and render could not write it
+_BAD_COLUMNS = {
+    "non-finite feature": (lambda: FeatureColumn("x", NUMERIC, np.array([1.0, np.inf])),
+                           "column 'x' contains non-finite values"),
+    "code outside the categories": (lambda: FeatureColumn("c", CATEGORICAL, np.array([0, 3]), ("a", "b")),
+                                    "column 'c' has codes outside the category list"),
+    "repeated category": (lambda: FeatureColumn("c", CATEGORICAL, np.array([0, 1, 2, 0]), ("a", "a", "b")),
+                          "column 'c' repeats category 'a'"),
+    "int category": (lambda: FeatureColumn("c", CATEGORICAL, np.array([0, 1]), (1, 2)),
+                     "column 'c': category 1 is not a str"),
+    "bytes category": (lambda: FeatureColumn("c", CATEGORICAL, np.array([0, 1]), ("a", b"b")),
+                       "column 'c': category b'b' is not a str"),
+    "unhashable category": (lambda: FeatureColumn("c", CATEGORICAL, np.array([0, 1]), ("a", ["b"])),
+                            "column 'c': category ['b'] is not a str"),
+    "non-finite response": (lambda: ResponseColumn(REAL, np.array([1.0, np.nan])),
+                            "response contains non-finite values"),
+    "one label": (lambda: ResponseColumn(CLASS, np.array([0, 1]), ("only",)),
+                  "classification needs at least two labels"),
+    "label outside the labels": (lambda: ResponseColumn(CLASS, np.array([0, 2]), ("a", "b")),
+                                 "response has labels outside the label list"),
+    "repeated label": (lambda: ResponseColumn(CLASS, np.array([0, 1, 2]), ("no", "yes", "no")),
+                       "response repeats label 'no'"),
+    "int label": (lambda: ResponseColumn(CLASS, np.array([0, 1]), (0, 1)),
+                  "response: label 0 is not a str"),
+    "None label": (lambda: ResponseColumn(CLASS, np.array([0, 1]), ("a", None)),
+                   "response: label None is not a str"),
+}
+
+
+@pytest.mark.parametrize("make, message", _BAD_COLUMNS.values(), ids=_BAD_COLUMNS.keys())
+def test_column_constructors_reject_bad_input(make, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_feature_column_validations():
-    with pytest.raises(ValidationError):
-        FeatureColumn("x", NUMERIC, np.array([1.0, np.inf]))
-    with pytest.raises(ValidationError):
-        FeatureColumn("c", CATEGORICAL, np.array([0, 3]), ("a", "b"))
     col = FeatureColumn("x", NUMERIC, np.array([1.0, np.nan]))
     assert list(col.present_mask()) == [True, False]
     with pytest.raises(ValueError):
         col.values[0] = 5.0  # arrays are read-only
-
-
-def test_response_validations():
-    with pytest.raises(ValidationError):
-        ResponseColumn(REAL, np.array([1.0, np.nan]))
-    with pytest.raises(ValidationError):
-        ResponseColumn(CLASS, np.array([0, 1]), ("only",))
-    with pytest.raises(ValidationError):
-        ResponseColumn(CLASS, np.array([0, 2]), ("a", "b"))
+    FeatureColumn("c", NUMERIC, np.array([1.0]))  # numeric columns have no names to check
+    # numpy's strings are str
+    names = tuple(np.array(["b", "a"]))
+    assert FeatureColumn("c", CATEGORICAL, np.array([0, 1]), names).categories == ("b", "a")
+    assert ResponseColumn(CLASS, np.array([0, 1]), names).labels == ("b", "a")
 
 
 def test_dataset_validations():
@@ -165,6 +196,28 @@ def test_subset_preserves_dictionaries():
     )
     sub = ds.subset(np.array([0]))
     assert sub.columns[0].categories == ("a", "b", "z")
+
+
+_NAMES = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), unique=True, max_size=5)
+
+
+@given(_NAMES, _NAMES, st.data())
+@settings(max_examples=200, deadline=None)
+def test_recoded_looks_each_cell_up_by_name(own, categories, data):
+    # lists in any order, empty ones, names the other list lacks, and missing cells
+    codes = data.draw(st.lists(st.integers(-1, len(own) - 1), max_size=8))
+    col = FeatureColumn("c", CATEGORICAL, np.array(codes, dtype=np.int64), own)
+    got = col.recoded(categories)
+    names = [own[code] if code >= 0 else None for code in codes]
+    assert got.name == "c" and got.kind == CATEGORICAL and got.categories == tuple(categories)
+    assert got.values.tolist() == [categories.index(n) if n in categories else -1 for n in names]
+
+
+def test_recoded_returns_a_column_already_under_the_list():
+    col = FeatureColumn("c", CATEGORICAL, np.array([1, -1, 0]), ("b", "a"))
+    assert col.recoded(["b", "a"]) is col
+    x = FeatureColumn("x", NUMERIC, np.array([1.0, np.nan]))
+    assert x.recoded(()) is x and x.recoded(("a",)) is x
 
 
 def test_kfold_partitions_regression():
@@ -224,15 +277,6 @@ def test_kfold_small_class_never_empties_fold():
 def test_negative_seed_is_a_validation_error(call):
     with pytest.raises(ValidationError, match=r"^seed must be a nonnegative integer, not -1$"):
         call()
-
-
-def test_repeated_category_or_label_names_are_rejected():
-    # a tree trained on such a column would write a document deserialize rejects
-    with pytest.raises(ValidationError, match="column 'c' repeats category 'a'"):
-        FeatureColumn("c", CATEGORICAL, np.array([0, 1, 2, 0]), ("a", "a", "b"))
-    with pytest.raises(ValidationError, match="response repeats label 'no'"):
-        ResponseColumn(CLASS, np.array([0, 1, 2]), ("no", "yes", "no"))
-    FeatureColumn("c", NUMERIC, np.array([1.0]))  # numeric columns have no names to repeat
 
 
 @pytest.mark.parametrize("token", ["", "NA", "nan"])

@@ -263,12 +263,14 @@ TEXTS = {
 }
 
 # categorical columns read without a category list (load_csv) and with one
-# that leaves names unseen (load_features)
+# that leaves names unseen (load_features), sorted or not, as a tree's may be
+UNSORTED = ("late", "zz", "a", "early")
 READS = {
     "regression": lambda path: load_csv(path, Schema("y", kinds={"c": CATEGORICAL, "k": CATEGORICAL})),
     "classification": lambda path: load_csv(path, Schema("k", CLASSIFICATION, {"c": CATEGORICAL})),
     "features": lambda path: load_features(path, ("c", "x", "y"), (CATEGORICAL, NUMERIC, NUMERIC),
                                            {0: ("a", "late", "zz")}),
+    "features-unsorted": lambda path: load_features(path, ("c", "x"), (CATEGORICAL, NUMERIC), {0: UNSORTED}),
 }
 
 
@@ -302,6 +304,8 @@ def test_two_cpus_read_the_one_cpu_table(read, text, monkeypatch, tmp_path):
         assert one.columns[1].categories == ("a", "b", "early", "late")
     if read == "classification":
         assert one.response.labels == ("l0", "l1", "l2", "l9")
+    if read == "features-unsorted":  # each range's codes, and so the joined ones, are under the list as given
+        assert one.columns[0].categories == UNSORTED
 
     pools = _count_pools(monkeypatch)
     _log_ranges(monkeypatch, tmp_path / "ranges")

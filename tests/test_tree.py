@@ -18,6 +18,7 @@ from nantree import (
     LossKind,
     MissingRoute,
     ResponseColumn,
+    Schema,
     SplitConfig,
     Strategy,
     TrainConfig,
@@ -25,6 +26,7 @@ from nantree import (
     ValidationError,
     deserialize,
     evaluate,
+    load_csv,
     predict,
     predict_row,
     render,
@@ -299,6 +301,22 @@ def test_predict_remaps_category_codes_by_name():
     got = predict(tree, test_ds)
     assert got[0] == 0.0 and got[1] == 10.0
     assert got[2] == got[3]  # unseen name routes exactly like missing
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_column_with_no_categories_routes_every_row_as_missing(strategy, tmp_path):
+    col = FeatureColumn("c", CATEGORICAL, np.array([0, 0, 1, 1, -1, 1]), ("red", "blue"))
+    y = ResponseColumn(REAL, np.array([0.0, 0.0, 10.0, 10.0, 4.0, 10.0]))
+    tree = train(Dataset((col,), y), TrainConfig(strategy, max_depth=1, min_samples=1))
+    # load_csv lists no category for a column with no present cell
+    path = tmp_path / "test.csv"
+    path.write_text("c,y\nNA,1\n,2\nnan,3\n")
+    empty = load_csv(str(path), Schema("y", kinds={"c": CATEGORICAL}))
+    assert empty.columns[0].categories == ()
+    missing = Dataset((FeatureColumn("c", CATEGORICAL, np.full(3, -1), ("red", "blue")),), empty.response)
+    assert predict(tree, empty).tobytes() == predict(tree, missing).tobytes()
+    assert predict(tree, empty).tolist() == [predict_row(tree, [-1])] * 3
+    assert evaluate(tree, empty) == evaluate(tree, missing)
 
 
 def test_evaluate_regression_is_sum_of_squares():
@@ -1161,6 +1179,8 @@ def test_bad_row_indices_rejected(rows):
         predict(tree, STEP, rows)
     with pytest.raises(ValidationError, match="row"):
         evaluate(tree, STEP, rows)
+    with pytest.raises(ValidationError, match="row"):
+        STEP.subset(rows)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
