@@ -38,13 +38,14 @@ a one-process run; ``wall_ms`` times each task in whichever process ran it.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .censor import SCENARIOS, CensorSpec, apply_scenario
-from .data import (Dataset, FoldAssignment, ParseError, ValidationError, check_seed, read_rows,
+from .data import (Dataset, FoldAssignment, ParseError, ValidationError, check_integer, check_seed, read_rows,
                    stratified_kfold, write_columns)
 from .parallel import fork_map
 from .split import Strategy, check_strategy
@@ -85,6 +86,8 @@ class ExperimentConfig:
                 name.encode("utf-8")  # the records carry it, so check before the sweep
             except UnicodeEncodeError:
                 raise ValidationError(f"dataset name {name!r} is not UTF-8 text") from None
+        for name in ("folds", "depth_grid_max", "min_samples"):
+            check_integer(getattr(self, name), name)
         if self.depth_grid_max < 1:
             raise ValidationError("depth grid must reach at least 1")
         if self.folds < 2:
@@ -99,6 +102,9 @@ class ExperimentConfig:
             raise ValidationError("strategies must not repeat")
         if not self.q_grid:
             raise ValidationError("no censoring levels configured")
+        for q in self.q_grid:
+            if isinstance(q, bool) or not isinstance(q, numbers.Real):
+                raise ValidationError(f"q_grid levels must be real numbers, not {q!r}")
         if len(set(self.q_grid)) != len(self.q_grid):
             raise ValidationError("censoring levels must not repeat")
         for q in self.q_grid:

@@ -237,6 +237,13 @@ def row_index(rows, n_rows: int) -> np.ndarray:
     return rows.astype(np.int64, copy=False)
 
 
+def check_integer(value, name: str) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is an int or a
+    numpy integer; a bool, a float such as 2.0 or NaN, a string or None is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+
+
 def check_seed(seed: int) -> None:
     """Raise ValidationError unless ``seed`` is a nonnegative integer, as
     numpy's generators need; every public function that takes a seed checks it here."""

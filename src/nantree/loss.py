@@ -92,19 +92,23 @@ def fit_leaf(y: np.ndarray, kind: LossKind, weights: np.ndarray | None = None):
     y = np.asarray(y)
     if y.size == 0:
         raise ValidationError("cannot fit a leaf on an empty sample")
-    if weights is None:
+    w = row_weights(y, weights)
+    if w is not None and w.sum() <= 0:
+        raise ValidationError("total weight must be positive")
+    return leaf_value(_check_labels(y, kind) if kind.is_classification else y, kind, w)
+
+
+def leaf_value(y: np.ndarray, kind: LossKind, w: np.ndarray | None = None):
+    """:func:`fit_leaf` without its checks, for a non-empty sample whose
+    labels lie in 0..K-1 and whose weights are positive, as growth's are."""
+    if w is None:
         # the float64 sums the weighted form takes, for any sample dtype
         if kind.is_classification:
-            return np.bincount(_check_labels(y, kind), minlength=kind.n_classes) / y.size
+            return np.bincount(y, minlength=kind.n_classes) / y.size
         return float(np.asarray(y, dtype=np.float64).sum() / y.size)
-    w = row_weights(y, weights)
     total = w.sum()
-    if total <= 0:
-        raise ValidationError("total weight must be positive")
     if kind.is_classification:
-        y = _check_labels(y, kind)
-        counts = np.bincount(y, weights=w, minlength=kind.n_classes)
-        return counts / total
+        return np.bincount(y, weights=w, minlength=kind.n_classes) / total
     return float((w * y).sum() / total)
 
 
@@ -116,10 +120,17 @@ def eval_loss(y: np.ndarray, value, kind: LossKind, weights: np.ndarray | None =
     w = row_weights(y, weights)
     if kind.is_classification:
         y = _check_labels(y, kind)
-        probs = np.asarray(value, dtype=np.float64)
-        if probs.shape != (kind.n_classes,):
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != (kind.n_classes,):
             raise ValidationError(f"leaf value must have {kind.n_classes} probabilities")
-        log_p = np.log(np.maximum(probs[y], LOG_CLAMP))
+    return leaf_loss(y, value, kind, w)
+
+
+def leaf_loss(y: np.ndarray, value, kind: LossKind, w: np.ndarray | None = None) -> float:
+    """:func:`eval_loss` without its checks, for a non-empty sample as
+    :func:`leaf_value` takes and a value it fitted."""
+    if kind.is_classification:
+        log_p = np.log(np.maximum(value[y], LOG_CLAMP))
         return float(-(log_p if w is None else w * log_p).sum())
     resid = y - float(value)
     return float((np.square(resid, dtype=np.float64) if w is None else w * resid * resid).sum())
@@ -192,9 +203,10 @@ def fitted(S: np.ndarray, kind: LossKind) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def at_value(S: np.ndarray, value, kind: LossKind) -> float:
-    """Loss of one block, statistics ``S``, under the fixed leaf ``value``."""
+def at_value(S: np.ndarray, value, kind: LossKind) -> np.ndarray:
+    """Loss of one block, statistics ``S``, or of each row's block of a
+    2-d ``S``, under the fixed leaf ``value`` (one per block, or one for all)."""
     if kind.is_classification:
-        return float((S[1:] * -np.log(np.maximum(value, LOG_CLAMP))).sum())
-    W, A1, A2 = S
-    return float(max(A2 - 2.0 * value * A1 + value * value * W, 0.0))
+        return (S[..., 1:] * -np.log(np.maximum(value, LOG_CLAMP))).sum(axis=-1)
+    W, A1, A2 = S.T
+    return np.maximum(A2 - 2.0 * value * A1 + value * value * W, 0.0)

@@ -43,20 +43,35 @@ choice reads whether the node has weights, not their values or the
 strategy: a weighted node, even one whose weights all read 1, and fc's
 α-scaled blocks at every node go through ``fitted``.
 
+:func:`scan_features` takes a frontier of nodes: growth passes the fresh
+nodes of one depth, a batch of rows at a time. Nodes on the count path
+(cross-entropy, no weights) are scanned together, a feature at a time:
+one sort of their observed rows by (node, value) and cumulative class
+counts across the nodes give every numeric cut, each node's category
+counts go through the same categorical cuts as a lone node's, and the
+arithmetic and the first-lowest pick run once over the concatenated
+tables. Counts are whole numbers, so a sum across nodes less a node's
+start is that node's own sum, and every node's entries are bit for bit
+those of a frontier of that node alone. Weighted nodes and SSE nodes are
+scanned one at a time, each as a table of one node. Every candidate is
+still built as a :class:`Partition`.
+
 A scan keeps what outlives a node in a ``memo`` dict: growth passes one
 per tree, each public call a fresh one. A multiclass feature's exhaustive
 cuts depend only on its observed categories, so they are built the first
 time a scan meets the category set; prefix cuts follow the node's
 category order and are built at each node. The ``x·log x`` table is built
-at the first node without weights, the root in growth, for its row count,
-which bounds every later node's.
+at the first frontier on the count path, the root in growth, for its
+largest row count, which bounds every later node's; a numeric column's
+distinct values and each cell's rank among them are built at the first
+count-path scan of the column.
 """
 from __future__ import annotations
 
 import math
 import numbers
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -64,7 +79,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import CATEGORICAL, Dataset, FeatureColumn, ValidationError, row_index
+from .data import CATEGORICAL, Dataset, FeatureColumn, ValidationError, check_integer, row_index
 from .loss import (LossKind, at_value, block_weight, eval_loss, fit_leaf, fitted, fitted_counts, row_stats,
                    row_weights, sum_stats, xlogx_table)
 
@@ -255,8 +270,7 @@ def _checked(ds: Dataset, rows, features, weights) -> tuple[np.ndarray, list, np
 
 def _min_child(min_child) -> int:
     """A scorer's row floor; below 1 it is 1."""
-    if isinstance(min_child, bool) or not isinstance(min_child, (int, np.integer)):
-        raise ValidationError(f"min_child must be an integer, not {min_child!r}")
+    check_integer(min_child, "min_child")
     return max(min_child, 1)
 
 
@@ -274,22 +288,29 @@ def _positive_weights(rows: np.ndarray, weights) -> np.ndarray | None:
 
 @dataclass
 class _Table:
-    """A feature's candidates at a node. Statistics are block sums of
-    :func:`loss.row_stats` columns: ``S_left`` has one row per candidate,
-    ``S_present`` and ``S_miss`` cover the rows observed and missing on
-    the feature."""
+    """A feature's candidates at one or more nodes, node after node.
+    Statistics are block sums of :func:`loss.row_stats` columns: ``S_left``
+    has one row per candidate; ``n_present``, ``n_missing``, ``S_present``
+    and ``S_miss`` have one per node, over its rows observed and missing on
+    the feature, or are the one node's count and row. ``starts`` holds each
+    node's first candidate."""
 
     partitions: Sequence[Partition]  # a tuple when shared through ``memo``
+    starts: np.ndarray
     n_left: np.ndarray          # observed row counts in the left block
-    n_present: int
-    n_missing: int
+    n_present: np.ndarray | int
+    n_missing: np.ndarray | int
     S_left: np.ndarray
     S_present: np.ndarray
     S_miss: np.ndarray
 
 
+_ONE_NODE = np.zeros(1, dtype=np.intp)  # the starts of a one-node table
+
+
 def _candidate_table(column: FeatureColumn, feature: int, rows: np.ndarray, S: np.ndarray,
                      kind: LossKind, memo: dict) -> _Table | None:
+    """The table of the one node of ``rows``, whose statistics are ``S``."""
     v = column.values[rows]
     present = v >= 0 if column.kind == CATEGORICAL else ~np.isnan(v)
     vp = v[present]
@@ -297,14 +318,24 @@ def _candidate_table(column: FeatureColumn, feature: int, rows: np.ndarray, S: n
     # (S[:, mask] would not)
     S_p = np.compress(present, S, axis=1)
     if column.kind == CATEGORICAL:
-        built = _categorical_candidates(feature, vp, S_p, kind, len(column.categories), memo)
+        n = len(column.categories)
+        cat = np.stack([np.bincount(vp, weights=stat, minlength=n) for stat in S_p], axis=1)
+        built = _categorical_candidates(feature, np.bincount(vp, minlength=n), cat, kind, memo)
     else:
         built = _numeric_candidates(feature, vp, S_p)
     if built is None:
         return None
     partitions, n_left, S_left = built
     S_miss = sum_stats(np.compress(~present, S, axis=1), kind)
-    return _Table(partitions, n_left, vp.size, v.size - vp.size, S_left, sum_stats(S_p, kind), S_miss)
+    return _Table(partitions, _ONE_NODE, n_left, vp.size, v.size - vp.size, S_left, sum_stats(S_p, kind), S_miss)
+
+
+def _thresholds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The cuts between consecutive distinct values ``lo < hi``: midpoints."""
+    with np.errstate(over="ignore"):
+        mids = 0.5 * (lo + hi)
+    # guard against midpoints that round up to the right value, or overflow to an infinity outside [lo, hi)
+    return np.where((lo <= mids) & (mids < hi), mids, lo)
 
 
 def _numeric_candidates(feature, vp, S_p):
@@ -313,22 +344,16 @@ def _numeric_candidates(feature, vp, S_p):
     cuts = np.flatnonzero(vs[:-1] < vs[1:])
     if cuts.size == 0:
         return None
-    lo, hi = vs[cuts], vs[cuts + 1]
-    with np.errstate(over="ignore"):
-        mids = 0.5 * (lo + hi)
-    # guard against midpoints that round up to the right value, or overflow to an infinity outside [lo, hi)
-    thresholds = np.where((lo <= mids) & (mids < hi), mids, lo)
-    partitions = list(map(Partition, repeat(feature), thresholds.tolist()))
+    partitions = list(map(Partition, repeat(feature), _thresholds(vs[cuts], vs[cuts + 1]).tolist()))
     return partitions, cuts + 1, np.cumsum(S_p.T[order], axis=0)[cuts]
 
 
-def _categorical_candidates(feature, vp, S_p, kind, n_categories, memo):
-    counts = np.bincount(vp, minlength=n_categories)
+def _categorical_candidates(feature, counts, cat, kind, memo):
+    """The cuts of a node's categories, from its row ``counts`` and its
+    statistics ``cat`` (one row per category)."""
     observed = np.flatnonzero(counts > 0)
     if observed.size < 2:
         return None
-    # per-category statistics, one row per category
-    cat = np.stack([np.bincount(vp, weights=stat, minlength=n_categories) for stat in S_p], axis=1)
 
     # exhaustive cuts are kept in ``memo`` under (feature, observed codes)
     # and shared read-only by every node; prefix cuts are built per node
@@ -368,6 +393,99 @@ def _categorical_candidates(feature, vp, S_p, kind, n_categories, memo):
         n_left = np.cumsum(counts[ordered])[:-1]
         S_left = np.cumsum(cat[ordered], axis=0)[:-1]
     return partitions, n_left, S_left
+
+
+def _count_table(ds: Dataset, feature: int, rows: np.ndarray, node: np.ndarray, y: np.ndarray,
+                 totals: np.ndarray, kind: LossKind, memo: dict) -> tuple[_Table, np.ndarray] | None:
+    """The table of ``feature`` over several nodes without row weights under
+    cross-entropy, and the nodes it covers. ``rows`` holds the nodes' rows
+    node after node, ``node`` the node of each row, ``y`` its label, and
+    ``totals`` each node's class counts. Every statistic is a whole count,
+    so sums across nodes less a node's start are the node's own sums."""
+    column = ds.columns[feature]
+    K, m = kind.n_classes, len(totals)
+    if column.kind == CATEGORICAL:
+        v = column.values[rows]
+    else:
+        uniq, rank = _ranks(column, feature, memo)
+        v = rank[rows]
+    present = v >= 0
+    node_p, v_p, y_p = node[present], v[present], y[present]
+    n_present = np.bincount(node_p, minlength=m)
+    if column.kind == CATEGORICAL:
+        built = _categorical_counts(feature, len(column.categories), v_p * K + y_p, n_present, kind, memo)
+    else:
+        keys = (node_p * uniq.size + v_p) * K + y_p
+        built = _numeric_counts(feature, uniq, keys, np.cumsum(n_present) - n_present, K)
+    if built is None:
+        return None
+    partitions, starts, at, n_left, S_left = built
+    n_p, n_m = n_present[at], totals[at].sum(axis=1) - n_present[at]
+    c_p = np.bincount(node_p * K + y_p, minlength=m * K).reshape(m, K)[at]
+    S_present = np.column_stack([n_p, c_p]).astype(np.float64)
+    S_miss = np.column_stack([n_m, totals[at] - c_p]).astype(np.float64)
+    return _Table(partitions, starts, n_left, n_p, n_m, S_left, S_present, S_miss), at
+
+
+def _ranks(column: FeatureColumn, feature: int, memo: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A numeric column's distinct observed values, ascending, and each
+    cell's place among them (-1 when missing), kept in ``memo``."""
+    key = ("ranks", feature)
+    if key not in memo:
+        present = ~np.isnan(column.values)
+        uniq, inverse = np.unique(column.values[present], return_inverse=True)
+        rank = np.full(column.values.size, -1, dtype=np.int64)
+        rank[present] = inverse
+        memo[key] = uniq, rank
+    return memo[key]
+
+
+def _numeric_counts(feature, uniq, keys, first, K):
+    """Threshold cuts of several nodes from the ``keys`` (node · R + rank) · K
+    + label of their observed rows, R the number of distinct values, and
+    each node's ``first`` place among those rows: one sort orders every
+    node's rows by value, node after node."""
+    place, label = np.divmod(np.sort(keys), K)
+    at_node, rank = np.divmod(place, uniq.size)
+    # candidate i cuts between sorted positions i and i + 1 of one node
+    cuts = np.flatnonzero((place[:-1] < place[1:]) & (at_node[:-1] == at_node[1:]))
+    if cuts.size == 0:
+        return None
+    partitions = list(map(Partition, repeat(feature), _thresholds(uniq[rank[cuts]], uniq[rank[cuts + 1]]).tolist()))
+    cut_node = at_node[cuts]
+    starts = np.flatnonzero(np.r_[True, cut_node[1:] != cut_node[:-1]])
+    # the rows, then each class's rows, before each sorted position: one
+    # array per statistic, as 1-d sums are far cheaper than a sum per column
+    before = np.empty((K + 1, label.size + 1))
+    before[0] = np.arange(label.size + 1)
+    before[1:, 0] = 0.0
+    for k in range(K):
+        np.cumsum(label == k, out=before[k + 1, 1:])
+    first = first[cut_node]
+    S_left = np.ascontiguousarray((np.take(before, cuts + 1, axis=1) - np.take(before, first, axis=1)).T)
+    return partitions, starts, cut_node[starts], cuts + 1 - first, S_left
+
+
+def _categorical_counts(feature, n_categories, keys, n_present, kind, memo):
+    """Category cuts of several nodes from the ``keys`` category · K + label
+    of their observed rows, node after node: each node's cuts by
+    :func:`_categorical_candidates`."""
+    K = kind.n_classes
+    partitions, at, n_left, S_left = [], [], [], []
+    ends = np.cumsum(n_present)
+    for j in np.flatnonzero(n_present > 1).tolist():
+        c = np.bincount(keys[ends[j] - n_present[j]:ends[j]], minlength=n_categories * K).reshape(n_categories, K)
+        counts = c.sum(axis=1)
+        built = _categorical_candidates(feature, counts, np.column_stack([counts, c]).astype(np.float64), kind, memo)
+        if built is not None:
+            partitions += built[0]
+            at.append(j)
+            n_left.append(built[1])
+            S_left.append(built[2])
+    if not at:
+        return None
+    starts = np.cumsum([0] + [len(n) for n in n_left[:-1]])
+    return partitions, starts, np.array(at), np.concatenate(n_left), np.concatenate(S_left)
 
 
 def _bipartitions(feature, observed, lefts) -> tuple[Partition, ...]:
@@ -584,27 +702,39 @@ class _Entry:
     route: MissingRoute
 
 
-def _pick(losses: np.ndarray, route, partitions: Sequence[Partition]) -> _Entry | None:
-    """The first lowest of ``losses`` (inf where infeasible) with its
-    partition, or None when none is finite; its missing route is ``route``,
-    or ``route(i)`` for candidate ``i`` when ``route`` is a function."""
-    i = int(np.argmin(losses))
-    if not np.isfinite(losses[i]):
-        return None
-    return _Entry(float(losses[i]), partitions[i], route(i) if callable(route) else route)
+def _picks(losses: np.ndarray, starts: np.ndarray, route, partitions: Sequence[Partition]) -> list[_Entry | None]:
+    """Per node of a table, the first lowest of its candidates' ``losses``
+    (inf where infeasible) with its partition, or None when none is finite;
+    its missing route is ``route``, or ``route(i)`` for candidate ``i`` when
+    ``route`` is a function. A one-node table takes np.argmin's rule, which
+    puts a NaN first; tables of several nodes are priced from counts, whose
+    losses are never NaN."""
+    if len(starts) == 1:
+        first = [int(np.argmin(losses))]
+        lows = [float(losses[first[0]])]
+    else:
+        low = np.repeat(np.minimum.reduceat(losses, starts), np.diff(starts, append=losses.size))
+        first = np.minimum.reduceat(np.where(losses == low, np.arange(losses.size), losses.size), starts)
+        first, lows = first.tolist(), losses[first].tolist()
+    return [_Entry(loss, partitions[i], route(i) if callable(route) else route) if math.isfinite(loss) else None
+            for i, loss in zip(first, lows)]
 
 
-def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value, memo,
-                  price) -> dict[Strategy, _Entry | None] | None:
-    table = _candidate_table(ds.columns[feature], feature, rows, S, kind, memo)
-    if table is None:
-        return None
+def _scan_table(table: _Table, values, kind: LossKind, cfg: SplitConfig, styles,
+                price) -> list[dict[Strategy, _Entry | None]]:
+    """Each node's best feasible entry of ``table`` per objective in
+    ``styles``. ``values`` holds the nodes' leaf values, or is the one node's
+    value; ``price`` prices blocks at their own fit."""
     mc, mw = cfg.min_child, cfg.min_child_weight
-    n_l = table.n_left
-    n_r = table.n_present - n_l
-    n_m = table.n_missing
-    S_l, S_m = table.S_left, table.S_miss
-    S_r = table.S_present - S_l
+    n_l, S_l, starts = table.n_left, table.S_left, table.starts
+    one = len(starts) == 1
+    repeats = None if one else np.diff(starts, append=n_l.size)
+
+    def spread(a):  # a node's count or row over its candidates; one node's broadcasts
+        return a if one else np.repeat(a, repeats, axis=0)
+
+    n_r = spread(table.n_present) - n_l
+    S_r = spread(table.S_present) - S_l
     f_l, f_r = price(S_l), price(S_r)
     count_ok = (n_l >= mc) & (n_r >= mc)
     partitions = table.partitions
@@ -612,68 +742,111 @@ def _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value, memo,
     def majority(i):
         return majority_route(n_l[i], n_r[i])
 
-    if n_m == 0:
-        # No missing rows at this node-feature: every strategy objective is
-        # the same plain two-child loss, computed once so they agree exactly.
+    picks: dict[Strategy, list[_Entry | None]] = {}
+    if not (table.n_missing if one else table.n_missing.any()):
+        # No missing rows at these nodes: every strategy objective is the
+        # same plain two-child loss, computed once so they agree exactly.
         base = f_l + f_r
         # fc's children are the observed blocks, weighed by their summed row weights
         weight_ok = (S_l[:, 0] >= mw) & (S_r[:, 0] >= mw)
         routes = {Strategy.FC: MissingRoute.FRACTIONAL, Strategy.TRINARY: MissingRoute.MIDDLE}
-        return {style: _pick(np.where(weight_ok if style is Strategy.FC else count_ok, base, np.inf),
-                             routes.get(style, majority), partitions)
-                for style in styles}
-
-    entries: dict[Strategy, _Entry | None] = {}
-    if Strategy.MAJORITY in styles or Strategy.MIA in styles:
-        # mia and majority merge the missing block into one child
-        ml = np.where((n_l + n_m >= mc) & (n_r >= mc), price(S_l + S_m) + f_r, np.inf)
-        mr = np.where((n_l >= mc) & (n_r + n_m >= mc), f_l + price(S_r + S_m), np.inf)
-    if Strategy.MAJORITY in styles:
-        entries[Strategy.MAJORITY] = _pick(np.where(n_l > n_r, ml, mr), majority, partitions)
-    if Strategy.MIA in styles:
-        loss = np.minimum(ml, mr)
-        entries[Strategy.MIA] = _pick(np.where(np.isfinite(loss), loss, np.inf), lambda i: (
-            MissingRoute.LEFT if ml[i] < mr[i] else MissingRoute.RIGHT if mr[i] < ml[i] else majority(i)),
-            partitions)
-    if Strategy.TRINARY in styles:
-        # trinary prices the missing block at the mother value
-        loss = f_l + f_r + at_value(S_m, node_value, kind)
-        entries[Strategy.TRINARY] = _pick(np.where(count_ok, loss, np.inf), MissingRoute.MIDDLE, partitions)
-    if Strategy.FC in styles:
-        # fc adds the missing block to both children, scaled by the observed
-        # fractions: fractional blocks, which only ``fitted`` prices
-        alpha = (n_l / table.n_present)[:, None]
-        S_lf, S_rf = S_l + alpha * S_m, S_r + (1.0 - alpha) * S_m
-        feasible = (block_weight(S_lf, kind) >= mw) & (block_weight(S_rf, kind) >= mw)
-        loss = fitted(S_lf, kind) + fitted(S_rf, kind)
-        entries[Strategy.FC] = _pick(np.where(feasible, loss, np.inf), MissingRoute.FRACTIONAL, partitions)
-    return entries
-
-
-def scan_features(ds, rows, features, strategy, kind, cfg, w, node_value,
-                  memo: dict) -> dict[int, dict[Strategy, _Entry | None]]:
-    """Scan ``features`` at the node of ``rows`` (weights ``w`` or None, leaf
-    value ``node_value``): each feature's best feasible entry (loss, partition
-    and missing route) per objective of ``strategy``. ``memo`` holds the
-    exhaustive categorical cut lists and the ``x·log x`` table already
-    built for this loss; growth passes one dict per tree, whose first scan
-    is its root. Growth calls this and :func:`select_best`; neither is
-    re-exported from the package."""
-    styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
-    S = row_stats(ds.response.values[rows], w, kind)
-    if kind.is_classification and w is None:
-        # whole counts of at most rows.size, which no later node of a tree exceeds
-        table = memo.get("xlogx")
-        if table is None:
-            table = memo["xlogx"] = xlogx_table(rows.size)
-        price = partial(fitted_counts, table=table)
+        for style in styles:
+            picks[style] = _picks(np.where(weight_ok if style is Strategy.FC else count_ok, base, np.inf), starts,
+                                  routes.get(style, majority), partitions)
     else:
-        price = partial(fitted, kind=kind)
-    scans = {}
+        # a node without missing rows prices each strategy's blocks as the
+        # branch above does, bit for bit, when its blocks are whole counts
+        n_m, S_m = spread(table.n_missing), spread(table.S_miss)
+        if Strategy.MAJORITY in styles or Strategy.MIA in styles:
+            # mia and majority merge the missing block into one child
+            ml = np.where((n_l + n_m >= mc) & (n_r >= mc), price(S_l + S_m) + f_r, np.inf)
+            mr = np.where((n_l >= mc) & (n_r + n_m >= mc), f_l + price(S_r + S_m), np.inf)
+        if Strategy.MAJORITY in styles:
+            picks[Strategy.MAJORITY] = _picks(np.where(n_l > n_r, ml, mr), starts, majority, partitions)
+        if Strategy.MIA in styles:
+            loss = np.minimum(ml, mr)
+            picks[Strategy.MIA] = _picks(np.where(np.isfinite(loss), loss, np.inf), starts, lambda i: (
+                MissingRoute.LEFT if ml[i] < mr[i] else MissingRoute.RIGHT if mr[i] < ml[i] else majority(i)),
+                partitions)
+        if Strategy.TRINARY in styles:
+            # trinary prices the missing block at the mother value
+            loss = f_l + f_r + spread(at_value(table.S_miss, values, kind))
+            picks[Strategy.TRINARY] = _picks(np.where(count_ok, loss, np.inf), starts, MissingRoute.MIDDLE, partitions)
+        if Strategy.FC in styles:
+            # fc adds the missing block to both children, scaled by the observed
+            # fractions: fractional blocks, which only ``fitted`` prices
+            alpha = (n_l / spread(table.n_present))[:, None]
+            S_lf, S_rf = S_l + alpha * S_m, S_r + (1.0 - alpha) * S_m
+            feasible = (block_weight(S_lf, kind) >= mw) & (block_weight(S_rf, kind) >= mw)
+            loss = fitted(S_lf, kind) + fitted(S_rf, kind)
+            picks[Strategy.FC] = _picks(np.where(feasible, loss, np.inf), starts, MissingRoute.FRACTIONAL, partitions)
+    return [{style: entries[j] for style, entries in picks.items()} for j in range(len(starts))]
+
+
+def scan_features(ds, nodes, strategy, kind, cfg, memo: dict) -> Iterator[dict[int, dict[Strategy, _Entry | None]]]:
+    """Scan a frontier of ``nodes``, each ``(rows, features, w, value)``: its
+    rows, the features to scan, its row weights or None and its leaf value.
+    Yields, node after node, each feature's best feasible entry (loss,
+    partition and missing route) per objective of ``strategy``. Each run of
+    nodes without weights under cross-entropy is scanned together, a
+    feature at a time; every other node alone. Either way a node's entries
+    are those of a frontier of that node alone. ``memo`` holds the
+    exhaustive categorical cut lists, the ``x·log x`` table and the numeric
+    columns' value ranks already built for this loss; growth passes one
+    dict per tree, whose first frontier is its root. Growth calls this and
+    :func:`select_best`; neither is re-exported from the package."""
+    styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
+    run: list = []
+    for node in nodes:
+        rows, features, w, value = node
+        if kind.is_classification and w is None:
+            run.append(node)
+            continue
+        if run:
+            yield from _scan_counts(ds, run, kind, cfg, styles, memo)
+            run = []
+        yield _scan_node(ds, rows, features, w, value, kind, cfg, styles, memo)
+    if run:
+        yield from _scan_counts(ds, run, kind, cfg, styles, memo)
+
+
+def _scan_node(ds, rows, features, w, value, kind, cfg, styles, memo) -> dict[int, dict[Strategy, _Entry | None]]:
+    """One node's scan, its blocks priced by ``fitted``."""
+    S = row_stats(ds.response.values[rows], w, kind)
+    price = partial(fitted, kind=kind)
+    scan = {}
     for feature in sorted(features):
-        scan = _scan_feature(ds, feature, rows, S, kind, cfg, styles, node_value, memo, price)
-        if scan is not None:
-            scans[feature] = scan
+        table = _candidate_table(ds.columns[feature], feature, rows, S, kind, memo)
+        if table is not None:
+            scan[feature] = _scan_table(table, value, kind, cfg, styles, price)[0]
+    return scan
+
+
+def _scan_counts(ds, group, kind, cfg, styles, memo) -> list[dict[int, dict[Strategy, _Entry | None]]]:
+    """The scans of the nodes of ``group``, nodes without weights under
+    cross-entropy: whole counts of at most a node's row count, priced by
+    ``fitted_counts``."""
+    K = kind.n_classes
+    sizes = [rows.size for rows, *_ in group]
+    table = memo.get("xlogx")
+    if table is None:
+        # no later node of a tree has more rows than the first frontier's largest
+        table = memo["xlogx"] = xlogx_table(max(sizes))
+    price = partial(fitted_counts, table=table)
+    rows = np.concatenate([rows for rows, *_ in group])
+    node = np.repeat(np.arange(len(group)), sizes)
+    y = ds.response.values[rows]
+    totals = np.bincount(node * K + y, minlength=len(group) * K).reshape(-1, K)
+    values = np.array([value for *_, value in group])
+    scans: list = [{} for _ in group]
+    for feature in sorted(frozenset().union(*(features for _, features, _, _ in group))):
+        has = np.array([feature in features for _, features, _, _ in group])
+        keep = slice(None) if has.all() else has[node]
+        built = _count_table(ds, feature, rows[keep], node[keep], y[keep], totals, kind, memo)
+        if built is not None:
+            table, at = built
+            for j, entries in zip(at.tolist(), _scan_table(table, values[at], kind, cfg, styles, price)):
+                scans[j][feature] = entries
     return scans
 
 
@@ -726,7 +899,7 @@ def best_split(
         raise ValidationError("trinary strategies do not take row weights")
     if node_value is None:
         node_value = fit_leaf(ds.response.values[rows], kind, w)
-    scans = scan_features(ds, rows, features, strategy, kind, config, w, node_value, {})
+    scans = next(scan_features(ds, [(rows, features, w, node_value)], strategy, kind, config, {}))
     choice = select_best(scans, strategy)
     if choice is None:
         return None

@@ -91,6 +91,30 @@ def test_config_rejects_bad_grids(overrides, message):
         small_config(**overrides)
 
 
+def _train_config(**overrides):
+    return TrainConfig(Strategy.MIA, **overrides)
+
+
+@pytest.mark.parametrize("make, field, value, message", [
+    *[(make, field, value, f"{field} must be an integer, not {value!r}")
+      for make, fields in ((_train_config, ("max_depth", "min_samples")),
+                           (small_config, ("folds", "depth_grid_max", "min_samples")))
+      for field in fields
+      for value in (float("nan"), 2.5, 3.0, True, "3", None)],
+    (small_config, "q_grid", (0.0, "0.3"), "q_grid levels must be real numbers, not '0.3'"),
+    (small_config, "q_grid", (None,), "q_grid levels must be real numbers, not None"),
+    (small_config, "q_grid", ([0.1],), "q_grid levels must be real numbers, not [0.1]"),
+    (small_config, "q_grid", (False, 0.3), "q_grid levels must be real numbers, not False"),
+])
+def test_configs_refuse_values_that_are_not_integers(make, field, value, message):
+    """Integer fields take an int or a numpy integer only, as the scorers'
+    min_child does; a NaN depth no longer grows a root-only tree."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make(**{field: value})
+    if field != "q_grid":
+        assert getattr(make(**{field: np.int64(3)}), field) == 3
+
+
 def test_tune_depth_finds_the_step():
     # one threshold explains the response: depth 1 wins
     cfg = small_config(datasets=(("step", step_data(n_rows=80, noise=0.0)),))

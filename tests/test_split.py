@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nantree import (
     Branch,
@@ -24,7 +26,9 @@ from nantree import (
     score_binary,
     score_fractional,
     score_trinary,
+    serialize,
 )
+from nantree import parallel
 from nantree import split as split_module
 from nantree import tree as tree_module
 from nantree.data import CATEGORICAL, CLASS, NUMERIC, REAL
@@ -550,9 +554,9 @@ def test_growth_builds_each_exhaustive_cut_list_once_per_tree(monkeypatch, class
     scanned = []  # (feature, observed categories) of each categorical scan
     original = split_module._categorical_candidates
 
-    def recording(feature, vp, *args):
-        scanned.append((feature, frozenset(np.unique(vp).tolist())))
-        return original(feature, vp, *args)
+    def recording(feature, counts, *args):
+        scanned.append((feature, frozenset(np.flatnonzero(counts).tolist())))
+        return original(feature, counts, *args)
 
     monkeypatch.setattr(split_module, "_categorical_candidates", recording)
     tree = tree_module.train(ds, tree_module.TrainConfig(strategy, max_depth=4, min_samples=7))
@@ -588,6 +592,101 @@ def test_public_calls_build_every_candidate_each_time(monkeypatch):
         del built[:]
         assert best_split(ds, rows, features, Strategy.TRINARY, kind) is not None
         assert len(built) == sum(per_feature)
+
+
+def _deep_class_table(seed=5, n=500):
+    """Three classes over three numeric features, a categorical one cut
+    exhaustively (6 levels) and one cut by prefixes (14 levels), each 20%
+    MCAR; fewer than tree.PARALLEL_ROWS rows, so one process grows it."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, 3)), 2)
+    few = rng.integers(0, 6, size=n)
+    many = rng.integers(0, MAX_EXHAUSTIVE_CATEGORIES + 4, size=n)
+    signal = x[:, 0] - 0.5 * x[:, 1] + 0.3 * few - 0.1 * many + rng.normal(scale=0.5, size=n)
+    miss = rng.random((n, 5)) < 0.2
+    cols = [numeric(f"x{j}", np.where(miss[:, j], np.nan, x[:, j])) for j in range(3)]
+    cols.append(FeatureColumn("few", CATEGORICAL, np.where(miss[:, 3], -1, few), tuple("abcdef")))
+    cols.append(FeatureColumn("many", CATEGORICAL, np.where(miss[:, 4], -1, many),
+                              tuple(f"c{k}" for k in range(MAX_EXHAUSTIVE_CATEGORIES + 4))))
+    return Dataset(tuple(cols), ResponseColumn(CLASS, np.digitize(signal, [-0.5, 0.5]), ("l0", "l1", "l2")))
+
+
+@pytest.mark.parametrize("strategy, expected", [(Strategy.TRINARY, 25392), (Strategy.MAJORITY, 3768)])
+def test_deep_class_tree_builds_a_pinned_number_of_partitions(monkeypatch, strategy, expected):
+    """Depth-4 trees scan frontiers of many nodes together. The Partitions
+    they build are pinned at the count of a growth that scanned each node
+    alone, so a frontier scan neither skips nor repeats a candidate."""
+    ds = _deep_class_table()
+    frontiers = []
+    original = tree_module.scan_features
+
+    def recording(ds, nodes, *args):
+        frontiers.append(len(nodes))
+        return original(ds, nodes, *args)
+
+    monkeypatch.setattr(tree_module, "scan_features", recording)
+    built = _record_builds(monkeypatch)
+    tree = tree_module.train(ds, tree_module.TrainConfig(strategy, max_depth=4))
+    assert len(built) == expected
+    assert frontiers[0] == 1 and max(frontiers) > 4
+    assert tree_module.truncate(tree, 3) != tree
+
+
+def _scan_bits(scan) -> dict:
+    """A node's scan with each entry's loss as its exact bits."""
+    return {(feature, style): None if e is None else (e.loss.hex(), e.partition, e.route)
+            for feature, entries in scan.items() for style, e in entries.items()}
+
+
+@st.composite
+def _class_tables(draw):
+    """2-4 classes; numeric features, some with ties, categorical ones of at
+    most and of more than MAX_EXHAUSTIVE_CATEGORIES levels; 0-40% MCAR.
+    Some tables reach tree.PARALLEL_ROWS rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.sampled_from([30, 80, 200, tree_module.PARALLEL_ROWS + 40]))
+    n_classes = draw(st.integers(2, 4))
+    signal = rng.normal(scale=0.7, size=n)
+    cols = []
+    for j in range(draw(st.integers(2, 6))):
+        miss = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.25, 0.4]))
+        levels = draw(st.sampled_from([0, 0, 3, MAX_EXHAUSTIVE_CATEGORIES, MAX_EXHAUSTIVE_CATEGORIES + 3]))
+        if levels:
+            codes = rng.integers(0, levels, size=n)
+            signal += rng.normal() * codes / levels
+            cols.append(FeatureColumn(f"g{j}", CATEGORICAL, np.where(miss, -1, codes),
+                                      tuple(f"c{k}" for k in range(levels))))
+        else:
+            x = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            signal += rng.normal() * x
+            cols.append(numeric(f"x{j}", np.where(miss, np.nan, x)))
+    edges = np.quantile(signal, np.linspace(0, 1, n_classes + 1)[1:-1])
+    labels = tuple(f"l{k}" for k in range(n_classes))
+    return Dataset(tuple(cols), ResponseColumn(CLASS, np.searchsorted(edges, signal), labels))
+
+
+@given(_class_tables(), st.integers(1, 5), st.sampled_from([2, 5]))
+@settings(max_examples=25, deadline=None)
+def test_frontier_scans_are_scans_of_one_node(ds, max_depth, min_samples):
+    """Every frontier node's entries, loss bits, partition and route, are
+    those of a frontier of that node alone, under all five strategies; and
+    a tree on one CPU is byte for byte the tree on two."""
+    original = tree_module.scan_features
+
+    def checking(ds, nodes, strategy, kind, cfg, memo):
+        for node, scan in zip(nodes, original(ds, nodes, strategy, kind, cfg, memo)):
+            assert _scan_bits(scan) == _scan_bits(next(original(ds, [node], strategy, kind, cfg, {})))
+            yield scan
+
+    with pytest.MonkeyPatch.context() as patch:
+        for strategy in Strategy:
+            cfg = tree_module.TrainConfig(strategy, max_depth=max_depth, min_samples=min_samples)
+            patch.setattr(parallel, "usable_cpus", lambda: 1)
+            patch.setattr(tree_module, "scan_features", checking)
+            alone = serialize(tree_module.train(ds, cfg))
+            patch.setattr(tree_module, "scan_features", original)
+            patch.setattr(parallel, "usable_cpus", lambda: 2)
+            assert serialize(tree_module.train(ds, cfg)) == alone, strategy
 
 
 def _three_class_node(seed=11, n=40):
@@ -638,8 +737,8 @@ def test_a_node_with_a_fractional_weight_is_priced_by_fitted(monkeypatch, strate
     calls = _record_pricing(monkeypatch)
     got = best_split(ds, rows, [0, 1], strategy, kind, cfg, weights=weights)
     assert got.total_loss == pytest.approx(expected, rel=1e-12)
-    scans = split_module.scan_features(ds, rows, [0, 1], strategy, kind, cfg, weights,
-                                       fit_leaf(ds.response.values, kind, weights), {})
+    node = (rows, [0, 1], weights, fit_leaf(ds.response.values, kind, weights))
+    scans = next(split_module.scan_features(ds, [node], strategy, kind, cfg, {}))
     assert min(scan[strategy].loss for scan in scans.values()) == pytest.approx(expected, rel=1e-12)
     assert calls["counts"] == 0 and calls["fitted"] > 0
 
@@ -842,7 +941,7 @@ def test_growth_split_rows_match_scorers(strategy, n_classes, monkeypatch):
         return split_rows(*args)
 
     def scan_spy(*args):
-        scanned.append(args[6])
+        scanned.extend(w for _, _, w, _ in args[1])  # each frontier node's weights
         return scan_features(*args)
 
     monkeypatch.setattr(tree_module, "split_rows", spy)
