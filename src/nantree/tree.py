@@ -1,6 +1,7 @@
 """Tree growth, prediction, text rendering, and a lossless JSON format.
 
-This module alone builds tree nodes, bottom-up (:func:`_build`):
+This module alone builds tree nodes, bottom-up (:func:`_build`, or the
+parser hook with which :func:`deserialize` reads a document in one pass):
 :func:`train` grows them one depth at a time under the loss the response
 calls for; split nodes keep the leaf fitted at them, so :func:`truncate`
 only cuts, and :func:`project` recasts a tree grown on complete data for
@@ -840,15 +841,10 @@ def _node_from_json(kind: LossKind, name_to_feature: dict, code_of: dict, item):
     return (spec, _size(doc.get("n", 0), "split node n"), None), children if node_kind == "trinary" else children[:2]
 
 
-def deserialize(text: str) -> Tree:
-    """Parse and validate a tree document produced by :func:`serialize`."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TreeFormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise TreeFormatError("document nested too deeply") from None
-    _object(doc, "tree document")
+def _header(doc: dict) -> tuple[dict, dict, dict]:
+    """The checked header of the tree document ``doc``: the :class:`Tree`
+    fields but the root, the index of each feature name, and each
+    categorical feature's name-to-code dict."""
     fmt = _require(doc, "format", "document")
     if fmt != TREE_FORMAT:
         raise TreeFormatError(f"unsupported format {fmt!r}")
@@ -893,14 +889,120 @@ def deserialize(text: str) -> Tree:
     labels = _names(response.get("labels", []), "response labels")
     if kind.is_classification and len(labels) not in (0, kind.n_classes):
         raise TreeFormatError("label list does not match the class count")
+    fields = dict(strategy=strategy, loss=kind, feature_names=tuple(names), feature_kinds=tuple(kinds),
+                  categories=categories, response_kind=response_kind, response_labels=labels)
+    return fields, name_to_feature, code_of
 
-    return Tree(
-        root=_build((doc, "root", "document"), partial(_node_from_json, kind, name_to_feature, code_of)),
-        strategy=strategy,
-        loss=kind,
-        feature_names=tuple(names),
-        feature_kinds=tuple(kinds),
-        categories=categories,
-        response_kind=response_kind,
-        response_labels=labels,
-    )
+
+def _node_hook(kind: LossKind, name_to_feature: dict, code_of: dict):
+    """The ``json`` object hook that makes each node object of a document
+    with this header into its node, its children already made; other
+    objects pass through. A node :func:`_node_from_json` might refuse
+    raises ValueError, LookupError or TypeError, with no message of its own."""
+    K = kind.n_classes if kind.is_classification else 0
+    # numpy sums a leaf's probabilities in another order than sum(): each
+    # total is within K ulps of the exact one, so a sum this far inside the
+    # 1e-9 tolerance passes in either order
+    prob_tolerance = 1e-9 - K * 2.0 ** -50
+    routes = {route.value: route for route in MissingRoute}
+    nodes = (Leaf, Branch)
+    partitions: dict = {}  # one Partition per (feature, left list, right list)
+
+    def node(d: dict):
+        node_kind = d.get("kind")
+        if node_kind == "leaf":
+            value, n, loss = d["value"], d["n"], d["loss"]
+            if type(n) is not float or not n >= 0.0 or type(loss) is not float or not loss >= -1e-9 * max(n, 1.0):
+                raise ValueError
+            if K:
+                # NaN fails the sum's test; each check is phrased to fail on it
+                if (type(value) is not list or len(value) != K or set(map(type, value)) != {float}
+                        or not min(value) >= 0.0 or not abs(sum(value) - 1.0) <= prob_tolerance):
+                    raise ValueError
+                value = np.array(value)
+            elif type(value) is not float or value != value:
+                raise ValueError
+            return Leaf(value, n, loss)
+        if node_kind != "binary" and node_kind != "trinary":
+            return d
+        feature = name_to_feature[d["feature"]]
+        if "threshold" in d:
+            threshold = d["threshold"]
+            if feature in code_of or type(threshold) is not float or not threshold - threshold == 0.0:
+                raise ValueError
+            partition = Partition(feature, threshold)
+        else:
+            left, right = d["left_categories"], d["right_categories"]
+            if type(left) is not list or type(right) is not list:
+                raise ValueError
+            key = (feature, tuple(left), tuple(right))
+            partition = partitions.get(key)
+            if partition is None:
+                codes = code_of[feature]  # names that are not strings are in none of its keys
+                partition = partitions[key] = Partition(feature, left_categories=frozenset([codes[c] for c in left]),
+                                                        right_categories=frozenset([codes[c] for c in right]))
+        route = routes[d["missing"]]
+        w_left = w_right = None
+        if route is MissingRoute.FRACTIONAL:
+            w_left, w_right = d["w_left"], d["w_right"]
+            if (type(w_left) is not float or type(w_right) is not float
+                    or not abs(w_left + w_right - 1.0) <= 1e-12 or w_left < 0 or w_right < 0):
+                raise ValueError
+        n, left, right = d["n"], d["left"], d["right"]
+        trinary = node_kind == "trinary"
+        middle = d["middle"] if trinary else None
+        if (type(n) is not float or not n >= 0.0 or (route is MissingRoute.MIDDLE) != trinary
+                or ("middle" in d) != trinary or type(left) not in nodes or type(right) not in nodes
+                or (trinary and type(middle) not in nodes)):
+            raise ValueError
+        return Branch(SplitSpec(partition, route, w_left, w_right), left, right, middle, n)
+
+    return node
+
+
+def _one_pass(text) -> Tree | None:
+    """The tree of ``text`` read in one pass, or None to leave the text to
+    :func:`deserialize`'s node walk, which gives every refusal its message.
+    The keys before ``"root"`` give the header; ``json.loads`` then parses
+    the whole text through :func:`_node_hook`, one call deeper than the
+    walk's parse, so it meets the depth limit no later."""
+    skip, decode = json.decoder.WHITESPACE.match, json.JSONDecoder().raw_decode
+    head: dict = {}
+    try:
+        # a guess at the header, unchecked: the parse and the test after it decide
+        i = skip(text).end() + 1  # past the "{"
+        while True:
+            key, i = decode(text, skip(text, i).end())
+            i = skip(text, i).end() + 1  # past the ":"
+            if key == "root":
+                break
+            head[key], i = decode(text, skip(text, i).end())
+            i = skip(text, i).end() + 1  # past the ","
+        fields, name_to_feature, code_of = _header(head)
+        doc = json.loads(text, object_hook=_node_hook(fields["loss"], name_to_feature, code_of))
+        # a key after "root" may have changed the header the nodes were read under
+        if type(doc) is not dict or type(doc.get("root")) not in (Leaf, Branch) or _header(doc)[0] != fields:
+            return None
+    except (LookupError, TypeError, ValueError, RecursionError):
+        return None
+    return Tree(root=doc["root"], **fields)
+
+
+def deserialize(text: str) -> Tree:
+    """Parse and validate a tree document produced by :func:`serialize`. A
+    document :func:`_one_pass` leaves is parsed whole, then checked and built
+    node by node, pre-order, so a refusal names the first check failed. The
+    cyclic garbage collector is paused: parsing makes no reference cycles."""
+    with _collector_paused():
+        tree = _one_pass(text)
+        if tree is not None:
+            return tree
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise TreeFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise TreeFormatError("document nested too deeply") from None
+        fields, name_to_feature, code_of = _header(_object(doc, "tree document"))
+        visit = partial(_node_from_json, fields["loss"], name_to_feature, code_of)
+        return Tree(root=_build((doc, "root", "document"), visit), **fields)

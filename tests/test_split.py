@@ -669,13 +669,16 @@ def _class_tables(draw):
 @settings(max_examples=25, deadline=None)
 def test_frontier_scans_are_scans_of_one_node(ds, max_depth, min_samples):
     """Every frontier node's entries, loss bits, partition and route, are
-    those of a frontier of that node alone, under all five strategies; and
-    a tree on one CPU is byte for byte the tree on two."""
+    those of the node's own scan through its one-node tables
+    (split._scan_node: _candidate_table, priced by loss.fitted), under all
+    five strategies; and a tree on one CPU is byte for byte the tree on two."""
     original = tree_module.scan_features
 
     def checking(ds, nodes, strategy, kind, cfg, memo):
-        for node, scan in zip(nodes, original(ds, nodes, strategy, kind, cfg, memo)):
-            assert _scan_bits(scan) == _scan_bits(next(original(ds, [node], strategy, kind, cfg, {})))
+        styles = (Strategy.MIA, Strategy.TRINARY) if strategy is Strategy.TRINARY_MIA else (strategy,)
+        for (rows, features, w, value), scan in zip(nodes, original(ds, nodes, strategy, kind, cfg, memo)):
+            alone = split_module._scan_node(ds, rows, features, w, value, kind, cfg, styles, {})
+            assert _scan_bits(scan) == _scan_bits(alone)
             yield scan
 
     with pytest.MonkeyPatch.context() as patch:

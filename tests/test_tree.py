@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -9,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nantree import (
     Branch,
@@ -894,6 +897,210 @@ def test_deserialize_rejects_repeated_names():
     doc["response"]["labels"] = ["no", "no"]
     with pytest.raises(TreeFormatError, match="response labels list 'no' twice"):
         deserialize(json.dumps(doc))
+
+
+@functools.cache
+def _format_documents() -> tuple[str, ...]:
+    """The documents of trees of all five strategies under sse and 3-class
+    cross-entropy: fc weights, categorical splits cut exhaustively (``g``,
+    4 levels, 3 classes) and by prefix (``h``, 13 levels, or sse), and
+    middle chains."""
+    rng = np.random.default_rng(8)
+    n = 160
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    g, h = rng.integers(0, 4, n), rng.integers(0, 13, n)
+    signal = x - z + g + 0.3 * h + rng.normal(scale=0.3, size=n)
+    miss = rng.random((4, n)) < 0.25
+    cols = (numeric("x", np.where(miss[0], np.nan, x)),
+            FeatureColumn("g", CATEGORICAL, np.where(miss[1], -1, g), tuple("abcd")),
+            FeatureColumn("h", CATEGORICAL, np.where(miss[2], -1, h), tuple(f"h{k}" for k in range(13))),
+            numeric("z", np.where(miss[3], np.nan, z)))
+    edges = np.quantile(signal, [1 / 3, 2 / 3])
+    responses = (ResponseColumn(REAL, signal), ResponseColumn(CLASS, np.searchsorted(edges, signal), ("a", "b", "c")))
+    return tuple(serialize(train(Dataset(cols, response), TrainConfig(strategy, max_depth=3, min_samples=3)))
+                 for response in responses for strategy in Strategy)
+
+
+def _positions(doc) -> list:
+    """Every (container, key or index) of ``doc``'s objects and arrays."""
+    found, stack = [], [doc]
+    while stack:
+        item = stack.pop()
+        if type(item) in (dict, list):
+            keys = list(item) if type(item) is dict else range(len(item))
+            found += [(item, key) for key in keys]
+            stack += [item[key] for key in keys]
+    return found
+
+
+_ODD_VALUES = [None, True, False, 0, 2, -1, 2.5, -0.5, -1e-300, math.nan, math.inf, -math.inf,
+               "x", "g", "a", "2.5", "leaf", "binary", "trinary", "left", "middle", "fractional",
+               [], [0.5], [1.0], [0.5, 0.5], ["a", "b"], [1.0, 0.0, 0.0], [1, 0, 0], [True, False, False],
+               [1.5, -0.5, 0.0], [0.5, math.nan, 0.5], {}, {"kind": "leaf", "value": 0.5, "n": 1.0, "loss": 0.0}]
+_NUDGES = [1e-12, -1e-12, 6e-13, -6e-13, 1e-9, -1e-9, 2e-9, 1e-300]
+
+
+def _edited_document(data, text: str) -> str:
+    """``text`` with one random edit, written with ``indent=2`` or minified."""
+    doc = json.loads(text)
+    minified = data.draw(st.booleans())
+
+    def dump(value) -> str:
+        return json.dumps(value, separators=(",", ":")) if minified else json.dumps(value, indent=2)
+
+    positions = _positions(doc)
+    objects = [doc] + [holder[key] for holder, key in positions if type(holder[key]) is dict]
+    keys = [(o, key) for o in objects for key in o]
+    leaves = [o for o in objects if o.get("kind") == "leaf"]
+    edits = ["none", "drop", "set", "nudge", "root first", "after root", "repeat", "loss slack"]
+    edits += ["probabilities"] if doc["loss"]["kind"] == "xe" else []
+    fractional = [o for o in objects if "w_left" in o]
+    edits += ["weights"] if fractional else []
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "drop":
+        holder, key = data.draw(st.sampled_from(keys))
+        del holder[key]
+    elif edit == "set":
+        holder, key = data.draw(st.sampled_from(positions))
+        holder[key] = data.draw(st.sampled_from(_ODD_VALUES))
+    elif edit == "nudge":
+        numbers = [(o, k) for o, k in positions if type(o[k]) is float]
+        holder, key = data.draw(st.sampled_from(numbers))
+        holder[key] += data.draw(st.sampled_from(_NUDGES))
+    elif edit == "root first":
+        doc = {"root": doc.pop("root"), **doc}
+    elif edit == "after root":
+        key = data.draw(st.sampled_from(["format", "strategy", "loss", "features", "response", "root", "extra"]))
+        value = data.draw(st.sampled_from([doc.get(key, 1), *_ODD_VALUES]))
+        return dump(doc)[:-1].rstrip() + f",{json.dumps(key)}:{json.dumps(value)}}}"
+    elif edit == "repeat":
+        # the key twice, next to each other: its own value and a drawn one, either first
+        holder, key = data.draw(st.sampled_from(keys))
+        pair = [json.dumps(holder[key]), json.dumps(data.draw(st.sampled_from([holder[key], *_ODD_VALUES])))]
+        if data.draw(st.booleans()):
+            pair.reverse()
+        holder[key] = "\u0000repeat"
+        repeated = ",".join(f"{json.dumps(key)}:{value}" for value in pair)
+        return re.sub(r'"[^"]*":\s*"\\u0000repeat"', lambda _: repeated, dump(doc))
+    elif edit == "loss slack":
+        leaf = data.draw(st.sampled_from(leaves))
+        slack = -1e-9 * max(leaf["n"], 1.0)
+        leaf["loss"] = data.draw(st.sampled_from([slack, math.nextafter(slack, 0.0), math.nextafter(slack, -1.0)]))
+    elif edit == "weights":
+        # fc weights that sum to 1: one at or below 0, or two ints or bools
+        pairs = [(1.0 + d, -d) for d in (0.0, -0.0, 1e-300, 1e-13, 0.25)] + [(1, 0), (True, False)]
+        pair = data.draw(st.sampled_from(pairs))
+        node = data.draw(st.sampled_from(fractional))
+        node["w_left"], node["w_right"] = pair if data.draw(st.booleans()) else pair[::-1]
+    elif edit == "probabilities":
+        # a sum next to the 1e-9 tolerance on either side of 1, as numpy adds the list
+        total = data.draw(st.sampled_from([1 + 4503599 * 2.0 ** -52, 1 + 4503600 * 2.0 ** -52,
+                                           1 - 9007199 * 2.0 ** -53, 1 - 9007200 * 2.0 ** -53,
+                                           1 + 1e-9 - 3 * 2.0 ** -50]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        probs = rng.random(3)
+        probs /= probs.sum()
+        probs[-1] += total - np.sum(probs)
+        for _ in range(64):
+            if np.sum(probs) == total:
+                break
+            probs[-1] = np.nextafter(probs[-1], np.inf if np.sum(probs) < total else -np.inf)
+        data.draw(st.sampled_from(leaves))["value"] = probs.tolist()
+    return dump(doc)
+
+
+def _verdict(read, text: str):
+    """The text of the tree ``read`` makes of ``text``, or the class and
+    message of the error it raises."""
+    try:
+        return serialize(read(text))
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _checked_walk(text: str):
+    """What deserialize's node walk alone reads of ``text``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_one_pass", lambda text: None)
+        return deserialize(text)
+
+
+def test_every_written_document_is_read_in_one_pass(monkeypatch):
+    """serialize's text, and its minified form, never reaches the checked
+    walk, and the one pass reads the tree back."""
+    monkeypatch.setattr(tree_module, "_node_from_json", None)  # the walk's visit
+    for text in _format_documents():
+        assert serialize(deserialize(text)) == text
+        minified = json.dumps(json.loads(text), separators=(",", ":"))
+        assert serialize(deserialize(minified)) == text
+    texts = "".join(_format_documents())
+    assert '"w_left"' in texts and '"left_categories"' in texts
+    assert re.search(r'"middle": \{\s*"kind": "trinary"', texts)  # a middle chain
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_read_agrees_with_the_checked_walk(data):
+    """After any one edit, deserialize gives what the checked walk alone
+    gives: the same tree, or the same error and message."""
+    text = _edited_document(data, data.draw(st.sampled_from(_format_documents())))
+    assert _verdict(deserialize, text) == _verdict(_checked_walk, text)
+
+
+def test_one_pass_read_agrees_with_the_checked_walk_on_every_field():
+    """Each field of the first leaf under each loss, and of the first split
+    node of each kind, on either feature type, with fc weights or without
+    (smallest document first), and a middle child, set to each odd value,
+    and a list of names also as their string or as an object's keys:
+    deserialize gives what the checked walk alone gives."""
+    seen = set()
+    for text in sorted(_format_documents(), key=len):
+        doc = json.loads(text)
+        for holder, _ in _positions(doc):
+            kind = type(holder) is dict and holder.get("kind")
+            place = (doc["loss"]["kind"] if kind == "leaf" else None, kind, "threshold" in holder, "w_left" in holder)
+            if kind not in ("leaf", "binary", "trinary") or place in seen:
+                continue
+            seen.add(place)
+            for key in sorted(set(holder) | {"middle"}):
+                had, kept = key in holder, holder.get(key)
+                names = kept if type(kept) is list and all(type(c) is str for c in kept) else []
+                for value in _ODD_VALUES + ["".join(names), dict.fromkeys(names)] * bool(names):
+                    holder[key] = value
+                    edited = json.dumps(doc)
+                    assert _verdict(deserialize, edited) == _verdict(_checked_walk, edited)
+                if had:
+                    holder[key] = kept
+                else:
+                    del holder[key]
+    assert len(seen) == 8
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_deserialize_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    """The read pauses the cyclic garbage collector, and leaves it on or off
+    as it was, whether the read succeeds or fails."""
+    states = []
+    header = tree_module._header
+    monkeypatch.setattr(tree_module, "_header", lambda doc: states.append(gc.isenabled()) or header(doc))
+    text = serialize(train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1)))
+    bad = json.loads(text)
+    bad["root"]["n"] = -4.0
+    reads = [(text, None), (json.dumps(bad), "split node n"),
+             (serialize(middle_chain_tree(1500)), "nested too deeply")]
+    was = gc.isenabled()
+    try:
+        for doc, message in reads:
+            (gc.enable if enabled else gc.disable)()
+            if message is None:
+                deserialize(doc)
+            else:
+                with pytest.raises(TreeFormatError, match=message):
+                    deserialize(doc)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states and not any(states)
 
 
 def _mixed_tables(n_classes, seed=0, train_missing=0.3):
