@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMERIC, REAL, Dataset, FeatureColumn, ResponseColumn, ValidationError, check_seed, write_columns
+from .data import (NUMERIC, REAL, Dataset, FeatureColumn, ResponseColumn, ValidationError, check_integer, check_seed,
+                   write_columns)
 from .split import Strategy
 from .tree import Leaf, TrainConfig, predict, train
 
@@ -46,6 +47,8 @@ class BiasScenario:
             raise ValidationError("a and b must be finite")
         if not 0.0 <= self.sigma < math.inf:  # NaN fails too
             raise ValidationError("sigma must be finite and nonnegative")
+        check_integer(self.n_samples, "n_samples")
+        check_integer(self.replications, "replications")
         if self.n_samples < 2 or self.replications < 2:
             raise ValidationError("need at least 2 samples and 2 replications")
         check_seed(self.seed)

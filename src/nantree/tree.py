@@ -39,7 +39,6 @@ import json
 import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -367,8 +366,10 @@ def truncate(tree: Tree, depth: int) -> Tree:
     Growth is greedy and no stopping rule but depth reads the budget, so a
     cut trained tree is the tree :func:`train` grows at ``depth``. Cutting
     a split node with no fit (read back by :func:`deserialize`, or built
-    by hand) raises ValidationError.
+    by hand) raises ValidationError, as does a ``depth`` that is not a
+    non-negative integer.
     """
+    check_integer(depth, "depth")
     if depth < 0:
         raise ValidationError("depth must be non-negative")
 
@@ -749,25 +750,6 @@ def _names(raw, what: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
-def _value_from_json(raw, kind: LossKind):
-    if kind.is_classification:
-        if type(raw) is not list or len(raw) != kind.n_classes:
-            raise TreeFormatError(f"leaf value must be a list of {kind.n_classes} probabilities")
-        probs = [_number(p, "leaf probability") for p in raw]
-        for p in probs:
-            if not p >= 0:  # NaN fails every comparison, so each check is phrased to fail on it
-                raise TreeFormatError("leaf probabilities must be non-negative numbers, not NaN")
-        value = np.array(probs)
-        total = float(value.sum())
-        if not abs(total - 1.0) <= 1e-9:
-            raise TreeFormatError(f"leaf probabilities sum to {total!r}, not 1")
-        return value
-    value = _number(raw, "regression leaf value")
-    if value != value:
-        raise TreeFormatError("regression leaf value is NaN")
-    return value
-
-
 def _category_set(doc: dict, key: str, code_of: dict, fname: str) -> frozenset[int]:
     raw = _require(doc, key, "split node")
     if type(raw) is not list:
@@ -781,64 +763,122 @@ def _category_set(doc: dict, key: str, code_of: dict, fname: str) -> frozenset[i
     return frozenset(codes)
 
 
-def _node_from_json(kind: LossKind, name_to_feature: dict, code_of: dict, item):
-    """The :func:`_build` visit of ``(object, key, context)``: the key is
-    read after the subtrees before it, a split node's n before its children.
-    ``code_of`` maps each categorical feature to its name-to-code dict."""
-    holder, key, context = item
-    doc = _require(holder, key, context)
-    node_kind = _require(_object(doc, "node"), "kind", "node")
-    if node_kind == "leaf":
-        value = _value_from_json(_require(doc, "value", "leaf"), kind)
-        n = _size(doc.get("n", 0), "leaf n")
-        # a cross-entropy leaf on fractional row weights can price a hair
-        # below 0: its class weights and their total are summed in different
-        # orders, so a pure leaf's probability can read 1 + 1 ulp
-        loss = _size(doc.get("loss", 0.0), "leaf loss", 1e-9 * max(n, 1.0))
-        return Leaf(value=value, n_samples=n, train_loss=loss), ()
-    if node_kind not in ("binary", "trinary"):
-        raise TreeFormatError(f"unknown node kind {node_kind!r}")
-    fname = _require(doc, "feature", "split node")
-    feature = name_to_feature.get(fname) if type(fname) is str else None
-    if feature is None:
-        raise TreeFormatError(f"split on unknown feature {reprlib.repr(fname)}")
-    if "threshold" in doc:
-        if feature in code_of:
-            raise TreeFormatError(f"feature {fname!r} is categorical but the node has a threshold")
-        threshold = _number(doc["threshold"], "threshold")
-        if not threshold - threshold == 0.0:  # NaN and both infinities fail it
-            raise TreeFormatError(f"split on feature {fname!r}: threshold is {_json_float(threshold)}, not finite")
-        partition = Partition(feature, threshold)
-    else:
-        if feature not in code_of:
-            raise TreeFormatError(f"feature {fname!r} is numeric but the node has no threshold")
-        left = _category_set(doc, "left_categories", code_of[feature], fname)
-        right = _category_set(doc, "right_categories", code_of[feature], fname)
-        try:
-            partition = Partition(feature, left_categories=left, right_categories=right)
-        except ValueError as exc:
-            raise TreeFormatError(f"split on feature {fname!r}: {exc}") from None
-    route_raw = _require(doc, "missing", "split node")
-    try:
-        route = MissingRoute(route_raw)
-    except ValueError:
-        raise TreeFormatError(f"unknown missing route {route_raw!r}") from None
-    w_left = w_right = None
-    if route is MissingRoute.FRACTIONAL:
-        w_left = _number(_require(doc, "w_left", "fractional node"), "w_left")
-        w_right = _number(_require(doc, "w_right", "fractional node"), "w_right")
-        # NaN fails every comparison, so the check is phrased to fail on it
-        if not abs(w_left + w_right - 1.0) <= 1e-12:
-            raise TreeFormatError(f"fractional weights sum to {w_left + w_right!r}, not 1")
-        if w_left < 0 or w_right < 0:
-            raise TreeFormatError("fractional weights must be non-negative")
-    if (route is MissingRoute.MIDDLE) != (node_kind == "trinary"):
-        raise TreeFormatError("middle route and trinary node kind must occur together")
-    if (node_kind == "trinary") != ("middle" in doc):
-        raise TreeFormatError("trinary nodes need a middle child; binary nodes must not have one")
-    spec = SplitSpec(partition, route, w_left=w_left, w_right=w_right)
-    children = [(doc, "left", "split node"), (doc, "right", "split node"), (doc, "middle", "split node")]
-    return (spec, _size(doc.get("n", 0), "split node n"), None), children if node_kind == "trinary" else children[:2]
+def _node_reader(kind: LossKind, name_to_feature: dict, code_of: dict):
+    """``read(doc, built=True)``, the one check of a node object ``doc`` of a
+    document with this header: its own fields in pre-order, a split node's n
+    last, the first that fails a TreeFormatError. A field that passes an
+    inline type test is taken as written, any other read by _require,
+    _number or _size. As :func:`_one_pass`'s object hook (``built``), it
+    passes other objects through and makes a node object, its children made,
+    into its node, or raises ValueError at a child that is no node; as the
+    walk's :func:`_build` visit, it gives the ``Leaf`` or ``((spec, n, None),
+    children)``, each child a (holder, key). ``code_of`` maps each
+    categorical feature to its name-to-code dict."""
+    K = kind.n_classes if kind.is_classification else 0
+    # numpy sums a leaf's probabilities in another order than sum(): each
+    # total is within K ulps of the exact one, so a sum this far inside the
+    # 1e-9 tolerance passes in either order
+    prob_tolerance = 1e-9 - K * 2.0 ** -50
+    routes = {route.value: route for route in MissingRoute}
+    nodes = (Leaf, Branch)
+    partitions: dict = {}  # one Partition per (feature, left list, right list)
+
+    def read(doc: dict, built: bool = True):
+        node_kind = doc.get("kind")
+        if node_kind == "leaf":
+            value, n, loss = doc.get("value"), doc.get("n", 0.0), doc.get("loss", 0.0)
+            if not K:
+                if type(value) is not float:
+                    value = _number(_require(doc, "value", "leaf"), "regression leaf value")
+                if value != value:
+                    raise TreeFormatError("regression leaf value is NaN")
+            # NaN fails every comparison, so each check is phrased to fail on it
+            elif (type(value) is list and len(value) == K and set(map(type, value)) == {float}
+                  and min(value) >= 0.0 and abs(sum(value) - 1.0) <= prob_tolerance):
+                value = np.array(value)
+            else:
+                value = _require(doc, "value", "leaf")
+                if type(value) is not list or len(value) != K:
+                    raise TreeFormatError(f"leaf value must be a list of {K} probabilities")
+                value = np.array([_number(p, "leaf probability") for p in value])
+                if not (value >= 0.0).all():
+                    raise TreeFormatError("leaf probabilities must be non-negative numbers, not NaN")
+                total = float(value.sum())
+                if not abs(total - 1.0) <= 1e-9:
+                    raise TreeFormatError(f"leaf probabilities sum to {total!r}, not 1")
+            if type(n) is not float or not n >= 0.0:
+                n = _size(n, "leaf n")
+            # a cross-entropy leaf on fractional row weights can price a hair
+            # below 0: its class weights and their total are summed in different
+            # orders, so a pure leaf's probability can read 1 + 1 ulp
+            if type(loss) is not float or not loss >= 0.0:
+                loss = _size(loss, "leaf loss", 1e-9 * max(n, 1.0))
+            return Leaf(value, n, loss)
+        if node_kind != "binary" and node_kind != "trinary":
+            if built:
+                return doc
+            _require(doc, "kind", "node")
+            raise TreeFormatError(f"unknown node kind {node_kind!r}")
+        fname = doc.get("feature")
+        feature = name_to_feature.get(fname) if type(fname) is str else None
+        if feature is None:
+            _require(doc, "feature", "split node")
+            raise TreeFormatError(f"split on unknown feature {reprlib.repr(fname)}")
+        if "threshold" in doc:
+            if feature in code_of:
+                raise TreeFormatError(f"feature {fname!r} is categorical but the node has a threshold")
+            threshold = doc["threshold"]
+            if type(threshold) is not float:
+                threshold = _number(threshold, "threshold")
+            if not threshold - threshold == 0.0:  # NaN and both infinities fail it
+                raise TreeFormatError(f"split on feature {fname!r}: threshold is {_json_float(threshold)}, not finite")
+            partition = Partition(feature, threshold)
+        else:
+            left, right = doc.get("left_categories"), doc.get("right_categories")
+            key = (feature, tuple(left), tuple(right)) if type(left) is list and type(right) is list else None
+            try:
+                partition = partitions[key]  # only a categorical feature's lists are keys
+            except (KeyError, TypeError):  # lists not read yet, or not lists of names
+                partition = None
+            if partition is None:
+                if feature not in code_of:
+                    raise TreeFormatError(f"feature {fname!r} is numeric but the node has no threshold")
+                left = _category_set(doc, "left_categories", code_of[feature], fname)
+                right = _category_set(doc, "right_categories", code_of[feature], fname)
+                try:
+                    partition = partitions[key] = Partition(feature, left_categories=left, right_categories=right)
+                except ValueError as exc:
+                    raise TreeFormatError(f"split on feature {fname!r}: {exc}") from None
+        raw = doc.get("missing")
+        route = routes.get(raw) if type(raw) is str else None
+        if route is None:
+            _require(doc, "missing", "split node")
+            raise TreeFormatError(f"unknown missing route {raw!r}")
+        w_left = w_right = None
+        if route is MissingRoute.FRACTIONAL:
+            w_left = _number(_require(doc, "w_left", "fractional node"), "w_left")
+            w_right = _number(_require(doc, "w_right", "fractional node"), "w_right")
+            if not abs(w_left + w_right - 1.0) <= 1e-12:
+                raise TreeFormatError(f"fractional weights sum to {w_left + w_right!r}, not 1")
+            if w_left < 0 or w_right < 0:
+                raise TreeFormatError("fractional weights must be non-negative")
+        trinary = node_kind == "trinary"
+        if (route is MissingRoute.MIDDLE) != trinary:
+            raise TreeFormatError("middle route and trinary node kind must occur together")
+        if ("middle" in doc) != trinary:
+            raise TreeFormatError("trinary nodes need a middle child; binary nodes must not have one")
+        n = doc.get("n", 0.0)
+        if type(n) is not float or not n >= 0.0:
+            n = _size(n, "split node n")
+        spec = SplitSpec(partition, route, w_left, w_right)
+        if not built:
+            return (spec, n, None), [(doc, "left"), (doc, "right")] + [(doc, "middle")] * trinary
+        left, right, middle = doc["left"], doc["right"], doc["middle"] if trinary else None
+        if type(left) not in nodes or type(right) not in nodes or (trinary and type(middle) not in nodes):
+            raise ValueError("a child is not a node")
+        return Branch(spec, left, right, middle, n)
+
+    return read
 
 
 def _header(doc: dict) -> tuple[dict, dict, dict]:
@@ -894,78 +934,12 @@ def _header(doc: dict) -> tuple[dict, dict, dict]:
     return fields, name_to_feature, code_of
 
 
-def _node_hook(kind: LossKind, name_to_feature: dict, code_of: dict):
-    """The ``json`` object hook that makes each node object of a document
-    with this header into its node, its children already made; other
-    objects pass through. A node :func:`_node_from_json` might refuse
-    raises ValueError, LookupError or TypeError, with no message of its own."""
-    K = kind.n_classes if kind.is_classification else 0
-    # numpy sums a leaf's probabilities in another order than sum(): each
-    # total is within K ulps of the exact one, so a sum this far inside the
-    # 1e-9 tolerance passes in either order
-    prob_tolerance = 1e-9 - K * 2.0 ** -50
-    routes = {route.value: route for route in MissingRoute}
-    nodes = (Leaf, Branch)
-    partitions: dict = {}  # one Partition per (feature, left list, right list)
-
-    def node(d: dict):
-        node_kind = d.get("kind")
-        if node_kind == "leaf":
-            value, n, loss = d["value"], d["n"], d["loss"]
-            if type(n) is not float or not n >= 0.0 or type(loss) is not float or not loss >= -1e-9 * max(n, 1.0):
-                raise ValueError
-            if K:
-                # NaN fails the sum's test; each check is phrased to fail on it
-                if (type(value) is not list or len(value) != K or set(map(type, value)) != {float}
-                        or not min(value) >= 0.0 or not abs(sum(value) - 1.0) <= prob_tolerance):
-                    raise ValueError
-                value = np.array(value)
-            elif type(value) is not float or value != value:
-                raise ValueError
-            return Leaf(value, n, loss)
-        if node_kind != "binary" and node_kind != "trinary":
-            return d
-        feature = name_to_feature[d["feature"]]
-        if "threshold" in d:
-            threshold = d["threshold"]
-            if feature in code_of or type(threshold) is not float or not threshold - threshold == 0.0:
-                raise ValueError
-            partition = Partition(feature, threshold)
-        else:
-            left, right = d["left_categories"], d["right_categories"]
-            if type(left) is not list or type(right) is not list:
-                raise ValueError
-            key = (feature, tuple(left), tuple(right))
-            partition = partitions.get(key)
-            if partition is None:
-                codes = code_of[feature]  # names that are not strings are in none of its keys
-                partition = partitions[key] = Partition(feature, left_categories=frozenset([codes[c] for c in left]),
-                                                        right_categories=frozenset([codes[c] for c in right]))
-        route = routes[d["missing"]]
-        w_left = w_right = None
-        if route is MissingRoute.FRACTIONAL:
-            w_left, w_right = d["w_left"], d["w_right"]
-            if (type(w_left) is not float or type(w_right) is not float
-                    or not abs(w_left + w_right - 1.0) <= 1e-12 or w_left < 0 or w_right < 0):
-                raise ValueError
-        n, left, right = d["n"], d["left"], d["right"]
-        trinary = node_kind == "trinary"
-        middle = d["middle"] if trinary else None
-        if (type(n) is not float or not n >= 0.0 or (route is MissingRoute.MIDDLE) != trinary
-                or ("middle" in d) != trinary or type(left) not in nodes or type(right) not in nodes
-                or (trinary and type(middle) not in nodes)):
-            raise ValueError
-        return Branch(SplitSpec(partition, route, w_left, w_right), left, right, middle, n)
-
-    return node
-
-
 def _one_pass(text) -> Tree | None:
     """The tree of ``text`` read in one pass, or None to leave the text to
     :func:`deserialize`'s node walk, which gives every refusal its message.
     The keys before ``"root"`` give the header; ``json.loads`` then parses
-    the whole text through :func:`_node_hook`, one call deeper than the
-    walk's parse, so it meets the depth limit no later."""
+    the whole text with :func:`_node_reader` as its object hook, one call
+    deeper than the walk's parse, so it meets the depth limit no later."""
     skip, decode = json.decoder.WHITESPACE.match, json.JSONDecoder().raw_decode
     head: dict = {}
     try:
@@ -979,7 +953,7 @@ def _one_pass(text) -> Tree | None:
             head[key], i = decode(text, skip(text, i).end())
             i = skip(text, i).end() + 1  # past the ","
         fields, name_to_feature, code_of = _header(head)
-        doc = json.loads(text, object_hook=_node_hook(fields["loss"], name_to_feature, code_of))
+        doc = json.loads(text, object_hook=_node_reader(fields["loss"], name_to_feature, code_of))
         # a key after "root" may have changed the header the nodes were read under
         if type(doc) is not dict or type(doc.get("root")) not in (Leaf, Branch) or _header(doc)[0] != fields:
             return None
@@ -988,11 +962,16 @@ def _one_pass(text) -> Tree | None:
     return Tree(root=doc["root"], **fields)
 
 
-def deserialize(text: str) -> Tree:
-    """Parse and validate a tree document produced by :func:`serialize`. A
-    document :func:`_one_pass` leaves is parsed whole, then checked and built
-    node by node, pre-order, so a refusal names the first check failed. The
-    cyclic garbage collector is paused: parsing makes no reference cycles."""
+def deserialize(text: str | bytes) -> Tree:
+    """Parse and validate a tree document produced by :func:`serialize`:
+    text, or bytes that :func:`json.loads` decodes; any other value is a
+    TreeFormatError. One reader, :func:`_node_reader`, checks each node
+    object, as the parser closes it in :func:`_one_pass`; a document that
+    pass leaves is parsed whole and read node by node, pre-order, so a
+    refusal names the first check failed. The cyclic garbage collector is
+    paused: parsing makes no reference cycles."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise TreeFormatError(f"a tree document must be text, not {type(text).__name__}")
     with _collector_paused():
         tree = _one_pass(text)
         if tree is not None:
@@ -1004,5 +983,11 @@ def deserialize(text: str) -> Tree:
         except RecursionError:
             raise TreeFormatError("document nested too deeply") from None
         fields, name_to_feature, code_of = _header(_object(doc, "tree document"))
-        visit = partial(_node_from_json, fields["loss"], name_to_feature, code_of)
-        return Tree(root=_build((doc, "root", "document"), visit), **fields)
+        read = _node_reader(fields["loss"], name_to_feature, code_of)
+
+        def visit(place):  # a node's (holder, key)
+            holder, key = place
+            node = read(_object(_require(holder, key, "document" if holder is doc else "split node"), "node"), False)
+            return (node, ()) if type(node) is Leaf else node
+
+        return Tree(root=_build((doc, "root"), visit), **fields)

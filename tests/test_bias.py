@@ -34,6 +34,11 @@ def test_scenario_validation():
         BiasScenario(sigma=-1.0)
     with pytest.raises(ValidationError):
         BiasScenario(replications=1)
+    for field, value in (("n_samples", 20.5), ("replications", 3.5), ("n_samples", "20"), ("replications", None),
+                         ("n_samples", True)):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            BiasScenario(**{field: value})
+    assert BiasScenario(n_samples=np.int64(20), replications=np.int32(3)).n_samples == 20
 
 
 def test_bound_values_at_defaults():

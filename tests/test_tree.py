@@ -599,6 +599,10 @@ def test_truncate_cuts_only_split_nodes_that_keep_a_fit():
     assert serialize(truncate(chain, 1)) == serialize(chain)
     with pytest.raises(ValidationError, match="non-negative"):
         truncate(tree, -1)
+    for depth in (2.5, 1.0, "1", None, True):
+        with pytest.raises(ValidationError, match="depth must be an integer"):
+            truncate(tree, depth)
+    assert serialize(truncate(tree, np.int64(1))) == serialize(truncate(tree, 1))
 
 
 def test_deserialize_rejects_too_deep_documents():
@@ -662,6 +666,56 @@ def test_deserialize_rejects_bad_probabilities():
         _set_first_leaf_probs(doc4, probs)
         with pytest.raises(TreeFormatError, match=re.escape(f"sum to {float(np.sum(probs))!r}, not 1")):
             deserialize(json.dumps(doc4))
+
+
+def test_deserialize_reads_text_or_bytes_and_refuses_anything_else():
+    text = serialize(train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1)))
+    for written in (text, text.encode(), bytearray(text.encode()), text.encode("utf-16")):
+        assert serialize(deserialize(written)) == text
+    for value, name in ((None, "NoneType"), (5, "int"), ([text], "list"), (json.loads(text), "dict")):
+        with pytest.raises(TreeFormatError, match=f"^a tree document must be text, not {name}$"):
+            deserialize(value)
+
+
+def test_deserialize_holds_leaf_probabilities_to_numpys_sum():
+    """Next to the 1e-9 tolerance on either side of 1, a leaf of K
+    probabilities reads back exactly when numpy's sum of them is inside it;
+    from 8 classes on, numpy and sum() add them in different orders."""
+    doc = json.loads(serialize(_classification_tree()))
+    doc["response"]["labels"] = []
+    rng = np.random.default_rng(11)
+    totals = [1 + 4503599 * 2.0 ** -52, 1 + 4503600 * 2.0 ** -52, 1 - 9007199 * 2.0 ** -53, 1 - 9007200 * 2.0 ** -53]
+    for n_classes in (3, 9, 20):
+        doc["loss"]["n_classes"] = n_classes
+        for drawn in totals * 20:
+            probs = rng.random(n_classes)
+            probs /= probs.sum()
+            probs[-1] += drawn - np.sum(probs)
+            for _ in range(64):  # step the last probability until numpy's sum is the total
+                if np.sum(probs) == drawn:
+                    break
+                probs[-1] = np.nextafter(probs[-1], np.inf if np.sum(probs) < drawn else -np.inf)
+            total = float(np.sum(probs))  # the rounding may step past the drawn total
+            for leaf in (doc["root"]["left"], doc["root"]["right"]):
+                leaf["value"] = probs.tolist()
+            if abs(total - 1.0) <= 1e-9:
+                assert np.array_equal(deserialize(json.dumps(doc)).root.left.value, probs)
+            else:
+                with pytest.raises(TreeFormatError, match=re.escape(f"sum to {total!r}, not 1")):
+                    deserialize(json.dumps(doc))
+
+
+def test_deserialize_takes_a_leaf_loss_down_to_its_slack():
+    """A leaf loss down to -1e-9 times the leaf's n, at least 1, reads as
+    written; the next number below it is refused."""
+    doc = json.loads(serialize(train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))))
+    for n in (0.0, 0.5, 1.0, 3.0, 1e6):
+        slack = -1e-9 * max(n, 1.0)
+        doc["root"]["left"].update(n=n, loss=slack)
+        assert deserialize(json.dumps(doc)).root.left.train_loss == slack
+        doc["root"]["left"]["loss"] = math.nextafter(slack, -1.0)
+        with pytest.raises(TreeFormatError, match="leaf loss must be a non-negative number"):
+            deserialize(json.dumps(doc))
 
 
 def test_deserialize_rejects_malformed_documents():
@@ -826,6 +880,19 @@ def test_deserialize_rejects_route_kind_mismatch():
     assert doc["root"]["kind"] == "trinary"
     doc["root"]["kind"] = "binary"
     with pytest.raises(TreeFormatError):
+        deserialize(json.dumps(doc))
+    # the route alone, with the kind and middle child agreeing
+    message = "middle route and trinary node kind must occur together"
+    doc["root"].update(kind="trinary", missing="left")
+    with pytest.raises(TreeFormatError, match=message):
+        deserialize(json.dumps(doc))
+    doc = json.loads(serialize(train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))))
+    doc["root"]["missing"] = "middle"
+    with pytest.raises(TreeFormatError, match=message):
+        deserialize(json.dumps(doc))
+    doc["root"]["missing"] = "left"
+    del doc["root"]["right"]["kind"]
+    with pytest.raises(TreeFormatError, match="^node: missing field 'kind'$"):
         deserialize(json.dumps(doc))
 
 
@@ -1025,17 +1092,32 @@ def _checked_walk(text: str):
         return deserialize(text)
 
 
-def test_every_written_document_is_read_in_one_pass(monkeypatch):
+def test_every_written_document_is_read_in_one_pass():
     """serialize's text, and its minified form, never reaches the checked
-    walk, and the one pass reads the tree back."""
-    monkeypatch.setattr(tree_module, "_node_from_json", None)  # the walk's visit
+    walk: the one pass reads the tree back."""
     for text in _format_documents():
-        assert serialize(deserialize(text)) == text
         minified = json.dumps(json.loads(text), separators=(",", ":"))
-        assert serialize(deserialize(minified)) == text
+        for written in (text, minified):
+            one_pass = tree_module._one_pass(written)
+            assert one_pass is not None and serialize(one_pass) == text
+            assert serialize(deserialize(written)) == text
     texts = "".join(_format_documents())
     assert '"w_left"' in texts and '"left_categories"' in texts
     assert re.search(r'"middle": \{\s*"kind": "trinary"', texts)  # a middle chain
+
+
+def test_converted_and_defaulted_fields_are_read_in_one_pass():
+    """An integer split node n and threshold, which the reader converts, and
+    a leaf without n and loss, which it defaults, stay in the one pass."""
+    doc = json.loads(serialize(train(STEP, TrainConfig(Strategy.MAJORITY, max_depth=1, min_samples=1))))
+    doc["root"].update(n=4, threshold=2)
+    del doc["root"]["left"]["n"], doc["root"]["left"]["loss"]
+    text = json.dumps(doc)
+    one_pass = tree_module._one_pass(text)
+    assert one_pass is not None
+    assert serialize(one_pass) == serialize(_checked_walk(text))
+    assert one_pass.root.spec.partition.threshold == 2.0 and one_pass.root.n_samples == 4.0
+    assert (one_pass.root.left.n_samples, one_pass.root.left.train_loss) == (0.0, 0.0)
 
 
 @given(st.data())
